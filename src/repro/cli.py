@@ -584,13 +584,15 @@ def _cmd_batch(args, out) -> int:
     # exit code flags only gross deviations from the expected pass rate.
     healthy = True
     minimum_rate = max(0.0, 1.0 - 10.0 * args.alpha)
+    failing = reports.failing(args.alpha)
+    errors_by_test = reports.errors
     for number in tests:
         test_id = NIST_NUMBER_TO_ID[number]
-        outcomes = [r.results[test_id] for r in reports if test_id in r.results]
-        errors = sum(1 for r in reports if test_id in r.errors)
-        passes = sum(1 for result in outcomes if result.passed(args.alpha))
-        rate = passes / len(outcomes) if outcomes else float("nan")
-        healthy = healthy and bool(outcomes) and rate >= minimum_rate
+        errors = len(errors_by_test.get(test_id, {}))
+        evaluated = len(reports) - errors
+        passes = evaluated - int(failing[:, reports.test_ids.index(test_id)].sum())
+        rate = passes / evaluated if evaluated else float("nan")
+        healthy = healthy and evaluated > 0 and rate >= minimum_rate
         suffix = f"  ({errors} skipped)" if errors else ""
         print(
             f"  test {number:>2}: {NIST_TEST_NAMES[number]:<44} "

@@ -8,11 +8,13 @@ sequence, a :class:`BatchContext` computes them with vectorised 2-D passes
 for a whole batch, the :class:`TestRegistry` puts the NIST, FIPS and
 hardware-model tests behind one ``run(context) -> TestResult`` interface,
 and :func:`run_batch` executes any test selection over many sequences —
-vectorising the cheap tests on the shared statistics and the five
-heavyweight ones through the batch-native kernels of
-:mod:`repro.engine.heavy`, so the full suite runs pool-free on the packed
-backend (the process pool survives as an explicit ``processes > 1``
-fallback for paths without a batch kernel).
+deciding the five light tests as P-value columns from the shared integer
+statistics (:mod:`repro.engine.decisions`) and the heavyweight ones through
+the batch-native kernels of :mod:`repro.engine.heavy`, so the full suite
+runs pool-free on the packed backend (the process pool survives as an
+explicit ``processes > 1`` fallback for paths without a batch kernel).  Its
+columnar :class:`BatchResult` doubles as a sequence of per-row
+:class:`EngineReport` views.
 
 Quickstart::
 
@@ -24,7 +26,7 @@ Quickstart::
     print(sum(report.passed() for report in reports), "of", len(reports))
 """
 
-from repro.engine.batch import EngineReport, run_batch
+from repro.engine.batch import BatchResult, EngineReport, run_batch
 from repro.engine.heavy import BatchFallback
 from repro.engine.context import BACKENDS, DEFAULT_BACKEND, BatchContext, SequenceContext
 from repro.engine.packed import PackedMatrix, pack_matrix, unpack_matrix
@@ -42,6 +44,7 @@ __all__ = [
     "BACKENDS",
     "BatchContext",
     "BatchFallback",
+    "BatchResult",
     "DEFAULT_BACKEND",
     "DEFAULT_REGISTRY",
     "EngineReport",

@@ -1,31 +1,49 @@
-"""Batch executor: many sequences, shared statistics, pool-free heavy tests.
+"""Batch executor: many sequences, shared statistics, columnar decisions.
 
-``run_batch`` is the engine's answer to the ROADMAP's many-sequence
-monitoring traffic: instead of evaluating sequences one at a time (each test
-re-scanning the same bitstream), a batch of equal-length sequences shares a
+``run_batch`` is the engine's answer to many-sequence monitoring traffic:
+instead of evaluating sequences one at a time (each test re-scanning the
+same bitstream), a batch of equal-length sequences shares a
 :class:`~repro.engine.context.BatchContext` whose statistics are computed
-with single vectorised 2-D passes over the whole bit matrix.  The cheap
-tests (frequency, block frequency, runs, longest run, templates, serial,
-approximate entropy, cusum) reduce to scalar decision math per sequence; the
-expensive ones (rank, DFT, universal, linear complexity, random excursions)
-run through the batch-native kernels of :mod:`repro.engine.heavy` on the
-packed backend, so the full 15-test suite is pool-free by default.  The
-process pool survives only as an explicit opt-in fallback (``processes >
-1``) for tests without a usable batch kernel — the uint8 backend, mixed
-lengths, or a :class:`~repro.engine.heavy.BatchFallback` geometry.
+with single vectorised 2-D passes over the whole bit matrix.  On a packed
+batch every test with a batch runner evaluates the whole batch in one
+call: the five light tests (frequency, block frequency, runs, longest run,
+cusum) decide one P-value column from the shared integer statistics
+(:mod:`repro.engine.decisions`), the heavy ones (rank, DFT, universal,
+linear complexity, random excursions) run their batch-native kernels
+(:mod:`repro.engine.heavy`).  The remaining tests run per sequence on the
+batch's row contexts.  The process pool survives only as an explicit
+opt-in fallback (``processes > 1``) for expensive tests without a usable
+batch kernel — the uint8 backend, mixed lengths, or a
+:class:`~repro.engine.heavy.BatchFallback` geometry.
 
-Which path each test actually took is recorded per report in
-:attr:`EngineReport.execution_paths` (``"batched"`` / ``"inline"`` /
+The result is columnar.  A :class:`BatchResult` holds one column per test —
+the P-values, the error strings and the ``failing(alpha)`` mask a fleet
+verdict reduces from — and is a sequence of per-row :class:`EngineReport`
+views whose ``results`` build the scalar references'
+:class:`~repro.nist.common.TestResult` objects only when read.  The path
+each test took is recorded once per batch in
+:attr:`BatchResult.execution_paths` (``"batched"`` / ``"inline"`` /
 ``"pooled"``).  Results are bit-identical to running each test directly on
-each sequence — asserted by ``tests/test_engine_parity.py`` and
-``tests/test_heavy_batch_parity.py``.
+each sequence — asserted by ``tests/test_engine_parity.py``,
+``tests/test_heavy_batch_parity.py`` and ``tests/test_columnar_decisions.py``.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 import numpy as np
 
@@ -47,7 +65,7 @@ from repro.engine.registry import (
 )
 from repro.nist.common import BitsLike, TestResult, to_bits
 
-__all__ = ["EngineReport", "run_batch"]
+__all__ = ["BatchResult", "EngineReport", "run_batch"]
 
 _TEST_SECONDS = obs.histogram(
     "repro_engine_test_seconds",
@@ -65,33 +83,251 @@ _BITS_EVALUATED = obs.counter(
 )
 
 
-@dataclass
-class EngineReport:
-    """Per-sequence outcome of a batch run, keyed by canonical test id."""
+class _Column:
+    """One test's outcome over the whole batch.
 
-    n: int
-    results: Dict[str, TestResult] = field(default_factory=dict)
-    errors: Dict[str, str] = field(default_factory=dict)
-    #: Compute backend the shared statistics ran on ("packed" word kernels
-    #: or the "uint8" reference paths); P-values are identical either way.
-    backend: str = "uint8"
-    #: Execution path per test id: "batched" (batch-native kernel over the
-    #: whole batch), "inline" (per-sequence scalar in this process) or
-    #: "pooled" (per-sequence scalar in a worker process).  Benchmarks and
-    #: the fleet summary read this to prove the pool-free path was taken.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
+    ``p_values`` holds each row's primary P-value (NaN where the test
+    raised) and ``errors`` the error string of each row that raised.  A
+    decided column (a batch runner's P-value column) builds a row's
+    :class:`TestResult` with ``build`` only when it is read; per-sequence
+    outcomes (heavy kernels, the scalar spill, the pool) arrive built.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        p_values: np.ndarray,
+        build: Optional[Callable[[int], TestResult]] = None,
+        results: Optional[Dict[int, TestResult]] = None,
+        errors: Optional[Dict[int, str]] = None,
+    ) -> None:
+        self.path = path
+        self.p_values = p_values
+        self.errors = errors or {}
+        self._build = build
+        self._results = results or {}
+
+    @classmethod
+    def of_outcomes(
+        cls, path: str, rows: int, results: Dict[int, TestResult], errors: Dict[int, str]
+    ) -> "_Column":
+        p_values = np.full(rows, np.nan)
+        for row, result in results.items():
+            p_values[row] = result.p_value
+        return cls(path, p_values, results=results, errors=errors)
+
+    def result(self, row: int) -> Optional[TestResult]:
+        if self._build is not None:
+            return self._build(row)
+        return self._results.get(row)
+
+    def failing(self, alpha: float) -> np.ndarray:
+        """Rows whose result rejects randomness at ``alpha`` (never errored rows)."""
+        if self._build is not None:
+            # A decided column has one P-value per row, so TestResult.passed
+            # reduces to p >= alpha (NaN fails).
+            return ~(self.p_values >= alpha)
+        failing = np.zeros(self.p_values.size, dtype=bool)
+        for row, result in self._results.items():
+            failing[row] = not result.passed(alpha)
+        return failing
+
+
+class EngineReport:
+    """One sequence's row of a :class:`BatchResult`, keyed by canonical test id.
+
+    A lazy view: :attr:`results` builds the row's
+    :class:`~repro.nist.common.TestResult` objects — exactly the scalar
+    references' output — on first access, while :meth:`passed` and
+    :meth:`failing_tests` read the batch's failing mask without building
+    any.
+    """
+
+    __slots__ = ("_batch", "_row", "_results")
+
+    def __init__(self, batch: "BatchResult", row: int) -> None:
+        self._batch = batch
+        self._row = row
+        self._results: Optional[Dict[str, TestResult]] = None
+
+    @property
+    def n(self) -> int:
+        """Sequence length."""
+        return self._batch.lengths[self._row]
+
+    @property
+    def backend(self) -> str:
+        """Compute backend the shared statistics ran on ("packed" word
+        kernels or the "uint8" reference paths); P-values are identical
+        either way."""
+        return self._batch.backend
+
+    @property
+    def execution_paths(self) -> Dict[str, str]:
+        """Execution path per test id (see :attr:`BatchResult.execution_paths`)."""
+        return self._batch.execution_paths
+
+    @property
+    def results(self) -> Dict[str, TestResult]:
+        """Result per test that ran on this sequence, built on first access."""
+        if self._results is None:
+            results: Dict[str, TestResult] = {}
+            for test_id, column in self._batch._columns.items():
+                result = column.result(self._row)
+                if result is not None:
+                    results[test_id] = result
+            self._results = results
+        return self._results
+
+    @property
+    def errors(self) -> Dict[str, str]:
+        """Error string per test that raised on this sequence."""
+        return {
+            test_id: column.errors[self._row]
+            for test_id, column in self._batch._columns.items()
+            if self._row in column.errors
+        }
 
     def passed(self, alpha: float = 0.01) -> bool:
         """True when every test that ran accepted the randomness hypothesis."""
-        return all(result.passed(alpha) for result in self.results.values())
+        return not bool(self._batch.failing(alpha)[self._row].any())
 
     def failing_tests(self, alpha: float = 0.01) -> List[str]:
         """Ids of tests that rejected the randomness hypothesis."""
-        return [tid for tid, result in self.results.items() if not result.passed(alpha)]
+        flags = self._batch.failing(alpha)[self._row]
+        return [test_id for test_id, flag in zip(self._batch.test_ids, flags) if flag]
 
     def p_values(self) -> Dict[str, float]:
         """Primary P-value per executed test."""
-        return {tid: result.p_value for tid, result in self.results.items()}
+        return {test_id: result.p_value for test_id, result in self.results.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EngineReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> Tuple[object, ...]:
+        return (self.n, self.results, self.errors, self.backend, self.execution_paths)
+
+    def __repr__(self) -> str:
+        return (
+            f"EngineReport(n={self.n}, tests={list(self._batch.test_ids)}, "
+            f"errors={self.errors}, backend={self.backend!r})"
+        )
+
+
+class BatchResult(Sequence[EngineReport]):
+    """Columnar outcome of :func:`run_batch`: one column per test over the batch.
+
+    :attr:`p_values` is the ``(rows, tests)`` matrix of primary P-values in
+    :attr:`test_ids` order, :attr:`errors` the error strings per test and
+    row, and :meth:`failing` the mask of rejections at a significance level
+    — everything a verdict needs, without building a single
+    :class:`~repro.nist.common.TestResult`.  As a ``Sequence`` it serves
+    one lazy :class:`EngineReport` per row (indexing, slicing, iteration,
+    ``len``).  Decided columns keep the batch's statistics alive until the
+    result is dropped, so a row's results can still be built on demand.
+    """
+
+    def __init__(
+        self, lengths: Sequence[int], backend: str, columns: Dict[str, _Column]
+    ) -> None:
+        #: Sequence length per row (rows differ only on the mixed-length path).
+        self.lengths = tuple(lengths)
+        #: Compute backend of the shared statistics ("packed" or "uint8").
+        self.backend = backend
+        self._columns = columns
+        self._reports: List[Optional[EngineReport]] = [None] * len(self.lengths)
+        self._failing: Dict[float, np.ndarray] = {}
+
+    @property
+    def test_ids(self) -> Tuple[str, ...]:
+        """Canonical ids of the tests that ran, in execution order."""
+        return tuple(self._columns)
+
+    @property
+    def execution_paths(self) -> Dict[str, str]:
+        """Execution path per test id: "batched" (one call over the whole
+        batch), "inline" (per sequence in this process) or "pooled" (per
+        sequence in a worker process)."""
+        return {test_id: column.path for test_id, column in self._columns.items()}
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """``(rows, tests)`` primary P-values in :attr:`test_ids` order (NaN: error)."""
+        if not self._columns:
+            return np.empty((len(self), 0))
+        return np.column_stack([column.p_values for column in self._columns.values()])
+
+    @property
+    def errors(self) -> Dict[str, Dict[int, str]]:
+        """Error string per row, for each test that raised on some row."""
+        return {
+            test_id: dict(column.errors)
+            for test_id, column in self._columns.items()
+            if column.errors
+        }
+
+    def failing(self, alpha: float = 0.01) -> np.ndarray:
+        """``(rows, tests)`` mask: True where a test rejected randomness at ``alpha``.
+
+        A row on which a test raised is not failing for that test (see
+        :attr:`errors`).  The mask is computed once per ``alpha``.
+        """
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
+        mask = self._failing.get(alpha)
+        if mask is None:
+            mask = np.zeros((len(self), len(self._columns)), dtype=bool)
+            for index, column in enumerate(self._columns.values()):
+                mask[:, index] = column.failing(alpha)
+            self._failing[alpha] = mask
+        return mask
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @overload
+    def __getitem__(self, index: int) -> EngineReport: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[EngineReport]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[EngineReport, List[EngineReport]]:
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"row {index} out of range for a batch of {len(self)}")
+        report = self._reports[row]
+        if report is None:
+            report = self._reports[row] = EngineReport(self, row)
+        return report
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (BatchResult, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchResult(rows={len(self)}, tests={list(self._columns)}, "
+            f"backend={self.backend!r})"
+        )
+
+
+def _row_result(
+    test: RegisteredTest,
+    kwargs: Dict[str, object],
+    context: Callable[[int], SequenceContext],
+    row: int,
+) -> TestResult:
+    """A decided column's row, as the test's scalar context runner computes it."""
+    return test.run(context(row), **kwargs)
 
 
 def _pool_worker(payload):
@@ -120,7 +356,7 @@ def _pool_worker(payload):
 
 
 def _describe_error(exc: Exception) -> str:
-    """Error string recorded in :attr:`EngineReport.errors`.
+    """Error string recorded in :attr:`BatchResult.errors`.
 
     ``ValueError`` messages (parameter/length constraints) are self-
     explanatory; anything else keeps its exception type so an unexpected
@@ -139,7 +375,7 @@ def run_batch(
     registry: Optional[TestRegistry] = None,
     skip_errors: bool = True,
     backend: str = DEFAULT_BACKEND,
-) -> List[EngineReport]:
+) -> BatchResult:
     """Evaluate ``tests`` on every sequence in ``sequences``.
 
     Parameters
@@ -182,19 +418,19 @@ def run_batch(
         tests by id.
     skip_errors:
         When True (default), any exception from a test is recorded in
-        :attr:`EngineReport.errors` instead of aborting the batch, so one
-        misbehaving test cannot leave the other reports partially filled.
+        :attr:`BatchResult.errors` instead of aborting the batch, so one
+        misbehaving test cannot leave the other columns partially filled.
     backend:
         ``"packed"`` (default) computes the cheap shared statistics on the
         64-bits-per-word kernels of :mod:`repro.engine.packed`; ``"uint8"``
         forces the byte-per-bit reference paths.  P-values are bit-identical
-        either way (the backend is recorded in
-        :attr:`EngineReport.backend`).
+        either way (the backend is recorded in :attr:`BatchResult.backend`).
 
     Returns
     -------
-    list of EngineReport
-        One report per input sequence, in input order.
+    BatchResult
+        One column per test; as a sequence, one :class:`EngineReport` per
+        input sequence, in input order.
     """
     with obs.trace("run_batch", backend=backend):
         return _run_batch(
@@ -210,7 +446,7 @@ def _run_batch(
     registry: Optional[TestRegistry],
     skip_errors: bool,
     backend: str,
-) -> List[EngineReport]:
+) -> BatchResult:
     """The traced body of :func:`run_batch` (runs under its root span)."""
     validate_backend(backend)
     registry = registry if registry is not None else DEFAULT_REGISTRY
@@ -224,16 +460,14 @@ def _run_batch(
             batch = BatchContext(sequences, backend=backend)
         elif isinstance(sequences, np.ndarray) and sequences.ndim == 2:
             batch = BatchContext(BatchContext.as_matrix(sequences), backend=backend)
+        arrays: List[np.ndarray] = []
         if batch is not None:
-            if batch.num_sequences == 0:
-                return []
-            arrays: Optional[List[np.ndarray]] = None
             num_sequences = batch.num_sequences
         else:
             arrays = [to_bits(sequence) for sequence in sequences]
             num_sequences = len(arrays)
         if not num_sequences:
-            return []
+            return BatchResult((), backend if batch is None else batch.backend, {})
         specs = list(tests) if tests is not None else sorted(NIST_NUMBER_TO_ID)
         # Dedupe after resolution (first occurrence wins): the same test
         # given twice — e.g. by number and by id alias — would otherwise run
@@ -255,49 +489,52 @@ def _run_batch(
                 )
             params[test_id] = dict(kwargs)
 
-        if batch is None:
-            lengths = {arr.size for arr in arrays}
-            if len(lengths) == 1 and len(arrays) > 1:
-                batch = BatchContext(np.vstack(arrays), backend=backend)
+        if batch is None and len({arr.size for arr in arrays}) == 1 and len(arrays) > 1:
+            batch = BatchContext(np.vstack(arrays), backend=backend)
         if batch is not None:
-            contexts: List[SequenceContext] = list(batch.contexts())
-            reports = [
-                EngineReport(n=batch.n, backend=batch.backend)
-                for _ in range(num_sequences)
-            ]
+            lengths = [batch.n] * num_sequences
+            result_backend = batch.backend
         else:
             # Mixed-length fallback: per-sequence contexts on the uint8 paths.
-            contexts = [SequenceContext(arr) for arr in arrays]
-            reports = [EngineReport(n=int(arr.size), backend="uint8") for arr in arrays]
-    _BITS_EVALUATED.inc(sum(report.n for report in reports))
+            lengths = [int(arr.size) for arr in arrays]
+            result_backend = "uint8"
+    _BITS_EVALUATED.inc(sum(lengths))
+
+    # Row contexts are created on first use and shared by every test that
+    # runs per sequence (and by decided columns building a row's results).
+    contexts: List[Optional[SequenceContext]] = [None] * num_sequences
+
+    def context(row: int) -> SequenceContext:
+        found = contexts[row]
+        if found is None:
+            found = batch.context(row) if batch is not None else SequenceContext(arrays[row])
+            contexts[row] = found
+        return found
 
     pool_allowed = (
         processes is not None and processes > 1 and registry is DEFAULT_REGISTRY
     )
+    columns: Dict[str, _Column] = {}
 
     def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
         # The dispatch span covers the per-sequence test evaluations; the
-        # decision span the fold of outcomes into reports.  Collecting
+        # decision span the fold of outcomes into a column.  Collecting
         # outcomes first keeps skip_errors=False raising from inside the
         # dispatch span, exactly where the failure happened.
-        outcomes: List[Tuple[bool, object]] = []
+        results: Dict[int, TestResult] = {}
+        errors: Dict[int, str] = {}
         with obs.span("dispatch", test=test.id, path="inline") as dispatch_span:
-            for context in contexts:
+            for row in range(num_sequences):
                 try:
-                    outcomes.append((True, test.run(context, **kwargs)))
+                    results[row] = test.run(context(row), **kwargs)
                 except Exception as exc:  # noqa: BLE001 - see skip_errors docs
                     if not skip_errors:
                         raise
-                    outcomes.append((False, exc))
+                    errors[row] = _describe_error(exc)
         _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-        _TESTS_TOTAL.inc(len(reports), path="inline")
+        _TESTS_TOTAL.inc(num_sequences, path="inline")
         with obs.span("decision", test=test.id):
-            for report, (ok, value) in zip(reports, outcomes):
-                report.execution_paths[test.id] = "inline"
-                if ok:
-                    report.results[test.id] = value  # type: ignore[assignment]
-                else:
-                    report.errors[test.id] = _describe_error(value)  # type: ignore[arg-type]
+            columns[test.id] = _Column.of_outcomes("inline", num_sequences, results, errors)
 
     pooled: List[RegisteredTest] = []
     for test in resolved:
@@ -307,11 +544,11 @@ def _run_batch(
             and test.batch_runner is not None
             and batch.backend == "packed"
         ):
-            # Batch-native kernel over the whole packed batch: the pool-free
-            # default for the heavyweight tests.
+            # One call over the whole packed batch: a P-value column for the
+            # light tests, batch-native kernels for the heavy ones.
             try:
                 with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
-                    outcomes = test.run_batch(batch, **kwargs)
+                    outcome = test.run_batch(batch, **kwargs)
             except BatchFallback:
                 # Parameters outside the kernel's fast path: rerun this one
                 # test per sequence (pooled only if explicitly opted in).
@@ -323,28 +560,35 @@ def _run_batch(
             except Exception as exc:  # noqa: BLE001 - see skip_errors docs
                 if not skip_errors:
                     raise
-                # Batch kernels validate parameters once for the whole
+                # Batch runners validate parameters once for the whole
                 # batch (all rows share n), so the error is uniform.
-                message = _describe_error(exc)
-                _TESTS_TOTAL.inc(len(reports), path="batched")
-                for report in reports:
-                    report.execution_paths[test.id] = "batched"
-                    report.errors[test.id] = message
+                _TESTS_TOTAL.inc(num_sequences, path="batched")
+                columns[test.id] = _Column.of_outcomes(
+                    "batched",
+                    num_sequences,
+                    {},
+                    dict.fromkeys(range(num_sequences), _describe_error(exc)),
+                )
                 continue
             _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-            _TESTS_TOTAL.inc(len(reports), path="batched")
+            _TESTS_TOTAL.inc(num_sequences, path="batched")
             with obs.span("decision", test=test.id):
-                for report, outcome in zip(reports, outcomes):
-                    report.execution_paths[test.id] = "batched"
-                    report.results[test.id] = outcome
+                if isinstance(outcome, np.ndarray):
+                    columns[test.id] = _Column(
+                        "batched", outcome, build=partial(_row_result, test, kwargs, context)
+                    )
+                else:
+                    columns[test.id] = _Column.of_outcomes(
+                        "batched", num_sequences, dict(enumerate(outcome)), {}
+                    )
         elif pool_allowed and test.expensive:
             pooled.append(test)
         else:
             run_inline(test, kwargs)
 
     if pooled:
-        _TESTS_TOTAL.inc(len(pooled) * len(reports), path="pooled")
-        if arrays is not None:
+        _TESTS_TOTAL.inc(len(pooled) * num_sequences, path="pooled")
+        if batch is None or arrays:
             payloads = [("bits", arr.tobytes(), int(arr.size)) for arr in arrays]
         else:
             packed = batch.packed_only()
@@ -357,6 +601,8 @@ def _run_batch(
                 ]
             else:
                 payloads = [("bits", row.tobytes(), batch.n) for row in batch.matrix]
+        pooled_results: Dict[str, Dict[int, TestResult]] = {test.id: {} for test in pooled}
+        pooled_errors: Dict[str, Dict[int, str]] = {test.id: {} for test in pooled}
         pooled_ids = ",".join(test.id for test in pooled)
         with obs.span("dispatch", test=pooled_ids, path="pooled"):
             with ProcessPoolExecutor(max_workers=processes) as pool:
@@ -368,15 +614,20 @@ def _run_batch(
                             _pool_worker, (test.id, kind, raw, length, kwargs)
                         )
                         futures[future] = (index, test.id)
-                        reports[index].execution_paths[test.id] = "pooled"
                 for future in as_completed(futures):
                     index, test_id = futures[future]
                     status, outcome = future.result()
                     if status == "ok":
-                        reports[index].results[test_id] = outcome
+                        pooled_results[test_id][index] = outcome
                     elif skip_errors:
-                        reports[index].errors[test_id] = _describe_error(outcome)
+                        pooled_errors[test_id][index] = _describe_error(outcome)
                     else:
                         raise outcome
+        for test in pooled:
+            columns[test.id] = _Column.of_outcomes(
+                "pooled", num_sequences, pooled_results[test.id], pooled_errors[test.id]
+            )
 
-    return reports
+    return BatchResult(
+        lengths, result_backend, {test.id: columns[test.id] for test in resolved}
+    )

@@ -26,6 +26,9 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
+from repro.engine import decisions as _decisions
 from repro.engine import heavy as _heavy
 from repro.engine.context import BatchContext, SequenceContext
 from repro.fips import battery as _fips
@@ -61,6 +64,9 @@ __all__ = [
 #: id or alias string, or a NIST test number.
 TestSpec = Union["RegisteredTest", str, int]
 
+#: What a batch runner returns: one P-value column or one result per sequence.
+BatchOutcome = Union[np.ndarray, List[TestResult]]
+
 
 @runtime_checkable
 class StatisticalTest(Protocol):
@@ -95,10 +101,13 @@ class RegisteredTest:
         usable ``batch_runner`` the executor may fan it out over a process
         pool as an explicit opt-in fallback (``processes > 1``).
     batch_runner:
-        Optional batch-native entry point
-        ``batch_runner(batch, **params) -> List[TestResult]`` evaluating the
-        whole :class:`~repro.engine.context.BatchContext` at once (one
-        result per sequence, bit-identical to ``runner``).  May raise
+        Optional batch-native entry point ``batch_runner(batch, **params)``
+        evaluating the whole :class:`~repro.engine.context.BatchContext` at
+        once.  It returns either one P-value column (a float array with one
+        entry per sequence, for tests whose result carries a single
+        P-value; ``run_batch`` builds a row's :class:`TestResult` with
+        ``runner`` only when it is read) or one result per sequence; either
+        way bit-identical to ``runner``.  May raise
         :class:`~repro.engine.heavy.BatchFallback` for parameters outside
         its fast path.
     """
@@ -108,12 +117,12 @@ class RegisteredTest:
     runner: Callable[..., TestResult]
     aliases: Tuple[TestSpec, ...] = ()
     expensive: bool = False
-    batch_runner: Optional[Callable[..., List[TestResult]]] = None
+    batch_runner: Optional[Callable[..., BatchOutcome]] = None
 
     def run(self, context: SequenceContext, **params) -> TestResult:
         return self.runner(context, **params)
 
-    def run_batch(self, batch: BatchContext, **params) -> List[TestResult]:
+    def run_batch(self, batch: BatchContext, **params) -> BatchOutcome:
         """Evaluate the whole batch at once (batch-native tests only)."""
         if self.batch_runner is None:
             raise ValueError(f"test {self.id!r} has no batch-native runner")
@@ -275,11 +284,13 @@ def build_default_registry() -> TestRegistry:
         14: _reference_runner(random_excursions_test),
         15: _reference_runner(random_excursions_variant_test),
     }
-    # The five heavyweight tests: batch-native kernels evaluate a whole
-    # packed batch at once (the pool-free default); the scalar runner stays
-    # the per-sequence reference, and `expensive` keeps the process pool
-    # available as an explicit opt-in fallback.
-    batch_runners: Dict[int, Callable[..., List[TestResult]]] = {
+    # Batch-native entry points evaluate a whole packed batch at once: the
+    # five light tests decide one P-value column from the shared integer
+    # statistics, the heavyweight ones run their kernels (the pool-free
+    # default).  The scalar runner stays the per-sequence reference, and
+    # `expensive` keeps the process pool available to the heavy tests as
+    # an explicit opt-in fallback.
+    heavy_runners: Dict[int, Callable[..., BatchOutcome]] = {
         5: _heavy.batch_rank,
         6: _heavy.batch_dft,
         9: _heavy.batch_universal,
@@ -287,7 +298,14 @@ def build_default_registry() -> TestRegistry:
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
     }
-    pool_candidates = set(batch_runners)
+    batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
+        1: _decisions.batch_frequency,
+        2: _decisions.batch_block_frequency,
+        3: _decisions.batch_runs,
+        4: _decisions.batch_longest_run,
+        13: _decisions.batch_cumulative_sums,
+        **heavy_runners,
+    }
     for number, runner in nist_runners.items():
         registry.register(
             RegisteredTest(
@@ -295,7 +313,7 @@ def build_default_registry() -> TestRegistry:
                 name=NIST_TEST_NAMES[number],
                 runner=runner,
                 aliases=(number, str(number), f"nist.{number}"),
-                expensive=number in pool_candidates,
+                expensive=number in heavy_runners,
                 batch_runner=batch_runners.get(number),
             )
         )

@@ -31,7 +31,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
-from repro.engine.batch import EngineReport, run_batch
+from repro.engine.batch import BatchResult, run_batch
 from repro.engine.context import DEFAULT_BACKEND, validate_backend
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.engine.registry import NIST_NUMBER_TO_ID
@@ -150,16 +150,37 @@ class FleetVerdict:
     errors: Tuple[str, ...] = ()
 
 
-def _reduce_report(report: EngineReport, alpha: float) -> FleetVerdict:
-    """Collapse one engine report to the verdict the health machine needs."""
-    failing = sorted(
-        _ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in report.failing_tests(alpha)
+_PASSED = FleetVerdict(passed=True, failing_tests=())
+
+
+def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
+    """Per-sequence verdicts straight from the batch's failing mask.
+
+    A row fails when any test rejected it (its failing NIST numbers in
+    ascending order) or any test raised on it (its sorted error strings);
+    no per-row :class:`~repro.nist.common.TestResult` is ever built.
+    """
+    numbers = np.array(
+        [_ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in result.test_ids],
+        dtype=np.int64,
     )
-    return FleetVerdict(
-        passed=report.passed(alpha) and not report.errors,
-        failing_tests=tuple(failing),
-        errors=tuple(sorted(report.errors.values())),
-    )
+    order = np.argsort(numbers, kind="stable")
+    numbers = numbers[order]
+    failing = result.failing(alpha)[:, order]
+    row_errors: Dict[int, List[str]] = {}
+    for test_errors in result.errors.values():
+        for row, message in test_errors.items():
+            row_errors.setdefault(row, []).append(message)
+    verdicts = [_PASSED] * len(result)
+    for row in set(np.flatnonzero(failing.any(axis=1)).tolist()) | set(row_errors):
+        failing_tests = tuple(numbers[failing[row]].tolist())
+        errors = tuple(sorted(row_errors.get(row, ())))
+        verdicts[row] = FleetVerdict(
+            passed=not failing_tests and not errors,
+            failing_tests=failing_tests,
+            errors=errors,
+        )
+    return verdicts
 
 
 @dataclass
@@ -199,11 +220,8 @@ def _shard_worker(payload) -> Tuple[List[FleetVerdict], Dict[str, str]]:
         shard = PackedMatrix(words, n)
     else:
         shard = np.frombuffer(raw, dtype=np.uint8).reshape(rows, n)
-    reports = run_batch(shard, tests=list(tests), backend=backend)
-    paths: Dict[str, str] = {}
-    for report in reports:
-        paths.update(report.execution_paths)
-    return [_reduce_report(report, alpha) for report in reports], paths
+    result = run_batch(shard, tests=list(tests), backend=backend)
+    return _reduce_verdicts(result, alpha), result.execution_paths
 
 
 class FleetScheduler:
@@ -302,13 +320,10 @@ class FleetScheduler:
         with self.lock:
             self.execution_paths.update(paths)
 
-    def _fold_reports(self, reports: List[EngineReport], alpha: float) -> List[FleetVerdict]:
-        """Reduce engine reports to verdicts, folding their execution paths."""
-        paths: Dict[str, str] = {}
-        for report in reports:
-            paths.update(report.execution_paths)
-        self._fold_paths(paths)
-        return [_reduce_report(report, alpha) for report in reports]
+    def _fold(self, result: BatchResult, alpha: float) -> List[FleetVerdict]:
+        """Reduce a batch result to verdicts, folding its execution paths."""
+        self._fold_paths(result.execution_paths)
+        return _reduce_verdicts(result, alpha)
 
     def evaluate_matrix(
         self, matrix: Union[np.ndarray, PackedMatrix]
@@ -340,8 +355,8 @@ class FleetScheduler:
             and rows >= self.min_shard_devices
         )
         if not pooled:
-            reports = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold_reports(reports, alpha)
+            result = run_batch(matrix, tests=list(tests), backend=self.backend)
+            return self._fold(result, alpha)
         shards = [s for s in np.array_split(np.arange(rows), self.processes) if len(s)]
         # On the packed backend the shards ship as 64-bit words: 1/8th the
         # bytes across the pool pipe.
@@ -370,8 +385,8 @@ class FleetScheduler:
                     self._pool = ProcessPoolExecutor(max_workers=self.processes)
                 pool = self._pool
         if pool is None:
-            reports = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold_reports(reports, alpha)
+            result = run_batch(matrix, tests=list(tests), backend=self.backend)
+            return self._fold(result, alpha)
         verdicts: List[FleetVerdict] = []
         paths: Dict[str, str] = {}
         for shard_verdicts, shard_paths in pool.map(_shard_worker, payloads):
@@ -395,8 +410,8 @@ class FleetScheduler:
                 self._round_stream = StreamingBatchContext(rows, n, backend=self.backend)
             stream = self._round_stream
         stream.push(matrix)
-        reports = run_batch(stream.window_context(), tests=list(self.registry.tests))
-        return self._fold_reports(reports, self.registry.alpha)
+        result = run_batch(stream.window_context(), tests=list(self.registry.tests))
+        return self._fold(result, self.registry.alpha)
 
     # ------------------------------------------------------------- rounds
     def run_round(self) -> FleetRound:
@@ -533,13 +548,11 @@ class FleetScheduler:
                     offset += take
                     entry.pending += take
                     if entry.pending == n:
-                        reports = run_batch(
+                        result = run_batch(
                             context.window_context(),
                             tests=list(self.registry.tests),
                         )
-                        verdicts.extend(
-                            self._fold_reports(reports, self.registry.alpha)
-                        )
+                        verdicts.extend(self._fold(result, self.registry.alpha))
                         entry.pending = 0
             else:
                 if arr.size == 0 or arr.size % n != 0:

@@ -51,12 +51,14 @@ class TestBatchInstrumentation:
 
         bits_before = bits.value()
         paths_before = path_sum()
+        batched_before = totals.value(path="batched")
         freq_before = seconds.count(test="nist.frequency")
         run_batch(sequences, tests=["nist.frequency", "nist.runs"], backend="packed")
         assert bits.value() - bits_before == sequences.size
-        # Two tests over four sequences: eight per-sequence evaluations,
-        # whatever path each test took.
+        # Two tests over four sequences: eight per-sequence evaluations, all
+        # decided as P-value columns over the packed batch.
         assert path_sum() - paths_before == 8
+        assert totals.value(path="batched") - batched_before == 8
         assert seconds.count(test="nist.frequency") - freq_before == 1
 
     def test_trace_covers_pack_dispatch_decision(self, sequences):
