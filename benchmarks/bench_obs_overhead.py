@@ -45,15 +45,11 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: Modeled t/(t + obs cost) must stay >= 0.97: instrumentation <= ~3%.
 OVERHEAD_FLOOR = 0.97
 
-#: Workload sizes follow the fleet tier's batches.  A batch's obs cost is a
-#: fixed ~12 spans and ~16 metric updates (~50 µs), while the columnar
-#: decisions evaluate a 48 x 4096-bit batch in well under a millisecond, so
-#: batches that small measure the fixed cost against almost no work.
-BATCH_SEQUENCES = 64 if SMOKE else 256
-BATCH_LENGTH = 65536
+BATCH_SEQUENCES = 32 if SMOKE else 48
+BATCH_LENGTH = 4096
 BATCH_TESTS = ("nist.frequency", "nist.block_frequency", "nist.runs",
                "nist.cumulative_sums", "fips.poker")
-FLEET_DEVICES = 512 if SMOKE else 1024
+FLEET_DEVICES = 32 if SMOKE else 128
 #: Wall-time samples per arm (min taken) and primitive microbench iterations.
 SAMPLES = 10 if SMOKE else 20
 MICRO_ITERS = 20_000 if SMOKE else 100_000

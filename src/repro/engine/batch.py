@@ -514,13 +514,20 @@ def _run_batch(
     pool_allowed = (
         processes is not None and processes > 1 and registry is DEFAULT_REGISTRY
     )
-    columns: Dict[str, _Column] = {}
+    # Each test's outcome, folded into its column under one decision span
+    # once every test has been dispatched; per-sequence evaluations are
+    # counted per path and flushed once per batch, so the fixed metric cost
+    # of a batch does not grow with the number of tests.
+    outcomes: Dict[str, Callable[[], _Column]] = {}
+    evaluations: Dict[str, int] = {}
+
+    def count(path: str, tests: int = 1) -> None:
+        evaluations[path] = evaluations.get(path, 0) + tests * num_sequences
 
     def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
-        # The dispatch span covers the per-sequence test evaluations; the
-        # decision span the fold of outcomes into a column.  Collecting
-        # outcomes first keeps skip_errors=False raising from inside the
-        # dispatch span, exactly where the failure happened.
+        # The dispatch span covers the per-sequence test evaluations.
+        # Collecting outcomes first keeps skip_errors=False raising from
+        # inside the dispatch span, exactly where the failure happened.
         results: Dict[int, TestResult] = {}
         errors: Dict[int, str] = {}
         with obs.span("dispatch", test=test.id, path="inline") as dispatch_span:
@@ -532,9 +539,10 @@ def _run_batch(
                         raise
                     errors[row] = _describe_error(exc)
         _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-        _TESTS_TOTAL.inc(num_sequences, path="inline")
-        with obs.span("decision", test=test.id):
-            columns[test.id] = _Column.of_outcomes("inline", num_sequences, results, errors)
+        count("inline")
+        outcomes[test.id] = partial(
+            _Column.of_outcomes, "inline", num_sequences, results, errors
+        )
 
     pooled: List[RegisteredTest] = []
     for test in resolved:
@@ -562,8 +570,9 @@ def _run_batch(
                     raise
                 # Batch runners validate parameters once for the whole
                 # batch (all rows share n), so the error is uniform.
-                _TESTS_TOTAL.inc(num_sequences, path="batched")
-                columns[test.id] = _Column.of_outcomes(
+                count("batched")
+                outcomes[test.id] = partial(
+                    _Column.of_outcomes,
                     "batched",
                     num_sequences,
                     {},
@@ -571,23 +580,29 @@ def _run_batch(
                 )
                 continue
             _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-            _TESTS_TOTAL.inc(num_sequences, path="batched")
-            with obs.span("decision", test=test.id):
-                if isinstance(outcome, np.ndarray):
-                    columns[test.id] = _Column(
-                        "batched", outcome, build=partial(_row_result, test, kwargs, context)
-                    )
-                else:
-                    columns[test.id] = _Column.of_outcomes(
-                        "batched", num_sequences, dict(enumerate(outcome)), {}
-                    )
+            count("batched")
+            if isinstance(outcome, np.ndarray):
+                outcomes[test.id] = partial(
+                    _Column,
+                    "batched",
+                    outcome,
+                    build=partial(_row_result, test, kwargs, context),
+                )
+            else:
+                outcomes[test.id] = partial(
+                    _Column.of_outcomes,
+                    "batched",
+                    num_sequences,
+                    dict(enumerate(outcome)),
+                    {},
+                )
         elif pool_allowed and test.expensive:
             pooled.append(test)
         else:
             run_inline(test, kwargs)
 
     if pooled:
-        _TESTS_TOTAL.inc(len(pooled) * num_sequences, path="pooled")
+        count("pooled", len(pooled))
         if batch is None or arrays:
             payloads = [("bits", arr.tobytes(), int(arr.size)) for arr in arrays]
         else:
@@ -624,10 +639,16 @@ def _run_batch(
                     else:
                         raise outcome
         for test in pooled:
-            columns[test.id] = _Column.of_outcomes(
-                "pooled", num_sequences, pooled_results[test.id], pooled_errors[test.id]
+            outcomes[test.id] = partial(
+                _Column.of_outcomes,
+                "pooled",
+                num_sequences,
+                pooled_results[test.id],
+                pooled_errors[test.id],
             )
 
-    return BatchResult(
-        lengths, result_backend, {test.id: columns[test.id] for test in resolved}
-    )
+    for path, total in evaluations.items():
+        _TESTS_TOTAL.inc(total, path=path)
+    with obs.span("decision", tests=len(resolved)):
+        columns = {test.id: outcomes[test.id]() for test in resolved}
+    return BatchResult(lengths, result_backend, columns)

@@ -146,6 +146,9 @@ class _Metric:
         self._lock = threading.Lock()
 
     def _key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
+        # Fast path: call sites pass the labels in declaration order.
+        if tuple(labels) == self.label_names:
+            return tuple(map(str, labels.values()))
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "

@@ -32,7 +32,10 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import is_enabled
+from repro.obs import metrics as _metrics
+
+# Bound once: every span reads the clock twice.
+_perf_counter = time.perf_counter
 
 __all__ = ["Span", "Tracer", "TRACER", "span", "trace", "export_traces", "clear_traces"]
 
@@ -42,17 +45,59 @@ DEFAULT_TRACE_CAPACITY = 128
 
 
 class Span:
-    """One timed stage; children nest through the thread-local stack."""
+    """One timed stage; children nest through the thread-local stack.
 
-    __slots__ = ("name", "attributes", "children", "start_s", "duration_s", "error")
+    A span is its own context manager.  Entering it pushes it onto its
+    tracer's stack for this thread (when recording is enabled) and starts
+    the clock; leaving it stops the clock, pops it and hands a finished
+    root to the trace ring.
+    """
 
-    def __init__(self, name: str, attributes: Dict[str, object]):
+    __slots__ = (
+        "name", "attributes", "children", "start_s", "duration_s", "error",
+        "_tracer", "_stack",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        attributes: Dict[str, object],
+        tracer: Optional["Tracer"] = None,
+    ):
         self.name = name
         self.attributes = attributes
         self.children: List["Span"] = []
         self.start_s = 0.0
         self.duration_s = 0.0
         self.error: Optional[str] = None
+        self._tracer = tracer
+        # The stack this span was pushed on, kept so leaving the span needs
+        # no second thread-local lookup (None: not recording).
+        self._stack: Optional[List["Span"]] = None
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        if tracer is not None and _metrics._enabled:
+            stack = tracer._stack()
+            if stack:
+                stack[-1].children.append(self)
+            stack.append(self)
+            self._stack = stack
+        self.start_s = _perf_counter()
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.duration_s = _perf_counter() - self.start_s
+        if exc_type is not None:
+            self.error = getattr(exc_type, "__name__", str(exc_type))
+        stack = self._stack
+        if stack is not None:
+            self._stack = None
+            # The span we pushed is still on top (with statements unwind in
+            # LIFO order even under exceptions).
+            stack.pop()
+            if not stack:
+                self._tracer._record(self)  # type: ignore[union-attr]
 
     def to_dict(self, origin_s: Optional[float] = None) -> Dict[str, object]:
         """JSON-ready span tree; start times are relative to the root."""
@@ -80,41 +125,6 @@ class Span:
         )
 
 
-class _SpanHandle:
-    """Context manager driving one span's lifecycle on the tracer stack."""
-
-    __slots__ = ("_tracer", "_span", "_attached")
-
-    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, object]):
-        self._tracer = tracer
-        self._span = Span(name, attributes)
-        self._attached = False
-
-    def __enter__(self) -> Span:
-        current = self._span
-        if is_enabled():
-            stack = self._tracer._stack()
-            if stack:
-                stack[-1].children.append(current)
-            stack.append(current)
-            self._attached = True
-        current.start_s = time.perf_counter()
-        return current
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        current = self._span
-        current.duration_s = time.perf_counter() - current.start_s
-        if exc_type is not None:
-            current.error = getattr(exc_type, "__name__", str(exc_type))
-        if self._attached:
-            stack = self._tracer._stack()
-            # The span we pushed is still on top (with statements unwind in
-            # LIFO order even under exceptions).
-            stack.pop()
-            if not stack:
-                self._tracer._record(current)
-
-
 class Tracer:
     """Thread-local span stacks over a shared bounded ring of recent traces."""
 
@@ -127,8 +137,9 @@ class Tracer:
         self._local = threading.local()
 
     def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
+        try:
+            stack: List[Span] = self._local.stack
+        except AttributeError:
             stack = self._local.stack = []
         return stack
 
@@ -137,9 +148,9 @@ class Tracer:
             self._traces.append(root)
 
     # --------------------------------------------------------------- API
-    def span(self, name: str, **attributes: object) -> _SpanHandle:
+    def span(self, name: str, **attributes: object) -> Span:
         """Open a (possibly nested) timed span as a context manager."""
-        return _SpanHandle(self, name, dict(attributes))
+        return Span(name, attributes, self)
 
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
@@ -165,9 +176,9 @@ class Tracer:
 TRACER = Tracer()
 
 
-def span(name: str, **attributes: object) -> _SpanHandle:
+def span(name: str, **attributes: object) -> Span:
     """Open a span on the default tracer (nests under any open span)."""
-    return TRACER.span(name, **attributes)
+    return Span(name, attributes, TRACER)
 
 
 #: Alias emphasising intent at call sites that open a run's *root* span.

@@ -71,6 +71,32 @@ class TestBatchInstrumentation:
             assert stage in stages
         obs.clear_traces()
 
+    def test_fixed_cost_folds_once_per_batch(self, sequences):
+        # One dispatch span per test, but a single decision span and a
+        # single per-path counter update however many tests ran.
+        tests = ["nist.frequency", "nist.block_frequency", "nist.runs",
+                 "nist.cumulative_sums", "fips.poker"]
+        totals = metric("repro_engine_tests_total")
+        incs = []
+        original = totals.inc
+
+        def counting_inc(amount=1.0, **labels):
+            incs.append(labels["path"])
+            original(amount, **labels)
+
+        obs.clear_traces()
+        totals.inc = counting_inc
+        try:
+            run_batch(sequences, tests=tests, backend="packed")
+        finally:
+            del totals.inc
+        (root,) = [r for r in obs.TRACER.traces() if r.name == "run_batch"]
+        stages = root.stage_names()
+        assert stages.count("dispatch") == len(tests)
+        assert stages.count("decision") == 1
+        assert sorted(incs) == ["batched", "inline"]
+        obs.clear_traces()
+
     def test_disabled_batch_still_computes(self, sequences):
         bits = metric("repro_engine_bits_evaluated_total")
         before = bits.value()
