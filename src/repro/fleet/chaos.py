@@ -342,6 +342,7 @@ def _run_chaos_in(
                 _note(out, f"SIGKILL after {acks} acks; restarting with --restore")
                 process.kill()
                 process.wait(timeout=30)
+                client.close()
                 process, url, replay = _spawn_service(config, spool, restore=True)
                 replay_applied, replay_duplicates = replay
                 client = FleetClient(url, jitter_seed=config.seed + 1)
@@ -398,15 +399,17 @@ def _run_chaos_in(
         _note(out, f"SIGKILL after full run ({acks} acks); restarting")
         process.kill()
         process.wait(timeout=30)
+        client.close()
         process, url, replay = _spawn_service(config, spool, restore=True)
         replay_applied, replay_duplicates = replay
         client = FleetClient(url, jitter_seed=config.seed + 1)
         killed = True
 
-    service_health = {
-        device_id: client.device_health(device_id) for device_id in device_ids
-    }
-    service_summary = client.fleet_summary()
+    with client:
+        service_health = {
+            device_id: client.device_health(device_id) for device_id in device_ids
+        }
+        service_summary = client.fleet_summary()
     process.terminate()
     clean = process.wait(timeout=30) == 0
     _note(out, f"SIGTERM shutdown {'clean' if clean else 'DIRTY'}")

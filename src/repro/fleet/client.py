@@ -2,13 +2,15 @@
 
 The service front-end (:mod:`repro.fleet.service`) sheds load with 429 +
 ``Retry-After`` and sequences ingests with per-device ``seq`` numbers; this
-client is the other half of those contracts.  :class:`FleetClient` wraps
-``urllib.request`` (no new dependencies) and retries transient failures —
-connection errors, timeouts, 5xx, 408 and 429 — with exponential backoff,
-honouring the server's ``Retry-After`` when it sends one and otherwise
-jittering the delay from a *seeded* generator, so a swarm of restarted
-clients never thunders back in lockstep yet every run of the chaos harness
-is reproducible.
+client is the other half of those contracts.  :class:`FleetClient` speaks
+HTTP/1.1 over ``http.client`` (no new dependencies), keeping one persistent
+connection per calling thread so a stream of small ingests pays for one TCP
+handshake, not one per chunk.  It retries transient failures — connection
+errors, timeouts, 5xx, 408 and 429 — with exponential backoff, honouring
+the server's ``Retry-After`` when it sends one and otherwise jittering the
+delay from a *seeded* generator, so a swarm of restarted clients never
+thunders back in lockstep yet every run of the chaos harness is
+reproducible.
 
 Because ingests carry ``seq``, a retry after an ambiguous failure (the
 request may or may not have been applied before the connection died) is
@@ -18,11 +20,12 @@ instead of double-evaluating it, and the client surfaces that as success.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,6 +36,14 @@ __all__ = ["FleetClient", "FleetServiceError"]
 #: HTTP statuses worth retrying: the request never ran (408/429/503) or the
 #: server hit a transient internal condition (5xx).
 _RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+
+#: How a kept-alive connection the server has since closed (idle timeout,
+#: restart) fails when it is reused: before any byte of the reply arrives.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
 
 _RETRIES = obs.counter(
     "repro_fleet_client_retries_total",
@@ -50,8 +61,31 @@ class FleetServiceError(Exception):
         self.message = message
 
 
+class _Connection(http.client.HTTPConnection):
+    """An HTTP/1.1 connection with Nagle's algorithm off.
+
+    ``http.client`` writes a POST's headers and body in two ``send()``
+    calls; with Nagle on, the body waits for the server's delayed ACK of
+    the headers (tens of milliseconds per request on a kept-alive socket).
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class FleetClient:
     """Convenience wrapper over the fleet service's JSON endpoints.
+
+    Each calling thread gets its own persistent HTTP/1.1 connection, opened
+    on first use and kept alive across requests; one client may be shared
+    by many threads.  A connection is dropped when the server answers
+    ``Connection: close`` (every error reply to a POST does) and reopened
+    by the next request.  A *reused* connection
+    the server has meanwhile closed fails before any reply byte arrives;
+    the client then reconnects once, immediately, without spending a retry
+    (counted as ``reason="stale_connection"``).  :meth:`close` — or leaving
+    a ``with`` block — closes every thread's connection.
 
     Parameters
     ----------
@@ -84,11 +118,37 @@ class FleetClient:
         if retries < 0:
             raise ValueError("retries must be non-negative")
         self.base_url = base_url.rstrip("/")
+        scheme, _, location = self.base_url.partition("://")
+        self._netloc, _, path = location.partition("/")
+        if scheme != "http" or not self._netloc:
+            raise ValueError(f"base_url must be an http://host[:port] URL, got {base_url!r}")
+        self._path_prefix = f"/{path}" if path else ""
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self._rng = np.random.default_rng(jitter_seed)
+        self._local = threading.local()
+        # Every thread's connection, so close() can reach them all.
+        self._connections: Set[_Connection] = set()
+        self._connections_lock = threading.Lock()
+
+    # ------------------------------------------------------------- lifecycle
+    def close(self) -> None:
+        """Close every thread's connection; call it with no request in flight.
+
+        A later request on the same client simply opens a new connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -------------------------------------------------------------- endpoints
     def register_device(
@@ -147,28 +207,19 @@ class FleetClient:
     def _request_raw(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> bytes:
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        target = self._path_prefix + path
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(
-                self.base_url + path, data=data, headers=headers, method=method
-            )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as reply:
-                    return reply.read()
-            except urllib.error.HTTPError as exc:
-                status = exc.code
-                detail = self._error_message(exc)
-                if status not in _RETRYABLE_STATUSES or attempt == self.retries:
-                    raise FleetServiceError(status, detail)
-                last_error = FleetServiceError(status, detail)
-                _RETRIES.inc(reason=f"http_{status}")
-                self._sleep(attempt, self._retry_after(exc))
-            except (urllib.error.URLError, OSError) as exc:
+                status, reason, retry_after, data = self._exchange(
+                    method, target, body, headers
+                )
+            except (OSError, http.client.HTTPException) as exc:
                 # Connection refused / reset / timed out: the server may be
                 # mid-restart (the chaos harness guarantees it sometimes is).
                 if attempt == self.retries:
@@ -176,21 +227,69 @@ class FleetClient:
                 last_error = exc
                 _RETRIES.inc(reason="connection")
                 self._sleep(attempt, None)
+                continue
+            if 200 <= status < 300:
+                return data
+            detail = self._error_message(data, reason)
+            if status not in _RETRYABLE_STATUSES or attempt == self.retries:
+                raise FleetServiceError(status, detail)
+            last_error = FleetServiceError(status, detail)
+            _RETRIES.inc(reason=f"http_{status}")
+            self._sleep(attempt, self._retry_after(retry_after))
         raise FleetServiceError(503, f"service unreachable: {last_error}")
 
-    @staticmethod
-    def _error_message(exc: urllib.error.HTTPError) -> str:
+    def _connection(self) -> _Connection:
+        connection: Optional[_Connection] = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _Connection(self._netloc, timeout=self.timeout_s)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    def _exchange(
+        self, method: str, target: str, body: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, str, Optional[str], bytes]:
+        """One request/reply on this thread's connection.
+
+        Returns ``(status, reason, Retry-After header, body)``.  On a reply
+        marked ``Connection: close`` ``http.client`` has already dropped
+        the socket, so the next request opens a fresh one.
+        """
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            decoded = json.loads(exc.read())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return exc.reason if isinstance(exc.reason, str) else str(exc.reason)
+            try:
+                connection.request(method, target, body=body, headers=headers)
+                reply = connection.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                # The server closed the kept-alive socket while it sat idle
+                # (timeout, restart), so it never read this request: resend
+                # it once on a fresh socket.
+                connection.close()
+                _RETRIES.inc(reason="stale_connection")
+                connection.request(method, target, body=body, headers=headers)
+                reply = connection.getresponse()
+            data = reply.read()
+        except BaseException:
+            connection.close()
+            raise
+        return reply.status, reply.reason, reply.getheader("Retry-After"), data
+
+    @staticmethod
+    def _error_message(data: bytes, reason: str) -> str:
+        try:
+            decoded = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return reason
         if isinstance(decoded, dict) and isinstance(decoded.get("error"), str):
             return decoded["error"]
         return str(decoded)
 
     @staticmethod
-    def _retry_after(exc: urllib.error.HTTPError) -> Optional[float]:
-        raw = exc.headers.get("Retry-After") if exc.headers is not None else None
+    def _retry_after(raw: Optional[str]) -> Optional[float]:
         if raw is None:
             return None
         try:

@@ -36,7 +36,12 @@ instead of ``http.server``'s raw stderr lines (the CLI's ``fleet serve``
 wires a handler; ``--quiet`` drops it to warnings only).
 
 The server is a :class:`~http.server.ThreadingHTTPServer` (daemon threads,
-one per connection), and lock holds are bounded: requests take the
+one per connection).  Connections are HTTP/1.1 keep-alive: a client such as
+:class:`~repro.fleet.client.FleetClient` sends its whole request stream over
+one socket, an error reply that leaves the connection unusable says
+``Connection: close``, and a connection idle for
+:data:`KEEPALIVE_IDLE_TIMEOUT_S` is closed so abandoned clients cannot pin
+handler threads.  Lock holds are bounded: requests take the
 scheduler's re-entrant lock — the same lock
 :meth:`~repro.fleet.scheduler.FleetScheduler.run_round` holds — only around
 the registry/health mutations and snapshots, never around engine evaluation
@@ -88,6 +93,10 @@ _INGEST_SHED = obs.counter(
     "Ingest requests load-shed by the service, by reason (backpressure/draining).",
     labels=("reason",),
 )
+_CONNECTIONS = obs.counter(
+    "repro_service_connections_total",
+    "TCP connections accepted by the fleet service (each may carry many requests).",
+)
 _QUARANTINED = obs.counter(
     "repro_service_quarantined_total",
     "Devices quarantined by the service after repeated malformed ingests.",
@@ -116,6 +125,10 @@ def _route_label(path: str) -> str:
 #: Cap on accepted request bodies (a 2^20-bit design ingest is ~1 MiB of
 #: ASCII bits; anything far beyond that is a client error, not traffic).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it and exits.
+KEEPALIVE_IDLE_TIMEOUT_S = 5.0
 
 #: Service-registered device ids must be URL-safe so ``GET
 #: /devices/<id>/health`` can always address them (a "/" or space in the id
@@ -414,6 +427,14 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = KEEPALIVE_IDLE_TIMEOUT_S
+    # The headers and the body go out in two send() calls; with Nagle on,
+    # the body of a kept-alive reply waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        _CONNECTIONS.inc()
 
     @property
     def service(self) -> FleetService:
@@ -431,6 +452,9 @@ class _FleetRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra_headers:
             self.send_header(name, value)
+        if self.close_connection:
+            # Tell a keep-alive client not to reuse the socket.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
