@@ -31,7 +31,7 @@ The popcount primitive uses :func:`numpy.bitwise_count` where available
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -235,6 +235,30 @@ def popcount(values: np.ndarray, *, force_lut: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Row tiling
+# ---------------------------------------------------------------------------
+
+#: 16-bit chunks per row tile of the walk, longest-run and transition
+#: kernels.  Their temporaries hold a few int16/int32 values per chunk, so
+#: a tile of 2**16 chunks keeps the working set inside L2 instead of
+#: streaming matrix-sized temporaries through memory.  A row wider than the
+#: budget is a tile of its own; a small batch is a single tile.
+_TILE_CHUNKS = 1 << 16
+
+
+def _tile_rows(width: int) -> int:
+    """Rows per tile when each row puts ``width`` chunks through a pass."""
+    return max(1, _TILE_CHUNKS // max(1, width))
+
+
+def _row_tiles(rows: int, width: int) -> Iterator[slice]:
+    """Row slices of ``_tile_rows(width)`` rows covering ``rows`` rows."""
+    step = _tile_rows(width)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+# ---------------------------------------------------------------------------
 # Word-level kernels
 # ---------------------------------------------------------------------------
 
@@ -280,26 +304,28 @@ def block_ones(packed: PackedMatrix, block_length: int) -> np.ndarray:
 def transition_counts(packed: PackedMatrix) -> np.ndarray:
     """Number of positions where bit ``j`` differs from bit ``j+1``, per row.
 
-    ``w ^ (w >> 1)`` marks every in-word adjacent pair that differs (the top
-    bit of the XOR compares against the next word's padding and is masked
-    off); word boundaries are stitched by comparing each word's top bit with
-    its successor's bottom bit.  The runs test's ``V_n(obs)`` is this + 1.
+    Each word is paired with its successor shifted one bit down — the next
+    word's first bit moves into the top position — so ``w ^ pairs`` marks
+    every differing adjacent pair, word seams included.  Only the last
+    word's pairs past the row's end are masked off.  The runs test's
+    ``V_n(obs)`` is this + 1.
     """
+    rows = packed.num_rows
+    counts = np.zeros(rows, dtype=np.int64)
     if packed.n == 0:
-        return np.zeros(packed.num_rows, dtype=np.int64)
+        return counts
     words = packed.words
-    num_words = packed.num_words
-    tail = packed.n - (num_words - 1) * BITS_PER_WORD  # 1..64 bits in last word
-    pair_mask = np.full(num_words, _INNER_PAIR_MASK, dtype=WORD_DTYPE)
+    tail = packed.n - (packed.num_words - 1) * BITS_PER_WORD  # 1..64 bits in last word
     # In the last word only the first tail-1 adjacent pairs are real bits.
-    pair_mask[-1] = np.uint64((1 << (tail - 1)) - 1) if tail < BITS_PER_WORD else _INNER_PAIR_MASK
-    inner = popcount((words ^ (words >> np.uint64(1))) & pair_mask).sum(
-        axis=1, dtype=np.int64
-    )
-    if num_words > 1:
-        seams = (words[:, :-1] >> np.uint64(63)) ^ (words[:, 1:] & np.uint64(1))
-        inner += seams.sum(axis=1, dtype=np.int64)
-    return inner
+    last_mask = np.uint64((1 << (tail - 1)) - 1)
+    for tile in _row_tiles(rows, 4 * packed.num_words):
+        tile_words = words[tile]
+        flips = tile_words >> np.uint64(1)
+        flips[:, :-1] |= tile_words[:, 1:] << np.uint64(63)
+        flips ^= tile_words
+        flips[:, -1] &= last_mask
+        counts[tile] = popcount(flips).sum(axis=1, dtype=np.uint32)
+    return counts
 
 
 def last_bits(packed: PackedMatrix) -> np.ndarray:
@@ -348,13 +374,12 @@ def _chunk_luts(bits: int) -> Dict[str, np.ndarray]:
         # Run of ones touching the chunk's start (prefix) and end (suffix).
         prefix = np.cumprod(matrix, axis=1).sum(axis=1, dtype=np.int16)
         suffix = np.cumprod(matrix[:, ::-1], axis=1).sum(axis=1, dtype=np.int16)
-        # ±1 walk summary of the chunk: total delta, max/min prefix sum.
+        # ±1 walk extremes of the chunk: max/min prefix sum.
         walk = np.cumsum(2 * matrix.astype(np.int16) - 1, axis=1)
         luts = {
             "longest": longest,
             "prefix": prefix,
             "suffix": suffix,
-            "delta": walk[:, -1].astype(np.int16),
             "walk_max": walk.max(axis=1).astype(np.int16),
             "walk_min": walk.min(axis=1).astype(np.int16),
         }
@@ -363,7 +388,7 @@ def _chunk_luts(bits: int) -> Dict[str, np.ndarray]:
 
 
 _WALK_PACK_LUT: Optional[np.ndarray] = None
-_RUN_PACK_LUT: Optional[np.ndarray] = None
+_RUN_PACK_LUTS: Dict[int, np.ndarray] = {}
 
 
 def _walk_pack_lut() -> np.ndarray:
@@ -384,23 +409,23 @@ def _walk_pack_lut() -> np.ndarray:
     return _WALK_PACK_LUT
 
 
-def _run_pack_lut() -> np.ndarray:
+def _run_pack_lut(bits: int = 16) -> np.ndarray:
     """Chunk one-run lengths packed ``(longest << 10) | (prefix << 5) | suffix``.
 
-    All three lengths of a 16-bit chunk lie in [0, 16] (5 bits each), so the
-    triple fits one int16 gather; ``prefix == 16`` doubles as the all-ones
-    test the cross-chunk merge needs.
+    All three lengths of a ``bits``-wide chunk (8 or 16) lie in [0, 16]
+    (5 bits each), so the triple fits one int16 gather; ``prefix == bits``
+    doubles as the all-ones test the cross-chunk merge needs.
     """
-    global _RUN_PACK_LUT
-    if _RUN_PACK_LUT is None:
-        luts = _chunk_luts(16)
+    lut = _RUN_PACK_LUTS.get(bits)
+    if lut is None:
+        luts = _chunk_luts(bits)
         triple = (
             (luts["longest"].astype(np.int32) << 10)
             | (luts["prefix"].astype(np.int32) << 5)
             | luts["suffix"].astype(np.int32)
         )
-        _RUN_PACK_LUT = triple.astype(np.int16)
-    return _RUN_PACK_LUT
+        lut = _RUN_PACK_LUTS[bits] = triple.astype(np.int16)
+    return lut
 
 
 # Pure reinterpret-cast of the zero-padded words; callers slice to their
@@ -422,31 +447,41 @@ def block_longest_one_runs(packed: PackedMatrix, block_length: int) -> np.ndarra
     """Longest run of ones inside each full ``block_length``-bit block.
 
     Blocks are scanned as 16-bit chunks (8-bit when the block length is not
-    a multiple of 16) through the chunk tables, then merged left to right:
-    a run crossing a chunk seam is the left chunk's suffix plus the right
-    chunk's prefix, and an all-ones chunk extends the carried run whole.
-    Covers every NIST-tabulated block length (8 / 128 / 512 / 1000 / 10000).
+    a multiple of 16) through the packed run-triple table, then merged left
+    to right one chunk column at a time: a run crossing a chunk seam is the
+    left chunk's suffix plus the right chunk's prefix, and an all-ones chunk
+    extends the carried run whole.  Each merge step touches one chunk per
+    block, so rows are tiled by their block count.  Covers every
+    NIST-tabulated block length (8 / 128 / 512 / 1000 / 10000).
     """
     n = packed.n
     if not supports_block_longest_one_runs(block_length, n):
         raise ValueError(f"no packed kernel for block_length={block_length} at n={n}")
     chunk_bits = 16 if block_length % 16 == 0 else 8
-    luts = _chunk_luts(chunk_bits)
+    triples = _run_pack_lut(chunk_bits)
     rows = packed.num_rows
     num_blocks = n // block_length
     chunks_per_block = block_length // chunk_bits
     chunks = _chunk_view(packed, chunk_bits)[:, : num_blocks * chunks_per_block]
     blocks = chunks.reshape(rows, num_blocks, chunks_per_block)
-    all_ones = (1 << chunk_bits) - 1
-    longest = np.zeros((rows, num_blocks), dtype=np.int64)
-    trailing = np.zeros((rows, num_blocks), dtype=np.int64)
-    for index in range(chunks_per_block):
-        chunk = blocks[:, :, index]
-        bridged = trailing + luts["prefix"][chunk]
-        np.maximum(longest, luts["longest"][chunk], out=longest)
-        np.maximum(longest, bridged, out=longest)
-        trailing = np.where(chunk == all_ones, trailing + chunk_bits, luts["suffix"][chunk])
-    return longest
+    chunk_width = np.int16(chunk_bits)
+    result = np.empty((rows, num_blocks), dtype=np.int64)
+    for tile in _row_tiles(rows, num_blocks):
+        tile_blocks = blocks[tile]
+        triple = triples[tile_blocks[:, :, 0]]
+        longest = triple >> np.int16(10)
+        trailing = triple & np.int16(31)
+        for index in range(1, chunks_per_block):
+            triple = triples[tile_blocks[:, :, index]]
+            np.maximum(longest, triple >> np.int16(10), out=longest)
+            prefix = (triple >> np.int16(5)) & np.int16(31)
+            np.maximum(longest, trailing + prefix, out=longest)
+            # An all-ones chunk (prefix == width) carries the run on; any
+            # other chunk restarts it at its own suffix.
+            trailing *= prefix == chunk_width
+            trailing += triple & np.int16(31)
+        result[tile] = longest
+    return result
 
 
 def word_summaries(words: np.ndarray, *, track_runs: bool = True) -> Dict[str, np.ndarray]:
@@ -540,15 +575,15 @@ def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """``(S_max, S_min, S_final)`` of the ±1 walk, per row (cusum test).
 
     The walk is reduced 16 bits at a time: each chunk contributes its total
-    ±1 delta plus its internal max/min excursion from the tables, so the
-    expensive per-bit cumulative sum becomes a 16x narrower cumulative sum
-    over chunk deltas.  Tail bits short of a chunk are finished per bit on
-    the (at most 15-column) remainder.
+    ±1 delta (``2 * popcount - 16``) plus its internal max/min excursion
+    from the bias-packed table, so the expensive per-bit cumulative sum
+    becomes a 16x narrower cumulative sum over chunk deltas, run over
+    cache-sized row tiles.  Tail bits short of a chunk are finished per bit
+    on the (at most 15-column) remainder.
     """
     n = packed.n
     if n == 0:
         raise ValueError("walk extremes need at least one bit")
-    luts = _chunk_luts(16)
     rows = packed.num_rows
     full = n // 16
     tail = n % 16
@@ -558,13 +593,19 @@ def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
     s_final = np.zeros(rows, dtype=np.int64)
     chunks = _chunk_view(packed, 16)
     if full:
-        body = chunks[:, :full]
-        deltas = luts["delta"][body].astype(np.int32)
-        totals = np.cumsum(deltas, axis=1, dtype=np.int32)
-        before = totals - deltas
-        s_max = (before + luts["walk_max"][body]).max(axis=1).astype(np.int64)
-        s_min = (before + luts["walk_min"][body]).min(axis=1).astype(np.int64)
-        s_final = totals[:, -1].astype(np.int64)
+        walk_pair = _walk_pack_lut()
+        for tile in _row_tiles(rows, full):
+            body = chunks[tile, :full]
+            doubled = popcount(body).astype(np.int16) << np.int16(1)
+            deltas = doubled - np.int16(16)
+            before = np.cumsum(deltas, axis=1, dtype=np.int32)
+            s_final[tile] = before[:, -1]
+            # Walk height before each chunk, less the table's +16 bias on
+            # both extremes: cumsum - delta - 16 = cumsum - 2 * popcount.
+            before -= doubled
+            pair = walk_pair[body]
+            s_max[tile] = (before + (pair >> np.int16(6))).max(axis=1)
+            s_min[tile] = (before + (pair & np.int16(63))).min(axis=1)
     if tail:
         tail_chunk = chunks[:, full].astype(np.int64)
         tail_bits = (tail_chunk[:, np.newaxis] >> np.arange(tail)) & 1

@@ -10,6 +10,7 @@ import pytest
 
 import repro.obs as obs
 from repro.campaign import CampaignConfig, run_campaign
+from repro.engine import packed as P
 from repro.engine import run_batch
 from repro.engine.context import BatchContext
 from repro.engine.streaming import StreamingBatchContext
@@ -116,6 +117,24 @@ class TestKernelInstrumentation:
         # Cached on the context: a second read is not a second dispatch.
         ctx.ones()
         assert calls.value(kernel="ones_count") - before == 1
+
+    def test_tiled_kernels_count_one_call_per_batch(self):
+        # A batch several row tiles tall: the tiled kernels still count one
+        # dispatch each, not one per tile.
+        n, block_length = 65536, 8
+        widths = (n // 16, 4 * (n // 64), n // block_length)
+        rows = 2 * max(P._tile_rows(width) for width in widths) + 1
+        assert all(rows > 2 * P._tile_rows(width) for width in widths)
+        matrix = (np.random.default_rng(5).random((rows, n)) < 0.5).astype(np.uint8)
+        calls = metric("repro_packed_kernel_invocations_total")
+        kernels = ("walk_extremes", "transition_counts", "block_longest_one_runs")
+        before = {kernel: calls.value(kernel=kernel) for kernel in kernels}
+        ctx = BatchContext(matrix, backend="packed")
+        ctx.walk_extremes()
+        ctx.num_runs()
+        ctx.block_longest_one_runs(block_length)
+        for kernel in kernels:
+            assert calls.value(kernel=kernel) - before[kernel] == 1
 
     def test_uint8_backend_does_not_touch_kernel_counters(self, sequences):
         calls = metric("repro_packed_kernel_invocations_total")

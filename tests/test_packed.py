@@ -175,6 +175,103 @@ class TestKernelParity:
             P.last_bits(P.pack_matrix(np.zeros((2, 0), dtype=np.uint8)))
 
 
+def pattern_rows(pattern, rows, n, seed):
+    """A ``(rows, n)`` matrix of one row pattern (random ones vary by row)."""
+    if pattern == "zeros":
+        return np.zeros((rows, n), dtype=np.uint8)
+    if pattern == "ones":
+        return np.ones((rows, n), dtype=np.uint8)
+    if pattern == "alternating":
+        return np.tile((np.arange(n) % 2).astype(np.uint8), (rows, 1))
+    return random_matrix(rows, n, seed=seed, p={"p0.9": 0.9, "p0.5": 0.5}[pattern])
+
+
+ROW_PATTERNS = ("zeros", "ones", "alternating", "p0.9", "p0.5")
+
+
+def seam_matrices(rows, n):
+    """One matrix per row pattern, then one mixing all patterns row by row."""
+    for pattern in ROW_PATTERNS:
+        yield pattern_rows(pattern, rows, n, seed=rows * 7 + n)
+    mixed = np.stack(
+        [pattern_rows(ROW_PATTERNS[row % 5], 1, n, seed=row)[0] for row in range(rows)]
+    )
+    yield mixed
+
+
+def seam_row_counts(tile):
+    """1, tile - 1, tile, tile + 1 and several tiles (deduplicated, > 0)."""
+    return sorted({count for count in (1, tile - 1, tile, tile + 1, 3 * tile + 2) if count})
+
+
+#: Chunks a row of ``n`` bits puts through one pass of each kernel: the
+#: width its tile rule is sized from.
+KERNEL_WIDTHS = {
+    "walk_extremes": lambda n, block_length: n // 16,
+    "transition_counts": lambda n, block_length: 4 * ((n + 63) // 64),
+    "block_longest_one_runs": lambda n, block_length: n // block_length,
+}
+
+
+def assert_kernel_matches_uint8(kernel, matrix, block_length):
+    packed = P.pack_matrix(matrix)
+    reference = BatchContext(matrix, backend="uint8")
+    if kernel == "walk_extremes":
+        for fast, slow in zip(P.walk_extremes(packed), reference.walk_extremes()):
+            assert np.array_equal(fast, slow)
+    elif kernel == "transition_counts":
+        assert np.array_equal(P.transition_counts(packed), reference.num_runs() - 1)
+    else:
+        assert np.array_equal(
+            P.block_longest_one_runs(packed, block_length),
+            reference.block_longest_one_runs(block_length),
+        )
+
+
+class TestTileSeams:
+    """The row-tiled kernels stay bit-identical across tile boundaries.
+
+    Row counts sit on and around the seams of the module's own tile rule:
+    one row, a tile less one, a whole tile, a tile plus one and several
+    tiles.  At the real chunk budget a 65536-bit row's tile is 8-16 rows;
+    to reach the seams of every longest-run block length at small sizes,
+    the budget is also shrunk to five rows' worth.
+    """
+
+    @pytest.mark.parametrize("n", [65536, 65536 + 11])
+    @pytest.mark.parametrize(
+        "kernel,block_length",
+        [("walk_extremes", None), ("transition_counts", None), ("block_longest_one_runs", 8)],
+    )
+    def test_real_budget_seams(self, kernel, block_length, n):
+        tile = P._tile_rows(KERNEL_WIDTHS[kernel](n, block_length))
+        assert tile > 1
+        for rows in seam_row_counts(tile):
+            for matrix in seam_matrices(rows, n):
+                assert_kernel_matches_uint8(kernel, matrix, block_length)
+
+    @pytest.mark.parametrize("n", [65536, 65536 + 11])
+    @pytest.mark.parametrize(
+        "kernel,block_length",
+        [("walk_extremes", None), ("transition_counts", None)]
+        + [("block_longest_one_runs", m) for m in (8, 128, 512, 1000, 10000)],
+    )
+    def test_shrunk_budget_seams(self, kernel, block_length, n, monkeypatch):
+        width = KERNEL_WIDTHS[kernel](n, block_length)
+        monkeypatch.setattr(P, "_TILE_CHUNKS", 5 * width)
+        tile = P._tile_rows(width)
+        assert tile == 5
+        for rows in seam_row_counts(tile):
+            for matrix in seam_matrices(rows, n):
+                assert_kernel_matches_uint8(kernel, matrix, block_length)
+
+    def test_small_batches_are_one_tile(self):
+        # An 8x128 ingest chunk and a 48x4096 batch never split.
+        for rows, n, block_length in ((8, 128, 8), (48, 4096, 128)):
+            for width in KERNEL_WIDTHS.values():
+                assert P._tile_rows(width(n, block_length)) >= rows
+
+
 class TestBatchContextParity:
     """The two backends are bit-identical through the context layer."""
 

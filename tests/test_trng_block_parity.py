@@ -13,9 +13,15 @@ wrappers), so a vectorised implementation that silently diverges from the
 bit-serial semantics fails here immediately.
 """
 
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.fleet import DeviceRegistry
+from repro.fleet.durability import decode_state, encode_state
 from repro.trng import (
     AgingSource,
     AlternatingSource,
@@ -264,3 +270,68 @@ class TestPositionObservables:
         aging = AgingSource(drift_per_bit=1e-4, seed=3)
         EMInjectionAttack(aging, coupling=0.5, seed=4).next_bit()
         assert aging.age_bits == 1
+
+
+class TestIdealStreamPinning:
+    """IdealSource reads PCG64 raw words directly; its stream must still be
+    ``Generator.integers(0, 2)`` bit for bit, however it is consumed."""
+
+    @staticmethod
+    def reference(seed, total):
+        return np.random.default_rng(seed).integers(0, 2, size=total).astype(np.uint8)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_splits_and_next_bit_match_integers(self, seed):
+        plan = np.random.default_rng(1000 + seed)
+        source = IdealSource(seed=seed)
+        parts = []
+        for _ in range(12):
+            if plan.random() < 0.25:
+                parts.append(np.array([source.next_bit()], dtype=np.uint8))
+            else:
+                size = int(plan.choice([0, 1, 2, 3, 63, 65, 1023, plan.integers(0, 3000)]))
+                parts.append(source.generate_block(size))
+        got = np.concatenate(parts)
+        assert np.array_equal(got, self.reference(seed, got.size))
+
+    def test_reset_after_odd_block_restarts_stream(self):
+        source = IdealSource(seed=8)
+        source.generate_block(7)
+        source.reset()
+        assert np.array_equal(source.generate_block(101), self.reference(8, 101))
+
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_clone_with_pending_half_word_continues_stream(self, clone):
+        source = IdealSource(seed=21)
+        head = source.generate_block(37)
+        assert source._rng.bit_generator.state["has_uint32"] == 1
+        if clone == "deepcopy":
+            twin = copy.deepcopy(source)
+        else:
+            twin = pickle.loads(pickle.dumps(source))
+        expected = self.reference(21, 37 + 501)
+        assert np.array_equal(head, expected[:37])
+        assert np.array_equal(twin.generate_block(501), expected[37:])
+        assert np.array_equal(source.generate_block(501), expected[37:])
+
+    def test_state_without_pending_flag_recovers_it_from_generator(self):
+        # An instance dict that predates the pending-half flag (as an older
+        # pickle would restore) takes it from the generator's own state.
+        source = IdealSource(seed=4)
+        source.generate_block(5)
+        state = dict(source.__dict__)
+        state.pop("_half_pending", None)
+        restored = IdealSource.__new__(IdealSource)
+        restored.__setstate__(state)
+        assert np.array_equal(restored.generate_block(64), self.reference(4, 69)[5:])
+
+    def test_registry_snapshot_at_odd_offset_resumes_stream(self):
+        registry = DeviceRegistry("n128_light")
+        device = registry.register("dev-odd", scenario="healthy-ideal", seed=77)
+        head = device.source.generate_block(129)
+        state = decode_state(json.loads(json.dumps(encode_state(registry.state_dict()))))
+        restored = DeviceRegistry.from_state(state).get("dev-odd").source
+        expected = self.reference(77, 129 + 1000)
+        assert np.array_equal(head, expected[:129])
+        assert np.array_equal(restored.generate_block(1000), expected[129:])
+        assert np.array_equal(device.source.generate_block(1000), expected[129:])
