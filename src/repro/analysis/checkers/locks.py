@@ -38,9 +38,11 @@ _MUTATORS = {
 
 #: Callee names that run engine evaluation; calling them while holding a
 #: lock violates the bounded-lock-hold contract (LCK002).
+#: ``_evaluate_round`` is the fleet round's fan-out: its run_batch calls sit
+#: in worker functions, out of this rule's lexical reach.
 _EVAL_CALLEES = {
     "run_batch", "evaluate_matrix", "evaluate_batch", "evaluate_sequence",
-    "evaluate_source", "run_campaign",
+    "evaluate_source", "run_campaign", "_evaluate_round",
 }
 
 #: Methods whose writes are exempt: construction happens-before any

@@ -301,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep per-device packed rings across rounds (O(1) window "
                             "rolls, ingest accepts arbitrary chunk sizes) instead of "
                             "rebuilding each round's matrix; verdicts are identical")
-    fleet.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: rounds already run pool-free on the "
-                            "batched engine path; set > 1 only to shard each "
-                            "round's fleet matrix over worker processes (fleets "
-                            "under 256 devices stay inline — the pool's "
-                            "serialisation overhead would dominate)")
     fleet.add_argument("--json", dest="json_path", default=None,
                        help="write the full fleet report as JSON to this path")
     fleet.add_argument("--csv", dest="csv_path", default=None,
@@ -716,9 +710,7 @@ def _cmd_fleet(args, out) -> int:
         if args.restore and not args.snapshot_dir:
             raise ValueError("--restore needs --snapshot-dir")
         if args.restore and has_snapshot(args.snapshot_dir):
-            scheduler, replay = recover_fleet(
-                args.snapshot_dir, processes=args.processes
-            )
+            scheduler, replay = recover_fleet(args.snapshot_dir)
             registry = scheduler.registry
             print(
                 f"fleet restored from {args.snapshot_dir}: "
@@ -751,7 +743,6 @@ def _cmd_fleet(args, out) -> int:
                 registry.populate(args.devices, mix, seed=args.seed)
             scheduler = FleetScheduler(
                 registry,
-                processes=args.processes,
                 backend=args.backend,
                 streaming=args.streaming,
             )

@@ -9,10 +9,10 @@ is that aggregation tier, built on the substrate of PRs 1–3:
   catalogue), each a seeded scenario source plus its own
   :class:`~repro.core.monitor.OnTheFlyMonitor` health machine.
 * :class:`FleetScheduler` advances the whole fleet in rounds: one sequence
-  per device, the entire fleet stacked into a single ``(devices, n)`` uint8
-  matrix through :func:`~repro.engine.batch.run_batch` (shared vectorised
-  statistics across devices, optional process-pool sharding), verdicts
-  folded back into each device's health state.
+  per device, packed into one ``(devices, words)`` array and evaluated by
+  :func:`~repro.engine.batch.run_batch` (shared vectorised statistics across
+  devices, large rounds split over one thread per core), verdicts folded
+  back into each device's health state.
 * :class:`FleetReport` aggregates the operations view — health mix over
   time, per-scenario detection probability and latency percentiles,
   healthy-device false-alarm rate, devices/second — with JSON/CSV export.

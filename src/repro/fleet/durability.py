@@ -498,8 +498,6 @@ def _segment_path(directory: Path, generation: int) -> Path:
 
 def recover_fleet(
     directory: Union[str, Path],
-    processes: Optional[int] = None,
-    min_shard_devices: int = 256,
     catalog: Optional[object] = None,
 ) -> Tuple[FleetScheduler, JournalReplayStats]:
     """Rebuild a fleet from a spool directory: snapshot restore + replay.
@@ -519,8 +517,6 @@ def recover_fleet(
     registry = DeviceRegistry.from_state(state["registry"], catalog=catalog)  # type: ignore[arg-type]
     scheduler = FleetScheduler(
         registry,
-        processes=processes,
-        min_shard_devices=min_shard_devices,
         backend=state["backend"],
         streaming=state["streaming"],
     )

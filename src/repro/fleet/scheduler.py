@@ -11,10 +11,14 @@ of the design's test subset in single vectorised 2-D passes over the whole
 fleet.  The per-device verdicts then fold back into each device's
 health-state machine exactly as per-device monitoring would.
 
-For large fleets the round matrix can additionally shard over a process pool
-(``processes > 1``): each worker evaluates a contiguous device shard with the
-same engine path and returns reduced verdicts, so only booleans and test
-numbers cross the process boundary.
+Rows are independent from generation to decision, so a matrix round fans
+out in-process over one thread per core, each with a contiguous device
+slice: it generates cache-sized row tiles, packs them straight into its
+rows of one preallocated ``(devices, words)`` uint64 array (no uint8 round
+matrix) and runs ``run_batch`` on them; numpy releases the GIL in the raw
+draws and the kernels.  Verdict reduction and every fold stay on the
+calling thread.  Only rounds that give every worker a full row tile fan
+out; smaller ones run the same code inline.  There is no knob.
 
 ``benchmarks/bench_fleet.py`` pins the speedup: the multiplexed round must
 stay >= 5x faster than the naive per-device loop at a 512-device fleet.
@@ -22,10 +26,11 @@ stay >= 5x faster than the naive per-device loop at a 512-device fleet.
 
 from __future__ import annotations
 
+import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +38,7 @@ import repro.obs as obs
 from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
 from repro.engine.context import DEFAULT_BACKEND, validate_backend
-from repro.engine.packed import PackedMatrix, pack_matrix
+from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows, pack_rows_into
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
 from repro.fleet.registry import Device, DeviceRegistry
@@ -53,6 +58,9 @@ __all__ = [
 
 #: Canonical registry id -> NIST test number (for verdict attribution).
 _ID_TO_NIST_NUMBER = {test_id: number for number, test_id in NIST_NUMBER_TO_ID.items()}
+
+#: Worker threads a matrix round fans out over: the cores this process may use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 _ROUND_SECONDS = obs.histogram(
     "repro_fleet_round_latency_seconds",
@@ -142,7 +150,7 @@ class FleetVerdict:
     Duck-typed to what :meth:`~repro.core.monitor.OnTheFlyMonitor.observe`
     reads off a :class:`~repro.core.results.PlatformReport` — ``passed`` and
     ``failing_tests`` (NIST numbers) — plus the engine's error strings, and
-    nothing heavier, so verdicts cross process boundaries cheaply.
+    nothing heavier.
     """
 
     passed: bool
@@ -203,25 +211,53 @@ class _IngestStream:
     last_seq: Optional[int] = None
 
 
-def _shard_worker(payload) -> Tuple[List[FleetVerdict], Dict[str, str]]:
-    """Evaluate one device shard in a worker process.
+def _round_slices(rows: int, n: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, stop)`` device slices, one per worker.
 
-    The shard travels as raw bytes (+ shape) and comes back as reduced
-    verdicts plus the shard's per-test execution paths; tests resolve
-    against the worker's own default registry, like
-    :func:`~repro.engine.batch.run_batch`'s fallback pool workers.
-    On the packed backend the bytes are the shard's 64-bit words — 1/8th
-    the serialisation traffic of the uint8 representation.
+    Only as many workers as get a full :func:`bit_tile_rows` tile each:
+    below that the thread handoff costs more than the split saves.
     """
-    raw, rows, n, tests, alpha, backend = payload
-    if backend == "packed":
-        num_words = (n + 63) // 64
-        words = np.frombuffer(raw, dtype="<u8").reshape(rows, num_words)
-        shard = PackedMatrix(words, n)
-    else:
-        shard = np.frombuffer(raw, dtype=np.uint8).reshape(rows, n)
-    result = run_batch(shard, tests=list(tests), backend=backend)
-    return _reduce_verdicts(result, alpha), result.execution_paths
+    workers = max(1, min(_WORKERS, rows // bit_tile_rows(n)))
+    return [(rows * i // workers, rows * (i + 1) // workers) for i in range(workers)]
+
+
+def _evaluate_slice(
+    devices: Sequence[Device],
+    n: int,
+    tests: Sequence[int],
+    backend: str,
+    words: Optional[np.ndarray],
+) -> BatchResult:
+    """Generate, pack and evaluate one device slice into its ``words`` rows.
+
+    Touches only its own sources and rows (``words`` is None on the uint8
+    backend), and never the fleet lock: the round's caller holds that lock
+    while it waits, and folds the result itself.
+    """
+    with obs.span("generate"):
+        blocks = (device.source.generate_block(n) for device in devices)
+        matrix: Union[np.ndarray, PackedMatrix]
+        if words is not None:
+            matrix = pack_rows_into(words, n, blocks)
+        else:
+            matrix = np.empty((len(devices), n), dtype=np.uint8)
+            for row, block in enumerate(blocks):
+                matrix[row] = block
+    with obs.span("evaluate"):
+        return run_batch(matrix, tests=list(tests), backend=backend)
+
+
+def _evaluate_shard(
+    parent: obs.Span,
+    devices: Sequence[Device],
+    n: int,
+    tests: Sequence[int],
+    backend: str,
+    words: Optional[np.ndarray],
+) -> BatchResult:
+    """:func:`_evaluate_slice` under a ``shard`` span of the round's root."""
+    with obs.span_under(parent, "shard", rows=len(devices)):
+        return _evaluate_slice(devices, n, tests, backend, words)
 
 
 class FleetScheduler:
@@ -233,12 +269,6 @@ class FleetScheduler:
         The populated :class:`~repro.fleet.registry.DeviceRegistry`; the
         scheduler evaluates with the registry's shared design point (test
         subset, sequence length) and alpha.
-    processes:
-        When > 1, each round's fleet matrix is sharded over a process pool of
-        that size (one contiguous device shard per worker).
-    min_shard_devices:
-        Sharding is skipped for rounds smaller than this — below it, the
-        pool's serialisation overhead dominates the vectorised evaluation.
     backend:
         Compute backend of the engine's shared statistics: ``"packed"``
         (default) packs each round's fleet matrix into 64-bit words once
@@ -256,23 +286,17 @@ class FleetScheduler:
         and accepts *arbitrary* chunk sizes — partial sequences pend in the
         device's ring (see :meth:`pending_bits`) instead of being rejected.
         Verdicts are bit-identical to the matrix path.  Streaming rounds
-        always evaluate inline (the rings are process-local state, so
-        pool sharding does not apply).
+        always run inline; matrix rounds fan out over device slices (see
+        the module docstring) with results bit-identical to one worker.
     """
 
     def __init__(
         self,
         registry: DeviceRegistry,
-        processes: Optional[int] = None,
-        min_shard_devices: int = 256,
         backend: str = DEFAULT_BACKEND,
         streaming: bool = False,
     ):
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be positive (or None)")
         self.registry = registry
-        self.processes = processes
-        self.min_shard_devices = min_shard_devices
         self.backend = validate_backend(backend)
         self.streaming = bool(streaming)
         # Round-path fleet ring (built on first streaming round, rebuilt only
@@ -296,12 +320,6 @@ class FleetScheduler:
         #: <repro.fleet.report.FleetReport.execution_paths>` to prove the
         #: heavy tests ran pool-free on the batch kernels.
         self.execution_paths: Dict[str, str] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        # Guards lazy pool creation/shutdown: ingest evaluation runs outside
-        # the fleet lock, so two large requests (or a request racing close())
-        # may reach the pool concurrently.
-        self._pool_lock = threading.Lock()
         #: Serialises fleet mutations (rounds, ingest, registration) between
         #: the scheduler's owner and the HTTP service threads; re-entrant so
         #: the service can call locked scheduler methods under it.
@@ -328,81 +346,51 @@ class FleetScheduler:
     def evaluate_matrix(
         self, matrix: Union[np.ndarray, PackedMatrix]
     ) -> List[FleetVerdict]:
-        """One fleet matrix through the engine.
+        """One fleet matrix through the engine, on the calling thread.
 
         ``matrix`` is a ``(devices, n)`` uint8 matrix or a prepacked
-        :class:`~repro.engine.packed.PackedMatrix`; on the packed backend a
-        uint8 input is packed once here, so every downstream consumer —
-        inline evaluation, pool shards, the engine's kernels — reads the
-        64-bit words instead of re-deriving them.  Shards over the process
-        pool when configured and the round is large enough; the inline and
-        sharded paths produce identical verdicts (asserted in
-        ``tests/test_fleet.py``).
+        :class:`~repro.engine.packed.PackedMatrix`; the engine's batch
+        context converts it to the scheduler's backend (a uint8 input is
+        packed once, keeping its bytes for per-bit consumers), and either
+        container yields identical verdicts.
         """
-        # Normalise the container to the backend so the inline, shard-encode
-        # and shard-decode paths all agree on the byte layout.
-        if self.backend == "packed" and not isinstance(matrix, PackedMatrix):
-            matrix = pack_matrix(matrix, keep_source=True)
-        elif self.backend == "uint8" and isinstance(matrix, PackedMatrix):
-            matrix = matrix.unpack()
-        rows = matrix.num_rows if isinstance(matrix, PackedMatrix) else matrix.shape[0]
-        n = matrix.n if isinstance(matrix, PackedMatrix) else matrix.shape[1]
-        tests = self.registry.tests
-        alpha = self.registry.alpha
-        pooled = (
-            self.processes is not None
-            and self.processes > 1
-            and rows >= self.min_shard_devices
-        )
-        if not pooled:
-            result = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold(result, alpha)
-        shards = [s for s in np.array_split(np.arange(rows), self.processes) if len(s)]
-        # On the packed backend the shards ship as 64-bit words: 1/8th the
-        # bytes across the pool pipe.
-        shard_rows = matrix.words if isinstance(matrix, PackedMatrix) else matrix
-        payloads = [
-            (
-                np.ascontiguousarray(shard_rows[shard]).tobytes(),
-                len(shard),
-                n,
-                tests,
-                alpha,
-                self.backend,
-            )
-            for shard in shards
-        ]
-        # The pool is created lazily and reused across rounds: spawning
-        # workers (and re-importing numpy + repro in them) per round would
-        # cost more than the sharding saves.  After close() no new pool is
-        # ever spawned (a late request would leak its workers); the rare
-        # request racing shutdown falls back to inline evaluation instead.
-        with self._pool_lock:
-            if self._closed:
-                pool = None
-            else:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.processes)
-                pool = self._pool
-        if pool is None:
-            result = run_batch(matrix, tests=list(tests), backend=self.backend)
-            return self._fold(result, alpha)
-        verdicts: List[FleetVerdict] = []
-        paths: Dict[str, str] = {}
-        for shard_verdicts, shard_paths in pool.map(_shard_worker, payloads):
-            verdicts.extend(shard_verdicts)
-            paths.update(shard_paths)
-        self._fold_paths(paths)
-        return verdicts
+        result = run_batch(matrix, tests=list(self.registry.tests), backend=self.backend)
+        return self._fold(result, self.registry.alpha)
 
-    def _round_stream_verdicts(self, matrix: np.ndarray) -> List[FleetVerdict]:
+    def _evaluate_round(self, devices: List[Device], root: obs.Span) -> List[BatchResult]:
+        """One :class:`BatchResult` per device slice, in device order.
+
+        Slices run under ``shard`` spans of ``root``, the first on the
+        calling thread; a one-slice round runs inline with no shard span.
+        An error propagates once every slice has finished.
+        """
+        n = self.registry.n
+        tests = self.registry.tests
+        words = (
+            np.empty((len(devices), (n + 63) // 64), dtype=WORD_DTYPE)
+            if self.backend == "packed"
+            else None
+        )
+        jobs = [
+            (devices[start:stop], n, tests, self.backend,
+             None if words is None else words[start:stop])
+            for start, stop in _round_slices(len(devices), n)
+        ]
+        if len(jobs) == 1:
+            return [_evaluate_slice(*jobs[0])]
+        with ThreadPoolExecutor(max_workers=len(jobs) - 1) as pool:
+            futures = [pool.submit(_evaluate_shard, root, *job) for job in jobs[1:]]
+            results = [_evaluate_shard(root, *jobs[0])]
+            results.extend(future.result() for future in futures)
+        return results
+
+    def _round_stream_result(self, matrix: np.ndarray) -> BatchResult:
         """Streaming round path: push new words, evaluate the rolled window.
 
         The fleet ring lives across rounds (rebuilt only when the device
         count changes); each round is one vectorised push of the fleet's
         new words, and the engine runs on the preseeded window context —
-        the round matrix is never re-packed or re-scanned.  Always inline:
-        the rings are process-local state, so pool sharding does not apply.
+        the round matrix is never re-packed or re-scanned.
         """
         rows, n = matrix.shape
         with self.lock:
@@ -410,8 +398,7 @@ class FleetScheduler:
                 self._round_stream = StreamingBatchContext(rows, n, backend=self.backend)
             stream = self._round_stream
         stream.push(matrix)
-        result = run_batch(stream.window_context(), tests=list(self.registry.tests))
-        return self._fold(result, self.registry.alpha)
+        return run_batch(stream.window_context(), tests=list(self.registry.tests))
 
     # ------------------------------------------------------------- rounds
     def run_round(self) -> FleetRound:
@@ -419,11 +406,13 @@ class FleetScheduler:
 
         Pulls one n-bit block per device (continuing each device's own
         stream — staged attacks and aging trajectories unfold across
-        rounds), evaluates the stacked fleet matrix through the engine and
-        folds each verdict into its device's health machine.  In
+        rounds), evaluates the fleet through the engine — fanned out over
+        device slices when the round is large enough — and folds each
+        verdict into its device's health machine on the calling thread.  In
         ``streaming`` mode the fleet matrix is pushed into the long-lived
         fleet ring and the rolled window is evaluated instead (identical
-        verdicts).
+        verdicts).  If generation or evaluation raises, nothing is folded
+        and no round is recorded or journaled.
         """
         with self.lock:
             devices = self.registry.simulated_devices()
@@ -438,16 +427,19 @@ class FleetScheduler:
             with obs.trace(
                 "fleet.run_round", devices=len(devices), streaming=self.streaming
             ) as root:
-                with obs.span("generate"):
-                    matrix = np.empty((len(devices), n), dtype=np.uint8)
-                    for row, device in enumerate(devices):
-                        matrix[row] = device.source.generate_block(n)
-                with obs.span("evaluate"):
-                    if self.streaming:
-                        verdicts = self._round_stream_verdicts(matrix)
-                    else:
-                        verdicts = self.evaluate_matrix(matrix)
+                if self.streaming:
+                    with obs.span("generate"):
+                        matrix = np.empty((len(devices), n), dtype=np.uint8)
+                        for row, device in enumerate(devices):
+                            matrix[row] = device.source.generate_block(n)
+                    with obs.span("evaluate"):
+                        results = [self._round_stream_result(matrix)]
+                else:
+                    results = self._evaluate_round(devices, root)
                 with obs.span("fold"):
+                    verdicts: List[FleetVerdict] = []
+                    for result in results:
+                        verdicts.extend(self._fold(result, self.registry.alpha))
                     failing = 0
                     transitions: Dict[Tuple[str, str], int] = {}
                     for device, verdict in zip(devices, verdicts):
@@ -756,18 +748,7 @@ class FleetScheduler:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the sharding pool; later rounds/ingests run inline.
-
-        Waits for in-flight shard maps, so an ingest racing shutdown
-        completes instead of failing mid-evaluation, and marks the
-        scheduler closed so no request can respawn a pool nothing would
-        ever shut down.
-        """
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Nothing to release: a round's worker threads end with the round."""
 
     def __enter__(self) -> "FleetScheduler":
         return self

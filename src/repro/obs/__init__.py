@@ -49,6 +49,7 @@ from repro.obs.tracing import (
     clear_traces,
     export_traces,
     span,
+    span_under,
     trace,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "Tracer",
     "TRACER",
     "span",
+    "span_under",
     "trace",
     "export_traces",
     "clear_traces",

@@ -15,6 +15,12 @@ when disabled, spans do not attach to a parent and finished roots are not
 appended to the trace ring, so the disabled cost is two clock reads and
 one small allocation.
 
+A stage that runs on another thread — one worker's device slice of a
+fanned-out fleet round — opens its span with :func:`span_under`, naming
+its parent explicitly: the span attaches to that parent instead of
+starting a tree of its own, and spans nested inside it on the worker
+thread attach to it through the worker's own stack.
+
 Finished **root** spans land in a bounded ring (``deque(maxlen=...)``) of
 recent traces; :meth:`Tracer.export` renders them as JSON-ready dicts —
 the payload behind the CLI's ``--trace <path>`` flag.  The export schema
@@ -37,7 +43,10 @@ from repro.obs import metrics as _metrics
 # Bound once: every span reads the clock twice.
 _perf_counter = time.perf_counter
 
-__all__ = ["Span", "Tracer", "TRACER", "span", "trace", "export_traces", "clear_traces"]
+__all__ = [
+    "Span", "Tracer", "TRACER", "span", "span_under", "trace", "export_traces",
+    "clear_traces",
+]
 
 #: Default bound of the recent-trace ring: enough to hold a whole CLI run's
 #: batch/round roots, small enough that a long-lived service stays O(1).
@@ -50,12 +59,14 @@ class Span:
     A span is its own context manager.  Entering it pushes it onto its
     tracer's stack for this thread (when recording is enabled) and starts
     the clock; leaving it stops the clock, pops it and hands a finished
-    root to the trace ring.
+    root to the trace ring.  A span with an explicit ``parent`` attaches
+    to it rather than to the top of this thread's stack, and is never a
+    root.
     """
 
     __slots__ = (
         "name", "attributes", "children", "start_s", "duration_s", "error",
-        "_tracer", "_stack",
+        "_tracer", "_stack", "_parent",
     )
 
     def __init__(
@@ -63,6 +74,7 @@ class Span:
         name: str,
         attributes: Dict[str, object],
         tracer: Optional["Tracer"] = None,
+        parent: Optional["Span"] = None,
     ):
         self.name = name
         self.attributes = attributes
@@ -74,13 +86,19 @@ class Span:
         # The stack this span was pushed on, kept so leaving the span needs
         # no second thread-local lookup (None: not recording).
         self._stack: Optional[List["Span"]] = None
+        self._parent = parent
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
         if tracer is not None and _metrics._enabled:
             stack = tracer._stack()
-            if stack:
-                stack[-1].children.append(self)
+            parent = self._parent if self._parent is not None else (
+                stack[-1] if stack else None
+            )
+            if parent is not None:
+                # list.append is atomic, so sibling workers may attach to
+                # one parent concurrently.
+                parent.children.append(self)
             stack.append(self)
             self._stack = stack
         self.start_s = _perf_counter()
@@ -96,7 +114,7 @@ class Span:
             # The span we pushed is still on top (with statements unwind in
             # LIFO order even under exceptions).
             stack.pop()
-            if not stack:
+            if not stack and self._parent is None:
                 self._tracer._record(self)  # type: ignore[union-attr]
 
     def to_dict(self, origin_s: Optional[float] = None) -> Dict[str, object]:
@@ -179,6 +197,16 @@ TRACER = Tracer()
 def span(name: str, **attributes: object) -> Span:
     """Open a span on the default tracer (nests under any open span)."""
     return Span(name, attributes, TRACER)
+
+
+def span_under(parent: Span, name: str, **attributes: object) -> Span:
+    """Open a span on the default tracer as a child of ``parent``.
+
+    Usable from any thread: the span attaches to ``parent`` (typically a
+    root span opened on the thread that fanned the work out) and spans
+    opened inside it on this thread nest beneath it.
+    """
+    return Span(name, attributes, TRACER, parent)
 
 
 #: Alias emphasising intent at call sites that open a run's *root* span.

@@ -113,6 +113,20 @@ class TestLck002EvalUnderLock:
         )
         assert "LCK002" in rules(source)
 
+    def test_round_fan_out_under_lock_fires(self):
+        # The fleet round's run_batch calls sit in worker functions the
+        # rule cannot see through, so the fan-out method is a callee itself.
+        source = (
+            "import threading\n"
+            "class S:\n"
+            "    def __init__(self):\n"
+            "        self.lock = threading.RLock()\n"
+            "    def run_round(self, devices, root):\n"
+            "        with self.lock:\n"
+            "            return self._evaluate_round(devices, root)\n"
+        )
+        assert "LCK002" in rules(source)
+
     def test_run_batch_under_lock_fires(self):
         source = (
             "import threading\n"

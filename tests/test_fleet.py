@@ -153,23 +153,8 @@ class TestFleetScheduler:
                 == independent.monitor.failure_rate()
             )
 
-    def test_sharded_rounds_match_inline(self):
-        inline = small_fleet(seed=17)
-        sharded = small_fleet(seed=17)
-        FleetScheduler(inline).run(2)
-        with FleetScheduler(sharded, processes=2, min_shard_devices=4) as scheduler:
-            scheduler.run(2)
-        for a, b in zip(inline, sharded):
-            assert a.state is b.state
-            assert a.monitor.failure_rate() == b.monitor.failure_rate()
-
-    def test_backends_and_containers_agree_on_sharded_verdicts(self):
-        """Any (backend, container) combination yields identical verdicts.
-
-        Regression: a prepacked matrix handed to a sharded uint8-backend
-        scheduler used to ship packed words that the workers decoded as
-        uint8 bytes.
-        """
+    def test_backends_and_containers_agree_on_verdicts(self):
+        """Any (backend, container) combination yields identical verdicts."""
         from repro.engine.packed import pack_matrix
         from repro.trng.ideal import IdealSource
 
@@ -177,11 +162,10 @@ class TestFleetScheduler:
         verdicts = []
         for backend in ("packed", "uint8"):
             for container in (matrix, pack_matrix(matrix)):
-                with FleetScheduler(
-                    small_fleet(num_devices=8, seed=6),
-                    processes=2, min_shard_devices=4, backend=backend,
-                ) as scheduler:
-                    verdicts.append(scheduler.evaluate_matrix(container))
+                scheduler = FleetScheduler(
+                    small_fleet(num_devices=8, seed=6), backend=backend
+                )
+                verdicts.append(scheduler.evaluate_matrix(container))
         assert all(v == verdicts[0] for v in verdicts[1:])
 
     def test_evaluate_matrix_verdict_reduction(self):
@@ -350,3 +334,132 @@ class TestStreamingScheduler:
             scheduler.ingest(device_id, np.zeros(37, dtype=np.uint8))
         with pytest.raises(KeyError):
             scheduler.pending_bits("no-such-device")
+
+
+class TestFanOut:
+    """Matrix rounds split over worker threads match one worker exactly.
+
+    The worker count and the tile budget are private constants; the tests
+    patch them so small ``n128_light`` fleets fan out over several slices,
+    each spanning several generation tiles.
+    """
+
+    #: Rows per tile at n = 128 (8 chunks per row) once the budget is patched.
+    TILE = 5
+
+    @pytest.fixture
+    def fan_out(self, monkeypatch):
+        from repro.engine import packed
+        from repro.fleet import scheduler as scheduler_module
+
+        monkeypatch.setattr(packed, "_TILE_CHUNKS", 8 * self.TILE)
+
+        def set_workers(workers):
+            monkeypatch.setattr(scheduler_module, "_WORKERS", workers)
+            return scheduler_module._round_slices
+
+        return set_workers
+
+    @staticmethod
+    def _outcome(num_devices, backend, rounds):
+        registry = small_fleet(num_devices=num_devices, seed=13)
+        report = FleetScheduler(registry, backend=backend).run(rounds).to_dict()
+        for fleet_round in report["rounds"]:
+            fleet_round.pop("elapsed_s")
+        histories = [list(device.monitor.history) for device in registry]
+        return registry.state_dict(), report, histories
+
+    @pytest.mark.parametrize("backend", ["packed", "uint8"])
+    @pytest.mark.parametrize("workers, slices", [(2, 2), (3, 3), (8, 3)])
+    def test_rounds_match_one_worker(self, fan_out, backend, workers, slices):
+        # 17 devices are 3 full tiles of 5 rows plus 2; 17 divides by none
+        # of the worker counts, and 8 workers outnumber the full tiles.
+        fan_out(1)
+        expected = self._outcome(17, backend, rounds=3)
+        round_slices = fan_out(workers)
+        bounds = round_slices(17, 128)
+        assert len(bounds) == slices
+        assert bounds[0][0] == 0 and bounds[-1][1] == 17
+        assert all(stop - start >= self.TILE for start, stop in bounds)
+        assert self._outcome(17, backend, rounds=3) == expected
+
+    def test_small_rounds_stay_one_slice(self, fan_out):
+        round_slices = fan_out(4)
+        assert round_slices(2 * self.TILE - 1, 128) == [(0, 2 * self.TILE - 1)]
+        assert len(round_slices(2 * self.TILE, 128)) == 2
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_source_error_propagates_with_nothing_folded(self, fan_out, where):
+        fan_out(3)
+        registry = small_fleet(num_devices=17, seed=13)
+        scheduler = FleetScheduler(registry)
+        markers = []
+
+        class Journal:
+            def append_round(self, index):
+                markers.append(index)
+
+        scheduler.journal = Journal()
+        scheduler.run_round()
+
+        def folded():
+            return (
+                [device.monitor.state_dict() for device in registry],
+                [list(device.monitor.history) for device in registry],
+                dict(scheduler.execution_paths),
+            )
+
+        before = folded()
+        # Slice 0 runs on the calling thread, the last slice on a worker.
+        source = registry.simulated_devices()[where].source
+
+        def broken(n):
+            del source.generate_block  # fail once only
+            raise RuntimeError("source fault")
+
+        source.generate_block = broken
+        with pytest.raises(RuntimeError, match="source fault"):
+            scheduler.run_round()
+        assert len(scheduler.rounds) == 1
+        assert markers == [0]
+        assert folded() == before
+        scheduler.run_round()
+        assert len(scheduler.rounds) == 2
+        assert markers == [0, 1]
+
+    def test_service_thread_never_deadlocks_on_rounds(self, fan_out):
+        import threading
+
+        fan_out(3)
+        registry = small_fleet(num_devices=17, seed=13)
+        registry.register("external")
+        scheduler = FleetScheduler(registry)
+        bits = np.random.default_rng(5).integers(0, 2, size=128, dtype=np.uint8)
+        errors = []
+
+        def service():
+            try:
+                for _ in range(20):
+                    scheduler.ingest("external", bits)
+                    scheduler.report()
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        def rounds():
+            try:
+                scheduler.run(10)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=service, daemon=True),
+            threading.Thread(target=rounds, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "deadlock"
+        assert errors == []
+        assert len(scheduler.rounds) == 10
+        assert registry.get("external").monitor.sequences_monitored == 20

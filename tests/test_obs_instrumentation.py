@@ -209,6 +209,33 @@ class TestFleetInstrumentation:
         ]
         obs.clear_traces()
 
+    def test_fanned_out_round_trace_tree(self, monkeypatch):
+        from repro.fleet import scheduler as scheduler_module
+
+        # 5-row tiles at n = 128, so 17 devices fan out over 3 workers.
+        monkeypatch.setattr(P, "_TILE_CHUNKS", 8 * 5)
+        monkeypatch.setattr(scheduler_module, "_WORKERS", 3)
+        latency = metric("repro_fleet_round_latency_seconds")
+        scheduler = small_fleet(num_devices=17)
+        obs.clear_traces()
+        before = latency.count()
+        scheduler.run_round()
+        assert latency.count() - before == 1
+        (root,) = obs.TRACER.traces()
+        assert root.name == "fleet.run_round"
+        names = [child.name for child in root.children]
+        assert names == ["shard", "shard", "shard", "fold"]
+        shards = root.children[:3]
+        assert sorted(shard.attributes["rows"] for shard in shards) == [5, 6, 6]
+        for shard in shards:
+            assert [child.name for child in shard.children] == ["generate", "evaluate"]
+            (batch_root,) = shard.children[1].children
+            assert batch_root.name == "run_batch"
+            assert "decision" in batch_root.stage_names()
+            assert shard.start_s >= root.start_s
+        assert root.to_dict()["children"][-1]["name"] == "fold"
+        obs.clear_traces()
+
     def test_round_elapsed_matches_span_even_disabled(self):
         scheduler = small_fleet(num_devices=4)
         with obs.disabled():
