@@ -1,27 +1,21 @@
-"""API-hygiene checkers: annotations, CLI help drift, pool picklability.
+"""API-hygiene checkers: annotations and CLI help drift.
 
 These guard the seams other tooling relies on: the mypy configuration is
 only as strong as the annotations it sees (API001 keeps the engine/fleet/
-analysis surfaces fully typed), ``--help`` text is the CLI's contract with
-its users (API002 keeps literal choice lists and help in sync), and pool
-payloads must survive pickling (API003 rejects lambdas/closures handed to
-executor fan-out — they fail only at runtime, deep inside a worker).
+analysis surfaces fully typed), and ``--help`` text is the CLI's contract
+with its users (API002 keeps literal choice lists and help in sync).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List
 
 from repro.analysis.checkers._common import dotted_name
 from repro.analysis.framework import Checker, DEFAULT_REGISTRY, Rule
 from repro.analysis.findings import Severity
 
 __all__ = ["ApiHygieneChecker"]
-
-#: Executor fan-out methods whose callables cross a pickle boundary.
-_POOL_DISPATCH = {"submit", "map", "apply_async", "imap", "imap_unordered", "starmap"}
-
 
 @DEFAULT_REGISTRY.register
 class ApiHygieneChecker(Checker):
@@ -42,15 +36,6 @@ class ApiHygieneChecker(Checker):
             summary="CLI help text drifts from the registered choices",
             invariant="every literal choices= value must be named in the flag's "
                       "help string — --help is the CLI contract",
-        ),
-        Rule(
-            id="API003",
-            family="api-hygiene",
-            severity=Severity.ERROR,
-            summary="unpicklable callable handed to executor fan-out",
-            invariant="pool payloads must be module-level callables; lambdas and "
-                      "nested closures fail to pickle only at runtime inside a "
-                      "worker process",
         ),
     )
 
@@ -95,7 +80,6 @@ class ApiHygieneChecker(Checker):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_annotations(node)
-        self._nested_defs_guard(node)
         self._function_depth += 1
         self.generic_visit(node)
         self._function_depth -= 1
@@ -143,47 +127,6 @@ class ApiHygieneChecker(Checker):
                 f"the accepted values",
             )
 
-    # ------------------------------------------------------------ API003
-    @staticmethod
-    def _pool_dispatch_payloads(node: ast.Call) -> List[ast.AST]:
-        """Arguments of a pool/executor fan-out call, else an empty list."""
-        if not (isinstance(node.func, ast.Attribute) and node.func.attr in _POOL_DISPATCH):
-            return []
-        receiver = (dotted_name(node.func.value) or "").lower()
-        if not ("pool" in receiver or "executor" in receiver):
-            return []
-        return list(node.args) + [kw.value for kw in node.keywords]
-
-    def _nested_defs_guard(self, node: ast.FunctionDef) -> None:
-        """Within one function, reject nested defs fed to executors."""
-        nested: Set[str] = {
-            sub.name
-            for sub in ast.walk(node)
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not node
-        }
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            for argument in self._pool_dispatch_payloads(sub):
-                if isinstance(argument, ast.Name) and argument.id in nested:
-                    self.report(
-                        "API003",
-                        argument,
-                        f"nested function {argument.id}() handed to a process-pool "
-                        f"dispatch; closures do not pickle — hoist it to module "
-                        f"level",
-                    )
-
     def visit_Call(self, node: ast.Call) -> None:
         self._check_help_drift(node)
-        # Lambdas are unpicklable wherever the dispatch happens, so this
-        # check runs at every call site (module level included).
-        for argument in self._pool_dispatch_payloads(node):
-            if isinstance(argument, ast.Lambda):
-                self.report(
-                    "API003",
-                    argument,
-                    "lambda handed to a process-pool dispatch; pool payloads "
-                    "must be picklable module-level callables",
-                )
         self.generic_visit(node)

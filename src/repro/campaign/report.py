@@ -141,9 +141,9 @@ class CampaignReport(JsonCsvExportMixin):
     #: kernels or the "uint8" reference paths); P-values are identical.
     backend: str = "packed"
     #: Evaluation layer -> execution path the campaign took for it
-    #: ("hw.platform": "batched"/"inline" per-sequence platform fallback;
-    #: "campaign.cells": "pooled"/"inline" cell dispatch).  Empty for
-    #: reports saved before execution paths were recorded.
+    #: ("hw.platform": "batched"/"inline" per-sequence platform fallback).
+    #: Empty for reports saved before execution paths were recorded; older
+    #: reports may also carry a "campaign.cells" entry, read back as is.
     execution_paths: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- selection

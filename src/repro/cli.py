@@ -14,9 +14,8 @@ Installed as ``repro-trng-test`` (see ``pyproject.toml``); also runnable as
     batches through the engine instead of one sequence at a time).
 ``suite``
     Run the full reference NIST SP 800-22 suite (all 15 tests) on a captured
-    byte file through the batch engine.  The heavyweight tests run pool-free
-    on batch-native kernels; ``--processes`` keeps a process pool available
-    as an explicit opt-in fallback.
+    byte file through the batch engine: the capture is a one-row batch, so
+    every test with a batch kernel takes it.
 ``batch``
     Evaluate a batch of sequences from a simulated source through the
     unified batch engine and report per-test pass rates and throughput.
@@ -225,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "CaptureSource.save); drops the zero-pad bits of the "
                             "last byte")
     suite.add_argument("--alpha", type=float, default=0.01)
-    suite.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: the heavy tests run pool-free on "
-                            "batch-native kernels; set > 1 only to fan tests "
-                            "without a batch kernel out over worker processes")
 
     batch = sub.add_parser("batch", help="evaluate a batch of sequences through the engine")
     batch.add_argument("--source", default="ideal", help=_SOURCE_HELP)
@@ -237,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--sequences", type=int, default=64, help="number of sequences in the batch")
     batch.add_argument("--length", type=int, default=4096, help="bits per sequence")
     batch.add_argument("--alpha", type=float, default=0.01)
-    batch.add_argument("--processes", type=int, default=None,
-                       help="fallback knob: the heavy tests run pool-free on "
-                            "batch-native kernels; set > 1 only to fan tests "
-                            "without a batch kernel out over worker processes")
     batch.add_argument("--tests", default="hw",
                        help="comma-separated NIST test numbers, or 'hw' for the "
                             "HW-suitable subset, or 'all' for all 15")
@@ -265,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--fail-after", type=int, default=2)
     campaign.add_argument("--seed", type=int, default=0,
                           help="base seed; the whole campaign is reproducible from it")
-    campaign.add_argument("--processes", type=int, default=None,
-                          help="fallback knob: each cell's sequences already run "
-                               "through the pool-free batched engine path; set "
-                               "> 1 only to additionally fan whole cells out "
-                               "over worker processes")
     campaign.add_argument("--json", dest="json_path", default=None,
                           help="write the full campaign report as JSON to this path")
     campaign.add_argument("--csv", dest="csv_path", default=None,
@@ -522,7 +508,7 @@ def _cmd_suite(args, out) -> int:
         print(f"error: {exc}", file=out)
         return 2
     bits = source.generate(source.total_bits)
-    report = NistSuite().run_batch([bits], processes=args.processes)[0]
+    report = NistSuite().run_batch([bits])[0]
     print(f"reference NIST SP 800-22 suite on {args.capture} ({source.total_bits} bits)", file=out)
     for row in report.summary_rows(args.alpha):
         if row.get("error"):
@@ -565,8 +551,7 @@ def _cmd_batch(args, out) -> int:
     # The span doubles as the throughput timer (spans always measure time;
     # repro.obs is the sanctioned wall-clock home, see rule OBS001).
     with obs.span("cli.batch", sequences=args.sequences, length=args.length) as batch_span:
-        reports = run_batch(matrix, tests=tests, processes=args.processes,
-                            backend=args.backend)
+        reports = run_batch(matrix, tests=tests, backend=args.backend)
     elapsed = batch_span.duration_s
     print(
         f"engine batch: {args.sequences} sequences x {args.length} bits from "
@@ -624,7 +609,6 @@ def _cmd_campaign(args, out) -> int:
         suspect_after=args.suspect_after,
         fail_after=args.fail_after,
         seed=args.seed,
-        processes=args.processes,
         backend=args.backend,
     )
     try:

@@ -83,7 +83,7 @@ class OnTheFlyPlatform:
         #: "batched" when the sequences shared one vectorised BatchContext,
         #: "inline" on the per-sequence fallback (mixed/solo inputs), None
         #: before the first batch call.  Campaign reports surface this to
-        #: prove the pool-free batch path was taken.
+        #: prove the batch path was taken.
         self.last_execution_path: Optional[str] = None
 
     # ------------------------------------------------------------------ info

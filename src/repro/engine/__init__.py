@@ -11,9 +11,8 @@ and :func:`run_batch` executes any test selection over many sequences —
 deciding the five light tests as P-value columns from the shared integer
 statistics (:mod:`repro.engine.decisions`) and the heavyweight ones through
 the batch-native kernels of :mod:`repro.engine.heavy`, so the full suite
-runs pool-free on the packed backend (the process pool survives as an
-explicit ``processes > 1`` fallback for paths without a batch kernel).  Its
-columnar :class:`BatchResult` doubles as a sequence of per-row
+runs batched on the packed backend, one sequence included; tests without a
+batch kernel run per sequence in the same process.  Its columnar :class:`BatchResult` doubles as a sequence of per-row
 :class:`EngineReport` views.
 
 Quickstart::

@@ -10,11 +10,10 @@ call: the five light tests (frequency, block frequency, runs, longest run,
 cusum) decide one P-value column from the shared integer statistics
 (:mod:`repro.engine.decisions`), the heavy ones (rank, DFT, universal,
 linear complexity, random excursions) run their batch-native kernels
-(:mod:`repro.engine.heavy`).  The remaining tests run per sequence on the
-batch's row contexts.  The process pool survives only as an explicit
-opt-in fallback (``processes > 1``) for expensive tests without a usable
-batch kernel — the uint8 backend, mixed lengths, or a
-:class:`~repro.engine.heavy.BatchFallback` geometry.
+(:mod:`repro.engine.heavy`).  A single sequence is a one-row batch.  The
+remaining tests — and every test on the uint8 backend, on mixed lengths or
+with a :class:`~repro.engine.heavy.BatchFallback` geometry — run per
+sequence, in this process.
 
 The result is columnar.  A :class:`BatchResult` holds one column per test —
 the P-values, the error strings and the ``failing(alpha)`` mask a fleet
@@ -22,8 +21,7 @@ verdict reduces from — and is a sequence of per-row :class:`EngineReport`
 views whose ``results`` build the scalar references'
 :class:`~repro.nist.common.TestResult` objects only when read.  The path
 each test took is recorded once per batch in
-:attr:`BatchResult.execution_paths` (``"batched"`` / ``"inline"`` /
-``"pooled"``).  Results are bit-identical to running each test directly on
+:attr:`BatchResult.execution_paths` (``"batched"`` or ``"inline"``).  Results are bit-identical to running each test directly on
 each sequence — asserted by ``tests/test_engine_parity.py``,
 ``tests/test_heavy_batch_parity.py`` and ``tests/test_columnar_decisions.py``.
 """
@@ -31,7 +29,6 @@ each sequence — asserted by ``tests/test_engine_parity.py``,
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
 from typing import (
     Callable,
@@ -55,7 +52,7 @@ from repro.engine.context import (
     validate_backend,
 )
 from repro.engine.heavy import BatchFallback
-from repro.engine.packed import WORD_DTYPE, PackedMatrix
+from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
     NIST_NUMBER_TO_ID,
@@ -74,7 +71,7 @@ _TEST_SECONDS = obs.histogram(
 )
 _TESTS_TOTAL = obs.counter(
     "repro_engine_tests_total",
-    "Per-sequence test evaluations by execution path (batched/inline/pooled).",
+    "Per-sequence test evaluations by execution path (batched/inline).",
     labels=("path",),
 )
 _BITS_EVALUATED = obs.counter(
@@ -90,7 +87,7 @@ class _Column:
     raised) and ``errors`` the error string of each row that raised.  A
     decided column (a batch runner's P-value column) builds a row's
     :class:`TestResult` with ``build`` only when it is read; per-sequence
-    outcomes (heavy kernels, the scalar spill, the pool) arrive built.
+    outcomes (heavy kernels, the scalar spill) arrive built.
     """
 
     def __init__(
@@ -248,8 +245,7 @@ class BatchResult(Sequence[EngineReport]):
     @property
     def execution_paths(self) -> Dict[str, str]:
         """Execution path per test id: "batched" (one call over the whole
-        batch), "inline" (per sequence in this process) or "pooled" (per
-        sequence in a worker process)."""
+        batch) or "inline" (per sequence)."""
         return {test_id: column.path for test_id, column in self._columns.items()}
 
     @property
@@ -330,31 +326,6 @@ def _row_result(
     return test.run(context(row), **kwargs)
 
 
-def _pool_worker(payload):
-    """Run one (test, sequence) pair in a worker process.
-
-    Only tests from the default registry are pooled, so the worker can
-    resolve the test id against its own imported copy.  The sequence ships
-    either as raw uint8 bits (``"bits"``) or — when the parent batch was
-    packed-only — as that row's packed 64-bit words (``"words"``, 1/8th the
-    pickle traffic), unpacked lazily here in the worker.
-    """
-    test_id, kind, raw, n, kwargs = payload
-    if kind == "words":
-        words = np.frombuffer(raw, dtype=WORD_DTYPE).reshape(1, -1)
-        bits = PackedMatrix(words, n).row(0)
-    else:
-        bits = np.frombuffer(raw, dtype=np.uint8)
-    context = SequenceContext(bits)
-    test = DEFAULT_REGISTRY.resolve(test_id)
-    try:
-        return "ok", test.run(context, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - any test failure becomes a report entry
-        # Return the exception itself so skip_errors=False can re-raise the
-        # original type, exactly like the inline path.
-        return "error", exc
-
-
 def _describe_error(exc: Exception) -> str:
     """Error string recorded in :attr:`BatchResult.errors`.
 
@@ -371,7 +342,6 @@ def run_batch(
     sequences: Union[np.ndarray, PackedMatrix, BatchContext, Iterable[BitsLike]],
     tests: Optional[Sequence[TestSpec]] = None,
     parameters: Optional[Dict[TestSpec, Dict[str, object]]] = None,
-    processes: Optional[int] = None,
     registry: Optional[TestRegistry] = None,
     skip_errors: bool = True,
     backend: str = DEFAULT_BACKEND,
@@ -394,9 +364,9 @@ def run_batch(
         :meth:`BatchContext.from_streaming` — is used as-is, statistics
         already cached in it included; its own backend wins over the
         ``backend`` argument.
-        Equal-length sequences are stacked into one bit matrix and share
-        vectorised statistics; mixed lengths fall back to per-sequence
-        contexts.
+        Equal-length sequences — a single sequence included — are stacked
+        into one bit matrix and share vectorised statistics; mixed lengths
+        fall back to per-sequence contexts.
     tests:
         Test specs resolvable by the registry — canonical ids
         (``"nist.serial"``, ``"fips.poker"``, ``"hw.platform"``), NIST
@@ -404,18 +374,9 @@ def run_batch(
         NIST tests.
     parameters:
         Optional per-test keyword arguments keyed by any resolvable spec.
-    processes:
-        Explicit opt-in fallback knob.  When > 1, ``expensive`` tests of the
-        default registry that could *not* take a batch-native kernel (uint8
-        backend, mixed lengths, single sequences, or a
-        :class:`~repro.engine.heavy.BatchFallback` geometry) are fanned out
-        over a process pool of that size; on the default packed batch path
-        the pool is never touched.
     registry:
         Registry to resolve specs against (default:
-        :data:`~repro.engine.registry.DEFAULT_REGISTRY`).  Pool dispatch is
-        only available for the default registry, since workers re-resolve
-        tests by id.
+        :data:`~repro.engine.registry.DEFAULT_REGISTRY`).
     skip_errors:
         When True (default), any exception from a test is recorded in
         :attr:`BatchResult.errors` instead of aborting the batch, so one
@@ -434,7 +395,7 @@ def run_batch(
     """
     with obs.trace("run_batch", backend=backend):
         return _run_batch(
-            sequences, tests, parameters, processes, registry, skip_errors, backend
+            sequences, tests, parameters, registry, skip_errors, backend
         )
 
 
@@ -442,7 +403,6 @@ def _run_batch(
     sequences: Union[np.ndarray, PackedMatrix, BatchContext, Iterable[BitsLike]],
     tests: Optional[Sequence[TestSpec]],
     parameters: Optional[Dict[TestSpec, Dict[str, object]]],
-    processes: Optional[int],
     registry: Optional[TestRegistry],
     skip_errors: bool,
     backend: str,
@@ -489,7 +449,7 @@ def _run_batch(
                 )
             params[test_id] = dict(kwargs)
 
-        if batch is None and len({arr.size for arr in arrays}) == 1 and len(arrays) > 1:
+        if batch is None and len({arr.size for arr in arrays}) == 1:
             batch = BatchContext(np.vstack(arrays), backend=backend)
         if batch is not None:
             lengths = [batch.n] * num_sequences
@@ -511,9 +471,6 @@ def _run_batch(
             contexts[row] = found
         return found
 
-    pool_allowed = (
-        processes is not None and processes > 1 and registry is DEFAULT_REGISTRY
-    )
     # Each test's outcome, folded into its column under one decision span
     # once every test has been dispatched; per-sequence evaluations are
     # counted per path and flushed once per batch, so the fixed metric cost
@@ -521,8 +478,8 @@ def _run_batch(
     outcomes: Dict[str, Callable[[], _Column]] = {}
     evaluations: Dict[str, int] = {}
 
-    def count(path: str, tests: int = 1) -> None:
-        evaluations[path] = evaluations.get(path, 0) + tests * num_sequences
+    def count(path: str) -> None:
+        evaluations[path] = evaluations.get(path, 0) + num_sequences
 
     def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
         # The dispatch span covers the per-sequence test evaluations.
@@ -544,7 +501,6 @@ def _run_batch(
             _Column.of_outcomes, "inline", num_sequences, results, errors
         )
 
-    pooled: List[RegisteredTest] = []
     for test in resolved:
         kwargs = params.get(test.id, {})
         if (
@@ -559,11 +515,8 @@ def _run_batch(
                     outcome = test.run_batch(batch, **kwargs)
             except BatchFallback:
                 # Parameters outside the kernel's fast path: rerun this one
-                # test per sequence (pooled only if explicitly opted in).
-                if pool_allowed and test.expensive:
-                    pooled.append(test)
-                else:
-                    run_inline(test, kwargs)
+                # test per sequence.
+                run_inline(test, kwargs)
                 continue
             except Exception as exc:  # noqa: BLE001 - see skip_errors docs
                 if not skip_errors:
@@ -596,56 +549,8 @@ def _run_batch(
                     dict(enumerate(outcome)),
                     {},
                 )
-        elif pool_allowed and test.expensive:
-            pooled.append(test)
         else:
             run_inline(test, kwargs)
-
-    if pooled:
-        count("pooled", len(pooled))
-        if batch is None or arrays:
-            payloads = [("bits", arr.tobytes(), int(arr.size)) for arr in arrays]
-        else:
-            packed = batch.packed_only()
-            if packed is not None:
-                # Packed-only batch: ship each row's 64-bit words (1/8th the
-                # bytes) and let the worker unpack its own row lazily.
-                payloads = [
-                    ("words", np.ascontiguousarray(packed.words[i]).tobytes(), batch.n)
-                    for i in range(num_sequences)
-                ]
-            else:
-                payloads = [("bits", row.tobytes(), batch.n) for row in batch.matrix]
-        pooled_results: Dict[str, Dict[int, TestResult]] = {test.id: {} for test in pooled}
-        pooled_errors: Dict[str, Dict[int, str]] = {test.id: {} for test in pooled}
-        pooled_ids = ",".join(test.id for test in pooled)
-        with obs.span("dispatch", test=pooled_ids, path="pooled"):
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                futures = {}
-                for test in pooled:
-                    kwargs = params.get(test.id, {})
-                    for index, (kind, raw, length) in enumerate(payloads):
-                        future = pool.submit(
-                            _pool_worker, (test.id, kind, raw, length, kwargs)
-                        )
-                        futures[future] = (index, test.id)
-                for future in as_completed(futures):
-                    index, test_id = futures[future]
-                    status, outcome = future.result()
-                    if status == "ok":
-                        pooled_results[test_id][index] = outcome
-                    elif skip_errors:
-                        pooled_errors[test_id][index] = _describe_error(outcome)
-                    else:
-                        raise outcome
-        for test in pooled:
-            outcomes[test.id] = partial(
-                _Column.of_outcomes,
-                "pooled",
-                num_sequences,
-                pooled_results[test.id],
-                pooled_errors[test.id],
-            )
 
     for path, total in evaluations.items():
         _TESTS_TOTAL.inc(total, path=path)

@@ -1,4 +1,4 @@
-"""Batched kernels for the five heavyweight NIST tests (pool-free path).
+"""Batched kernels for the five heavyweight NIST tests.
 
 After the cheap tests went batch-native on shared statistics and the packed
 backend, the only per-sequence Python left on the engine's hot path was the

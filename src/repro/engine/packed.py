@@ -223,7 +223,7 @@ def unpack_rows(packed: PackedMatrix, start: int, stop: int) -> np.ndarray:
 
     Slices the retained source when one exists; otherwise only the requested
     rows' words are unpacked, so chunked consumers (the batched heavy-test
-    kernels, the pooled fallback) never materialise the full matrix.
+    kernels) never materialise the full matrix.
     """
     if packed.source is not None:
         return packed.source[start:stop]

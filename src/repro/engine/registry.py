@@ -95,11 +95,6 @@ class RegisteredTest:
         ``runner(context, **params) -> TestResult``.
     aliases:
         Alternative lookup keys (the NIST number, its string form, ...).
-    expensive:
-        True for tests whose scalar path is dominated by per-sequence work
-        (matrix rank, Berlekamp–Massey, ...).  When such a test has no
-        usable ``batch_runner`` the executor may fan it out over a process
-        pool as an explicit opt-in fallback (``processes > 1``).
     batch_runner:
         Optional batch-native entry point ``batch_runner(batch, **params)``
         evaluating the whole :class:`~repro.engine.context.BatchContext` at
@@ -116,7 +111,6 @@ class RegisteredTest:
     name: str
     runner: Callable[..., TestResult]
     aliases: Tuple[TestSpec, ...] = ()
-    expensive: bool = False
     batch_runner: Optional[Callable[..., BatchOutcome]] = None
 
     def run(self, context: SequenceContext, **params) -> TestResult:
@@ -286,25 +280,20 @@ def build_default_registry() -> TestRegistry:
     }
     # Batch-native entry points evaluate a whole packed batch at once: the
     # five light tests decide one P-value column from the shared integer
-    # statistics, the heavyweight ones run their kernels (the pool-free
-    # default).  The scalar runner stays the per-sequence reference, and
-    # `expensive` keeps the process pool available to the heavy tests as
-    # an explicit opt-in fallback.
-    heavy_runners: Dict[int, Callable[..., BatchOutcome]] = {
-        5: _heavy.batch_rank,
-        6: _heavy.batch_dft,
-        9: _heavy.batch_universal,
-        10: _heavy.batch_linear_complexity,
-        14: _heavy.batch_random_excursions,
-        15: _heavy.batch_random_excursions_variant,
-    }
+    # statistics, the heavyweight ones run their kernels.  The scalar
+    # runner stays the per-sequence reference.
     batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
         1: _decisions.batch_frequency,
         2: _decisions.batch_block_frequency,
         3: _decisions.batch_runs,
         4: _decisions.batch_longest_run,
+        5: _heavy.batch_rank,
+        6: _heavy.batch_dft,
+        9: _heavy.batch_universal,
+        10: _heavy.batch_linear_complexity,
         13: _decisions.batch_cumulative_sums,
-        **heavy_runners,
+        14: _heavy.batch_random_excursions,
+        15: _heavy.batch_random_excursions_variant,
     }
     for number, runner in nist_runners.items():
         registry.register(
@@ -313,7 +302,6 @@ def build_default_registry() -> TestRegistry:
                 name=NIST_TEST_NAMES[number],
                 runner=runner,
                 aliases=(number, str(number), f"nist.{number}"),
-                expensive=number in heavy_runners,
                 batch_runner=batch_runners.get(number),
             )
         )
@@ -338,7 +326,6 @@ def build_default_registry() -> TestRegistry:
             id="hw.platform",
             name="HW/SW on-the-fly platform",
             runner=_hw_platform_runner,
-            expensive=True,
         )
     )
     return registry

@@ -191,9 +191,8 @@ class FleetReport(JsonCsvExportMixin):
     #: rebuilds); verdicts are identical either way.
     streaming: bool = False
     #: Canonical test id -> execution path the engine took for it
-    #: ("batched" batch-native kernel / "inline" per-sequence scalar /
-    #: "pooled" process-pool fallback), as observed on the scheduler's
-    #: most recent evaluations.  Empty for reports saved before the
+    #: ("batched" batch-native kernel / "inline" per-sequence scalar), as
+    #: observed on the scheduler's most recent evaluations.  Empty for reports saved before the
     #: batch-native heavy kernels existed.
     execution_paths: Dict[str, str] = field(default_factory=dict)
 

@@ -314,11 +314,11 @@ class FleetScheduler:
         #: replayed rounds are not re-journaled).
         self.journal: Optional["IngestJournal"] = None
         self.rounds: List[FleetRound] = []
-        #: Canonical test id -> execution path ("batched" / "inline" /
-        #: "pooled") observed on the most recent evaluations; surfaced in
+        #: Canonical test id -> execution path ("batched" / "inline")
+        #: observed on the most recent evaluations; surfaced in
         #: :attr:`FleetReport.execution_paths
         #: <repro.fleet.report.FleetReport.execution_paths>` to prove the
-        #: heavy tests ran pool-free on the batch kernels.
+        #: heavy tests ran on the batch kernels.
         self.execution_paths: Dict[str, str] = {}
         #: Serialises fleet mutations (rounds, ingest, registration) between
         #: the scheduler's owner and the HTTP service threads; re-entrant so

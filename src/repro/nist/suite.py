@@ -150,14 +150,12 @@ class NistSuite:
                 report.errors[number] = str(exc)
         return report
 
-    def run_batch(
-        self, sequences, processes: Optional[int] = None
-    ) -> List[SuiteReport]:
+    def run_batch(self, sequences) -> List[SuiteReport]:
         """Run the configured tests over a batch of sequences.
 
-        Cheap tests are vectorised across the sequence axis through a shared
-        :class:`~repro.engine.context.BatchContext`; with ``processes > 1``
-        the expensive tests fan out over a process pool.  Returns one
+        Equal-length sequences — a single one included — share one
+        :class:`~repro.engine.context.BatchContext` and every test with a
+        batch kernel evaluates the whole batch at once.  Returns one
         :class:`SuiteReport` per input sequence, with results bit-identical
         to calling :meth:`run` on each sequence individually.
         """
@@ -168,7 +166,6 @@ class NistSuite:
             sequences,
             tests=list(self.tests),
             parameters=self.parameters,
-            processes=processes,
             skip_errors=self.skip_errors,
         )
         reports: List[SuiteReport] = []

@@ -1,4 +1,4 @@
-"""Fixture tests of the api-hygiene family (API001-API003)."""
+"""Fixture tests of the api-hygiene family (API001-API002)."""
 
 from repro.analysis.framework import analyze_source
 
@@ -68,29 +68,3 @@ class TestApi002HelpDrift:
             "                    help='which test to run')\n"
         )
         assert "API002" not in rules(source)
-
-
-class TestApi003PoolPicklability:
-    def test_lambda_to_pool_map_fires(self):
-        source = "results = pool.map(lambda shard: shard.run(), shards)\n"
-        assert "API003" in rules(source)
-
-    def test_nested_def_to_executor_submit_fires(self):
-        source = (
-            "def fan_out(executor, shards):\n"
-            "    def work(shard):\n"
-            "        return shard.run()\n"
-            "    return [executor.submit(work, s) for s in shards]\n"
-        )
-        assert "API003" in rules(source)
-
-    def test_module_level_callable_is_clean(self):
-        source = (
-            "def fan_out(pool, shards):\n"
-            "    return pool.map(_shard_worker, shards)\n"
-        )
-        assert "API003" not in rules(source)
-
-    def test_non_pool_receivers_are_ignored(self):
-        source = "result = mapping.map(lambda item: item, items)\n"
-        assert "API003" not in rules(source)

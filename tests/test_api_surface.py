@@ -90,7 +90,7 @@ class TestSubpackageApi:
             "DET001", "DET002", "DET003", "DET004", "DET005",
             "PKD001", "PKD002", "PKD003",
             "LCK001", "LCK002",
-            "API001", "API002", "API003",
+            "API001", "API002",
             "OBS001",
             "ROB001",
         }

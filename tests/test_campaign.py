@@ -200,39 +200,24 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             run_campaign(CampaignConfig(scenarios=("bogus-scenario",)))
 
-    @pytest.mark.slow
-    def test_process_pool_matches_sequential(self):
-        config = CampaignConfig(
-            designs=("n128_light",),
-            scenarios=("wire-cut", "healthy-ideal", "biased-0.70"),
-            trials=2, sequences_per_trial=4, seed=3,
-        )
-        sequential = run_campaign(config)
-        pooled = run_campaign(
-            CampaignConfig(**{**base_config_dict(config), "processes": 2})
-        )
-        assert pooled.to_dict()["cells"] == sequential.to_dict()["cells"]
-
-
-def base_config_dict(config: CampaignConfig) -> dict:
-    return {
-        "designs": config.designs,
-        "scenarios": config.scenarios,
-        "trials": config.trials,
-        "sequences_per_trial": config.sequences_per_trial,
-        "alpha": config.alpha,
-        "suspect_after": config.suspect_after,
-        "fail_after": config.fail_after,
-        "seed": config.seed,
-        "processes": config.processes,
-    }
-
 
 class TestCampaignReport:
     def test_json_round_trip(self, small_report):
         restored = CampaignReport.from_json(small_report.to_json())
         assert restored.to_json() == small_report.to_json()
         assert restored.cells[0].attribution == small_report.cells[0].attribution
+
+    def test_execution_paths_record_the_platform_path_only(self, small_report):
+        assert small_report.execution_paths == {"hw.platform": "batched"}
+
+    def test_saved_pooled_cell_dispatch_still_loads(self, small_report):
+        # Reports saved while campaign cells could run in a process pool
+        # carry a "campaign.cells" entry; they must keep loading as saved.
+        data = small_report.to_dict()
+        data["execution_paths"] = {"campaign.cells": "pooled", "hw.platform": "batched"}
+        restored = CampaignReport.from_json(json.dumps(data))
+        assert restored.execution_paths == data["execution_paths"]
+        assert restored.to_dict()["cells"] == data["cells"]
 
     def test_json_is_valid_and_complete(self, small_report):
         data = json.loads(small_report.to_json())

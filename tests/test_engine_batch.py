@@ -120,28 +120,31 @@ class TestRunBatch:
         reports = run_batch(batch_sequences[:1], tests=[3, 1, "nist.runs", "1", 3])
         assert list(reports[0].results) == ["nist.runs", "nist.frequency"]
 
-    def test_non_valueerror_recorded_not_raised(self, batch_sequences):
+    @pytest.mark.parametrize(
+        "number, path", [(1, "batched"), (5, "batched"), (7, "inline")]
+    )
+    def test_non_valueerror_recorded_not_raised(self, batch_sequences, number, path):
         """Regression: a non-ValueError from a test (here a TypeError from a
-        bogus parameter) used to crash the whole batch despite skip_errors."""
+        bogus parameter) used to crash the whole batch despite skip_errors.
+        Test 7 has no batch runner, so it covers the per-sequence path."""
         reports = run_batch(
-            batch_sequences[:2], tests=[1, 3], parameters={1: {"bogus_kwarg": 1}}
+            batch_sequences[:2], tests=[number, 3],
+            parameters={number: {"bogus_kwarg": 1}},
         )
+        test_id = DEFAULT_REGISTRY.resolve(number).id
+        assert reports.execution_paths[test_id] == path
         for report in reports:
-            assert "nist.frequency" in report.errors
-            assert "TypeError" in report.errors["nist.frequency"]
+            assert test_id in report.errors
+            assert report.errors[test_id].startswith("TypeError: ")
             assert "nist.runs" in report.results  # the rest of the batch ran
 
-    def test_non_valueerror_raised_without_skip_errors(self, batch_sequences):
+    @pytest.mark.parametrize("number", [1, 5, 7])
+    def test_non_valueerror_raised_without_skip_errors(self, batch_sequences, number):
+        """skip_errors=False surfaces the original exception type on the
+        batched and the per-sequence path alike."""
         with pytest.raises(TypeError):
-            run_batch(batch_sequences[:1], tests=[1],
-                      parameters={1: {"bogus_kwarg": 1}}, skip_errors=False)
-
-    def test_pooled_error_reraised_with_original_type(self, batch_sequences):
-        """skip_errors=False must surface the worker's original exception
-        type, matching the inline path."""
-        with pytest.raises(TypeError):
-            run_batch(batch_sequences[:1], tests=[5], processes=2,
-                      parameters={5: {"bogus_kwarg": 1}}, skip_errors=False)
+            run_batch(batch_sequences[:2], tests=[number],
+                      parameters={number: {"bogus_kwarg": 1}}, skip_errors=False)
 
     def test_conflicting_parameter_aliases_rejected(self, batch_sequences):
         """The same test keyed under two aliases with different kwargs must be
@@ -159,19 +162,6 @@ class TestRunBatch:
                         "nist.block_frequency": {"block_length": 64}},
         )
         assert reports[0].results["nist.block_frequency"].details["block_length"] == 64
-
-    def test_pooled_non_valueerror_recorded_not_raised(self, batch_sequences):
-        """Regression: _pool_worker only caught ValueError, so any other
-        exception from an expensive test crashed the batch via
-        future.result() even with skip_errors=True."""
-        reports = run_batch(
-            batch_sequences, tests=[1, 5], processes=2,
-            parameters={5: {"bogus_kwarg": 1}},
-        )
-        for report in reports:
-            assert "nist.rank" in report.errors
-            assert "TypeError" in report.errors["nist.rank"]
-            assert "nist.frequency" in report.results
 
     def test_report_helpers(self, batch_sequences):
         report = run_batch([np.ones(256, dtype=np.uint8)], tests=[1, 3])[0]

@@ -1,7 +1,7 @@
 """Golden engine/reference parity tests.
 
 The acceptance bar of the engine refactor: every test run through a
-``SequenceContext`` (solo or batch-backed, pooled or inline) must produce
+``SequenceContext`` (solo or batch-backed, batched or inline) must produce
 *bit-identical* ``TestResult.p_values`` to the pre-existing direct reference
 functions, on ideal, biased and correlated sources alike.
 """
@@ -139,19 +139,24 @@ class TestBatchParity:
                         report.results[test_id], results[number], (name, number)
                     )
 
-    def test_pool_path_bit_identical(self, golden_sequences, reference_outcomes):
-        bits = golden_sequences["ideal"]
-        results, errors = reference_outcomes["ideal"]
-        reports = run_batch([bits, bits], tests=[5, 6, 9, 10], processes=2)
-        for report in reports:
-            for number in (5, 6, 9, 10):
-                test_id = DEFAULT_REGISTRY.resolve(number).id
-                if number in errors:
-                    assert report.errors[test_id] == errors[number]
-                else:
-                    _assert_identical(
-                        report.results[test_id], results[number], ("pool", number)
-                    )
+    @pytest.mark.parametrize("n", [128, 1000, 4096 + 37, N])
+    def test_one_sequence_is_a_one_row_batch(self, n):
+        # A single sequence takes the batch kernels, not the scalar path:
+        # every test with a batch runner reports "batched", and results and
+        # errors still equal the golden model's.
+        bits = IdealSource(seed=n).generate(n).bits
+        report = run_batch([bits])[0]
+        for number, reference in REFERENCE_TESTS.items():
+            test = DEFAULT_REGISTRY.resolve(number)
+            expected_path = "batched" if test.batch_runner is not None else "inline"
+            assert report.execution_paths[test.id] == expected_path, number
+            try:
+                expected = reference(bits)
+            except ValueError as exc:
+                assert report.errors[test.id] == str(exc)
+                assert test.id not in report.results
+            else:
+                _assert_identical(report.results[test.id], expected, (n, number))
 
     def test_mixed_lengths_fall_back_per_sequence(self):
         short = IdealSource(seed=777).generate(1024).bits

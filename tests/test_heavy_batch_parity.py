@@ -138,16 +138,21 @@ class TestDispatchSemantics:
                 )
                 _assert_identical(report.results[test_id], reference)
 
-    def test_batch_fallback_geometry_runs_inline(self):
+    @pytest.mark.parametrize(
+        "seed, rows, as_list", [(8, 3, False), (9, 2, False), (9, 1, True)]
+    )
+    def test_batch_fallback_geometry_runs_inline(self, seed, rows, as_list):
         # Non-32x32 rank matrices are outside the packed kernel's fast path:
         # batch_rank raises BatchFallback and the executor falls back to the
-        # per-sequence scalar, still bit-identical.
-        matrix = _rows(8, rows=3, n=2048)
+        # per-sequence scalar, still bit-identical — a single sequence handed
+        # over as a list (a one-row batch) included.
+        matrix = _rows(seed, rows=rows, n=2048)
         batch = BatchContext(pack_matrix(matrix))
         with pytest.raises(BatchFallback):
             batch_rank(batch, matrix_rows=16, matrix_cols=16)
         params = {5: {"matrix_rows": 16, "matrix_cols": 16}}
-        reports = run_batch(pack_matrix(matrix), tests=[5], parameters=params)
+        sequences = list(matrix) if as_list else pack_matrix(matrix)
+        reports = run_batch(sequences, tests=[5], parameters=params)
         test_id = NIST_NUMBER_TO_ID[5]
         for row, report in enumerate(reports):
             assert report.execution_paths[test_id] == "inline"
@@ -155,31 +160,3 @@ class TestDispatchSemantics:
                 matrix[row], matrix_rows=16, matrix_cols=16
             )
             _assert_identical(report.results[test_id], reference)
-
-    def test_batch_fallback_geometry_pools_when_opted_in(self):
-        matrix = _rows(9, rows=2, n=2048)
-        params = {5: {"matrix_rows": 16, "matrix_cols": 16}}
-        reports = run_batch(
-            pack_matrix(matrix), tests=[5], parameters=params, processes=2
-        )
-        test_id = NIST_NUMBER_TO_ID[5]
-        for row, report in enumerate(reports):
-            assert report.execution_paths[test_id] == "pooled"
-            reference = binary_matrix_rank_test(
-                matrix[row], matrix_rows=16, matrix_cols=16
-            )
-            _assert_identical(report.results[test_id], reference)
-
-    def test_packed_batch_never_pools_heavy_tests(self):
-        # processes > 1 is a fallback knob only: on the packed batch path
-        # the heavy tests still take their batch-native kernels.
-        matrix = _rows(10, rows=2, n=2048)
-        reports = run_batch(
-            pack_matrix(matrix),
-            tests=HEAVY_TESTS,
-            parameters=SMALL_PARAMS,
-            processes=2,
-        )
-        for report in reports:
-            for number in HEAVY_TESTS:
-                assert report.execution_paths[NIST_NUMBER_TO_ID[number]] == "batched"

@@ -47,7 +47,7 @@ class TestBatchInstrumentation:
 
         def path_sum():
             return sum(
-                totals.value(path=path) for path in ("batched", "inline", "pooled")
+                totals.value(path=path) for path in ("batched", "inline")
             )
 
         bits_before = bits.value()
