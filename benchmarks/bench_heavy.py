@@ -12,11 +12,12 @@ the pool is gone.
 This benchmark pins that trade: the batched path must run **>= 3x** faster
 than the best a 4-worker pool of scalar calls could do on a fleet-scale
 batch of 2^20-bit sequences, with bit-identical P-values asserted before any
-speedup counts.  The baseline times the single-process scalar path (uint8
-backend, every heavy test per sequence) on a small row subset, extrapolates
-it linearly to the full batch (per-sequence work is independent across
-rows), and divides by ``min(4, usable cores)`` — perfect scaling with no
-pickle or start-up cost, so no real pool could have been faster.
+speedup counts.  The baseline times per-row calls of the :mod:`repro.nist`
+scalar references (every heavy test per sequence, in one process) on a
+small row subset, extrapolates them linearly to the full batch
+(per-sequence work is independent across rows), and divides by
+``min(4, usable cores)`` — perfect scaling with no pickle or start-up cost,
+so no real pool could have been faster.
 Machine-readable results land in ``benchmarks/results/BENCH_heavy.json``
 through the shared ``bench_harness`` schema.  ``REPRO_BENCH_SMOKE=1``
 shrinks the workload to CI-smoke size; the floor stays pinned.
@@ -26,6 +27,7 @@ import os
 import time
 
 from bench_harness import assert_floors, write_bench_json
+from repro import nist
 from repro.engine.batch import run_batch
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.trng.ideal import IdealSource
@@ -38,6 +40,15 @@ ROWS = 32 if SMOKE else 256
 N = 65536 if SMOKE else 1 << 20
 #: The five heavyweight tests (NIST numbers; 14 and 15 share the walk).
 HEAVY_TESTS = [5, 6, 9, 10, 14, 15]
+#: The scalar reference of each heavy test: the baseline's per-row calls.
+SCALAR_TESTS = {
+    5: nist.binary_matrix_rank_test,
+    6: nist.dft_test,
+    9: nist.universal_test,
+    10: nist.linear_complexity_test,
+    14: nist.random_excursions_test,
+    15: nist.random_excursions_variant_test,
+}
 #: At the smoke length Maurer's default parameterisation (387,840 bits for
 #: L = 6) is out of range, so the smoke run pins L explicitly; the full
 #: 2^20-bit run uses the NIST-recommended defaults.
@@ -58,6 +69,21 @@ def _p_values(reports):
     ]
 
 
+def _scalar_p_values(matrix):
+    """:func:`_p_values` of per-row calls of the scalar references."""
+    rows = []
+    for row in matrix:
+        p_values = {}
+        for number in HEAVY_TESTS:
+            try:
+                result = SCALAR_TESTS[number](row, **PARAMETERS.get(number, {}))
+            except ValueError:
+                continue  # run_batch records the same rejection as an error
+            p_values[NIST_NUMBER_TO_ID[number]] = result.p_values
+        rows.append(p_values)
+    return rows
+
+
 def _execution_paths(reports):
     return {
         path for report in reports for path in report.execution_paths.values()
@@ -69,18 +95,14 @@ def test_heavy_batched_vs_ideal_pool_speedup(save_table):
     subset = packed.unpack()[:POOL_ROWS]
 
     # Parity gate: the batched kernels must reproduce the scalar references
-    # bit for bit before any timing counts.  The baseline runs the
-    # per-sequence scalar path in this process (uint8 backend: no batch
-    # kernels), exactly the engine's pre-kernel behaviour.
+    # bit for bit before any timing counts.  The baseline calls each
+    # reference per sequence in this process, exactly the engine's
+    # pre-kernel work.
     batched_subset = run_batch(
         packed, tests=HEAVY_TESTS, parameters=PARAMETERS
     )[:POOL_ROWS]
-    scalar_subset = run_batch(
-        subset, tests=HEAVY_TESTS, parameters=PARAMETERS, backend="uint8"
-    )
-    assert _p_values(batched_subset) == _p_values(scalar_subset)
+    assert _p_values(batched_subset) == _scalar_p_values(subset)
     assert _execution_paths(batched_subset) == {"batched"}
-    assert _execution_paths(scalar_subset) == {"inline"}
 
     start = time.perf_counter()
     reports = run_batch(packed, tests=HEAVY_TESTS, parameters=PARAMETERS)
@@ -93,7 +115,7 @@ def test_heavy_batched_vs_ideal_pool_speedup(save_table):
     )
 
     start = time.perf_counter()
-    run_batch(subset, tests=HEAVY_TESTS, parameters=PARAMETERS, backend="uint8")
+    _scalar_p_values(subset)
     scalar_subset_seconds = time.perf_counter() - start
     # Rows are independent on the scalar path (one call per (test, sequence)
     # pair), so the full-batch cost extrapolates linearly, and a pool of

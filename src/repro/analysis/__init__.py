@@ -3,9 +3,10 @@
 An AST-based lint pass that machine-enforces the invariants no generic
 tool knows about: explicit seeding of every random draw (determinism ↔
 the golden-parity test suites), the ``np.uint64``/tail-mask conventions of
-the packed word kernels (↔ cross-backend P-value parity), the lock
-discipline of the fleet service tier (↔ the bounded-lock-hold e2e tests),
-and the typed/picklable API surfaces the external tooling gates rely on.
+the packed word kernels (↔ P-value parity with the scalar references),
+the lock discipline of the fleet service tier (↔ the bounded-lock-hold e2e
+tests), and the typed/picklable API surfaces the external tooling gates
+rely on.
 
 Run it as ``python -m repro.analysis [paths...]`` or via the main CLI's
 ``lint`` sub-command.  Findings can be suppressed inline with

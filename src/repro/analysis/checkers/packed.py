@@ -1,6 +1,6 @@
 """Packed-kernel contract checkers (the uint64 word conventions of PR 5/6).
 
-The packed backend's correctness hangs on three conventions documented in
+The packed kernels' correctness hangs on three conventions documented in
 :mod:`repro.engine.packed`: shift/mask amounts on uint64 word arrays are
 wrapped in ``np.uint64`` (a raw Python int promotes uint64 operands to
 float64 on the numpy versions CI spans), kernels account for the

@@ -137,11 +137,8 @@ class CampaignReport(JsonCsvExportMixin):
     designs: Tuple[str, ...]
     scenarios: Tuple[str, ...]
     cells: List[CampaignCell] = field(default_factory=list)
-    #: Compute backend the engine's shared statistics ran on ("packed" word
-    #: kernels or the "uint8" reference paths); P-values are identical.
-    backend: str = "packed"
     #: Evaluation layer -> execution path the campaign took for it
-    #: ("hw.platform": "batched"/"inline" per-sequence platform fallback).
+    #: ("hw.platform": "batched").
     #: Empty for reports saved before execution paths were recorded; older
     #: reports may also carry a "campaign.cells" entry, read back as is.
     execution_paths: Dict[str, str] = field(default_factory=dict)
@@ -213,7 +210,6 @@ class CampaignReport(JsonCsvExportMixin):
                 "fail_after": self.fail_after,
                 "designs": list(self.designs),
                 "scenarios": list(self.scenarios),
-                "backend": self.backend,
             },
             "cells": [cell.to_dict() for cell in self.cells],
             "execution_paths": dict(sorted(self.execution_paths.items())),
@@ -232,8 +228,8 @@ class CampaignReport(JsonCsvExportMixin):
             designs=tuple(config["designs"]),
             scenarios=tuple(config["scenarios"]),
             cells=[CampaignCell.from_dict(cell) for cell in data["cells"]],
-            # Reports saved before the packed backend existed ran on uint8.
-            backend=config.get("backend", "uint8"),
+            # A v1 "backend" config field is ignored: every backend gave
+            # bit-identical P-values.
             # Older reports recorded no execution paths.
             execution_paths={
                 str(k): str(v)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import repro.obs as obs
 from repro.campaign.report import CampaignCell, CampaignReport
@@ -28,7 +28,6 @@ from repro.campaign.scenarios import DEFAULT_CATALOG, ScenarioCatalog, ScenarioS
 from repro.core.configs import get_design
 from repro.core.monitor import OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
-from repro.engine.context import DEFAULT_BACKEND, validate_backend
 
 __all__ = ["CampaignConfig", "run_campaign", "DEFAULT_CAMPAIGN_DESIGNS"]
 
@@ -66,10 +65,6 @@ class CampaignConfig:
     seed:
         Base seed; every (design, scenario, trial) derives its own stream
         deterministically, so a campaign is reproducible cell by cell.
-    backend:
-        Compute backend of the engine's shared statistics (``"packed"``
-        64-bit word kernels by default, ``"uint8"`` for the byte-per-bit
-        reference paths); detection outcomes are identical either way.
     """
 
     designs: Tuple[str, ...] = DEFAULT_CAMPAIGN_DESIGNS
@@ -80,12 +75,10 @@ class CampaignConfig:
     suspect_after: int = 1
     fail_after: int = 2
     seed: int = 0
-    backend: str = DEFAULT_BACKEND
 
     def validate(self) -> None:
         if not self.designs:
             raise ValueError("need at least one design point")
-        validate_backend(self.backend)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.sequences_per_trial < 1:
@@ -209,18 +202,13 @@ def run_campaign(
     labels = tuple(spec.label for spec in specs)
 
     cells = []
-    # Evaluation-layer provenance surfaced in the report: which engine path
-    # the platform's sequence evaluations took (should read "batched").
-    execution_paths: Dict[str, str] = {}
     for design in config.designs:
-        platform = OnTheFlyPlatform(design, alpha=config.alpha, backend=config.backend)
+        platform = OnTheFlyPlatform(design, alpha=config.alpha)
         for spec in specs:
             cell = _evaluate_cell(platform, design, spec, config)
             cells.append(cell)
             if on_cell is not None:
                 on_cell(cell)
-        if platform.last_execution_path is not None:
-            execution_paths["hw.platform"] = platform.last_execution_path
 
     return CampaignReport(
         seed=config.seed,
@@ -232,6 +220,8 @@ def run_campaign(
         designs=tuple(config.designs),
         scenarios=labels,
         cells=cells,
-        backend=config.backend,
-        execution_paths=execution_paths,
+        # Evaluation-layer provenance surfaced in the report: every trial
+        # goes through OnTheFlyPlatform.evaluate_batch, whose sequences
+        # always share one vectorised BatchContext.
+        execution_paths={"hw.platform": "batched"},
     )

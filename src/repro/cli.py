@@ -66,7 +66,6 @@ from repro.campaign import (
 from repro.core.configs import get_design, list_designs
 from repro.core.monitor import HealthState, OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
-from repro.engine.context import BACKENDS, DEFAULT_BACKEND
 from repro.eval.asic import estimate_asic
 from repro.eval.fpga import estimate_fpga
 from repro.hwtests.block import UnifiedTestingBlock
@@ -134,17 +133,6 @@ def _make_source(name: str, seed: int, parameter: float, n: int) -> EntropySourc
     raise ValueError(
         f"unknown simulated source {name!r}; available: "
         f"{', '.join(_SIMULATED_SOURCES)} or scenario:<label>"
-    )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` flag of the engine-driven sub-commands."""
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="compute backend for the engine's shared statistics: 'packed' "
-             "runs them on 64-bits-per-word popcount kernels, 'uint8' on "
-             "the byte-per-bit reference paths; P-values and verdicts are "
-             "bit-identical either way (default: %(default)s)",
     )
 
 
@@ -235,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--tests", default="hw",
                        help="comma-separated NIST test numbers, or 'hw' for the "
                             "HW-suitable subset, or 'all' for all 15")
-    _add_backend_argument(batch)
     _add_trace_argument(batch)
 
     campaign = sub.add_parser(
@@ -260,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the full campaign report as JSON to this path")
     campaign.add_argument("--csv", dest="csv_path", default=None,
                           help="write the summary table as CSV to this path")
-    _add_backend_argument(campaign)
 
     fleet = sub.add_parser(
         "fleet",
@@ -322,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--quiet", action="store_true",
                        help="serve: log only warnings and errors (drop the "
                             "per-request INFO lines of the service logger)")
-    _add_backend_argument(fleet)
     _add_trace_argument(fleet)
 
     chaos = sub.add_parser(
@@ -364,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON recovery report to this path")
     chaos.add_argument("--quiet", action="store_true",
                        help="suppress the per-phase progress lines")
-    _add_backend_argument(chaos)
 
     lint = sub.add_parser(
         "lint",
@@ -545,18 +529,15 @@ def _cmd_batch(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    matrix = source.generate_matrix(
-        args.sequences, args.length, packed=args.backend == "packed"
-    )
+    matrix = source.generate_matrix(args.sequences, args.length, packed=True)
     # The span doubles as the throughput timer (spans always measure time;
     # repro.obs is the sanctioned wall-clock home, see rule OBS001).
     with obs.span("cli.batch", sequences=args.sequences, length=args.length) as batch_span:
-        reports = run_batch(matrix, tests=tests, backend=args.backend)
+        reports = run_batch(matrix, tests=tests)
     elapsed = batch_span.duration_s
     print(
         f"engine batch: {args.sequences} sequences x {args.length} bits from "
-        f"{source.name} ({len(tests)} tests, alpha = {args.alpha}, "
-        f"backend = {args.backend})",
+        f"{source.name} ({len(tests)} tests, alpha = {args.alpha})",
         file=out,
     )
     # A healthy source still fails each test with probability ~alpha, so the
@@ -609,7 +590,6 @@ def _cmd_campaign(args, out) -> int:
         suspect_after=args.suspect_after,
         fail_after=args.fail_after,
         seed=args.seed,
-        backend=args.backend,
     )
     try:
         config.validate()
@@ -623,7 +603,7 @@ def _cmd_campaign(args, out) -> int:
         f"detection campaign: {len(report.scenarios)} scenarios x "
         f"{len(report.designs)} designs, {args.trials} trials x "
         f"{args.sequences} sequences per cell (alpha = {args.alpha}, "
-        f"seed = {args.seed}, backend = {report.backend})",
+        f"seed = {args.seed})",
         file=out,
     )
     print("", file=out)
@@ -725,18 +705,13 @@ def _cmd_fleet(args, out) -> int:
             # populate() would reject zero devices.
             if args.devices > 0:
                 registry.populate(args.devices, mix, seed=args.seed)
-            scheduler = FleetScheduler(
-                registry,
-                backend=args.backend,
-                streaming=args.streaming,
-            )
+            scheduler = FleetScheduler(registry, streaming=args.streaming)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
     print(
         f"fleet: {len(registry)} devices on {registry.design_name} "
-        f"(n = {registry.n}, alpha = {registry.alpha}, seed = {args.seed}, "
-        f"backend = {scheduler.backend})",
+        f"(n = {registry.n}, alpha = {registry.alpha}, seed = {args.seed})",
         file=out,
     )
     counts = registry.scenario_counts()
@@ -867,7 +842,6 @@ def _cmd_chaos(args, out) -> int:
             reorder_rate=args.reorder,
             corrupt_rate=args.corrupt,
             snapshot_interval_s=args.snapshot_interval,
-            backend=args.backend,
             streaming=args.streaming,
             workdir=args.workdir,
         )

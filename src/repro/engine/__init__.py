@@ -11,9 +11,11 @@ and :func:`run_batch` executes any test selection over many sequences —
 deciding the five light tests as P-value columns from the shared integer
 statistics (:mod:`repro.engine.decisions`) and the heavyweight ones through
 the batch-native kernels of :mod:`repro.engine.heavy`, so the full suite
-runs batched on the packed backend, one sequence included; tests without a
-batch kernel run per sequence in the same process.  Its columnar :class:`BatchResult` doubles as a sequence of per-row
-:class:`EngineReport` views.
+runs batched on packed 64-bits-per-word statistics, one sequence included
+(a lone :class:`SequenceContext` is a one-row batch); tests without a batch
+kernel run per sequence in the same process.  Its columnar
+:class:`BatchResult` doubles as a sequence of per-row :class:`EngineReport`
+views.
 
 Quickstart::
 
@@ -27,7 +29,7 @@ Quickstart::
 
 from repro.engine.batch import BatchResult, EngineReport, run_batch
 from repro.engine.heavy import BatchFallback
-from repro.engine.context import BACKENDS, DEFAULT_BACKEND, BatchContext, SequenceContext
+from repro.engine.context import BatchContext, SequenceContext
 from repro.engine.packed import PackedMatrix, pack_matrix, unpack_matrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
@@ -40,11 +42,9 @@ from repro.engine.registry import (
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
 
 __all__ = [
-    "BACKENDS",
     "BatchContext",
     "BatchFallback",
     "BatchResult",
-    "DEFAULT_BACKEND",
     "DEFAULT_REGISTRY",
     "EngineReport",
     "NIST_NUMBER_TO_ID",

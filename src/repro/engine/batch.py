@@ -4,16 +4,16 @@
 instead of evaluating sequences one at a time (each test re-scanning the
 same bitstream), a batch of equal-length sequences shares a
 :class:`~repro.engine.context.BatchContext` whose statistics are computed
-with single vectorised 2-D passes over the whole bit matrix.  On a packed
-batch every test with a batch runner evaluates the whole batch in one
+with single vectorised 2-D passes over the whole bit matrix.  On a batch
+every test with a batch runner evaluates the whole batch in one
 call: the five light tests (frequency, block frequency, runs, longest run,
 cusum) decide one P-value column from the shared integer statistics
 (:mod:`repro.engine.decisions`), the heavy ones (rank, DFT, universal,
 linear complexity, random excursions) run their batch-native kernels
 (:mod:`repro.engine.heavy`).  A single sequence is a one-row batch.  The
-remaining tests — and every test on the uint8 backend, on mixed lengths or
-with a :class:`~repro.engine.heavy.BatchFallback` geometry — run per
-sequence, in this process.
+remaining tests — and every test on mixed lengths or with a
+:class:`~repro.engine.heavy.BatchFallback` geometry — run per sequence, in
+this process.
 
 The result is columnar.  A :class:`BatchResult` holds one column per test —
 the P-values, the error strings and the ``failing(alpha)`` mask a fleet
@@ -45,12 +45,7 @@ from typing import (
 import numpy as np
 
 import repro.obs as obs
-from repro.engine.context import (
-    DEFAULT_BACKEND,
-    BatchContext,
-    SequenceContext,
-    validate_backend,
-)
+from repro.engine.context import BatchContext, SequenceContext
 from repro.engine.heavy import BatchFallback
 from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
@@ -153,13 +148,6 @@ class EngineReport:
         return self._batch.lengths[self._row]
 
     @property
-    def backend(self) -> str:
-        """Compute backend the shared statistics ran on ("packed" word
-        kernels or the "uint8" reference paths); P-values are identical
-        either way."""
-        return self._batch.backend
-
-    @property
     def execution_paths(self) -> Dict[str, str]:
         """Execution path per test id (see :attr:`BatchResult.execution_paths`)."""
         return self._batch.execution_paths
@@ -204,12 +192,12 @@ class EngineReport:
         return self._fields() == other._fields()
 
     def _fields(self) -> Tuple[object, ...]:
-        return (self.n, self.results, self.errors, self.backend, self.execution_paths)
+        return (self.n, self.results, self.errors, self.execution_paths)
 
     def __repr__(self) -> str:
         return (
             f"EngineReport(n={self.n}, tests={list(self._batch.test_ids)}, "
-            f"errors={self.errors}, backend={self.backend!r})"
+            f"errors={self.errors})"
         )
 
 
@@ -226,13 +214,9 @@ class BatchResult(Sequence[EngineReport]):
     result is dropped, so a row's results can still be built on demand.
     """
 
-    def __init__(
-        self, lengths: Sequence[int], backend: str, columns: Dict[str, _Column]
-    ) -> None:
+    def __init__(self, lengths: Sequence[int], columns: Dict[str, _Column]) -> None:
         #: Sequence length per row (rows differ only on the mixed-length path).
         self.lengths = tuple(lengths)
-        #: Compute backend of the shared statistics ("packed" or "uint8").
-        self.backend = backend
         self._columns = columns
         self._reports: List[Optional[EngineReport]] = [None] * len(self.lengths)
         self._failing: Dict[float, np.ndarray] = {}
@@ -310,10 +294,7 @@ class BatchResult(Sequence[EngineReport]):
         return NotImplemented
 
     def __repr__(self) -> str:
-        return (
-            f"BatchResult(rows={len(self)}, tests={list(self._columns)}, "
-            f"backend={self.backend!r})"
-        )
+        return f"BatchResult(rows={len(self)}, tests={list(self._columns)})"
 
 
 def _row_result(
@@ -344,7 +325,6 @@ def run_batch(
     parameters: Optional[Dict[TestSpec, Dict[str, object]]] = None,
     registry: Optional[TestRegistry] = None,
     skip_errors: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> BatchResult:
     """Evaluate ``tests`` on every sequence in ``sequences``.
 
@@ -362,8 +342,7 @@ def run_batch(
         A prebuilt :class:`~repro.engine.context.BatchContext` — e.g. the
         preseeded window of a streaming context via
         :meth:`BatchContext.from_streaming` — is used as-is, statistics
-        already cached in it included; its own backend wins over the
-        ``backend`` argument.
+        already cached in it included.
         Equal-length sequences — a single sequence included — are stacked
         into one bit matrix and share vectorised statistics; mixed lengths
         fall back to per-sequence contexts.
@@ -381,11 +360,6 @@ def run_batch(
         When True (default), any exception from a test is recorded in
         :attr:`BatchResult.errors` instead of aborting the batch, so one
         misbehaving test cannot leave the other columns partially filled.
-    backend:
-        ``"packed"`` (default) computes the cheap shared statistics on the
-        64-bits-per-word kernels of :mod:`repro.engine.packed`; ``"uint8"``
-        forces the byte-per-bit reference paths.  P-values are bit-identical
-        either way (the backend is recorded in :attr:`BatchResult.backend`).
 
     Returns
     -------
@@ -393,10 +367,8 @@ def run_batch(
         One column per test; as a sequence, one :class:`EngineReport` per
         input sequence, in input order.
     """
-    with obs.trace("run_batch", backend=backend):
-        return _run_batch(
-            sequences, tests, parameters, registry, skip_errors, backend
-        )
+    with obs.trace("run_batch"):
+        return _run_batch(sequences, tests, parameters, registry, skip_errors)
 
 
 def _run_batch(
@@ -405,10 +377,8 @@ def _run_batch(
     parameters: Optional[Dict[TestSpec, Dict[str, object]]],
     registry: Optional[TestRegistry],
     skip_errors: bool,
-    backend: str,
 ) -> BatchResult:
     """The traced body of :func:`run_batch` (runs under its root span)."""
-    validate_backend(backend)
     registry = registry if registry is not None else DEFAULT_REGISTRY
     with obs.span("pack"):
         batch: Optional[BatchContext] = None
@@ -417,9 +387,9 @@ def _run_batch(
             # its cached statistics are reused, not recomputed.
             batch = sequences
         elif isinstance(sequences, PackedMatrix):
-            batch = BatchContext(sequences, backend=backend)
+            batch = BatchContext(sequences)
         elif isinstance(sequences, np.ndarray) and sequences.ndim == 2:
-            batch = BatchContext(BatchContext.as_matrix(sequences), backend=backend)
+            batch = BatchContext(BatchContext.as_matrix(sequences))
         arrays: List[np.ndarray] = []
         if batch is not None:
             num_sequences = batch.num_sequences
@@ -427,7 +397,7 @@ def _run_batch(
             arrays = [to_bits(sequence) for sequence in sequences]
             num_sequences = len(arrays)
         if not num_sequences:
-            return BatchResult((), backend if batch is None else batch.backend, {})
+            return BatchResult((), {})
         specs = list(tests) if tests is not None else sorted(NIST_NUMBER_TO_ID)
         # Dedupe after resolution (first occurrence wins): the same test
         # given twice — e.g. by number and by id alias — would otherwise run
@@ -450,14 +420,12 @@ def _run_batch(
             params[test_id] = dict(kwargs)
 
         if batch is None and len({arr.size for arr in arrays}) == 1:
-            batch = BatchContext(np.vstack(arrays), backend=backend)
+            batch = BatchContext(np.vstack(arrays))
         if batch is not None:
             lengths = [batch.n] * num_sequences
-            result_backend = batch.backend
         else:
-            # Mixed-length fallback: per-sequence contexts on the uint8 paths.
+            # Mixed-length fallback: one one-row context per sequence.
             lengths = [int(arr.size) for arr in arrays]
-            result_backend = "uint8"
     _BITS_EVALUATED.inc(sum(lengths))
 
     # Row contexts are created on first use and shared by every test that
@@ -503,12 +471,8 @@ def _run_batch(
 
     for test in resolved:
         kwargs = params.get(test.id, {})
-        if (
-            batch is not None
-            and test.batch_runner is not None
-            and batch.backend == "packed"
-        ):
-            # One call over the whole packed batch: a P-value column for the
+        if batch is not None and test.batch_runner is not None:
+            # One call over the whole batch: a P-value column for the
             # light tests, batch-native kernels for the heavy ones.
             try:
                 with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
@@ -556,4 +520,4 @@ def _run_batch(
         _TESTS_TOTAL.inc(total, path=path)
     with obs.span("decision", tests=len(resolved)):
         columns = {test.id: outcomes[test.id]() for test in resolved}
-    return BatchResult(lengths, result_backend, columns)
+    return BatchResult(lengths, columns)

@@ -4,15 +4,16 @@ The paper's central resource-sharing idea is that the hardware block derives
 the common sub-statistics of a bit sequence (ones count, run boundaries,
 block sums, cyclic pattern counters) *once* and feeds every on-the-fly test
 from the same registers.  :class:`SequenceContext` reproduces that in
-software: it wraps one bit sequence and lazily computes and memoizes every
-derived statistic the statistical tests draw from, so a suite run touches
-each bit O(1) times instead of once per test.
+software: :class:`BatchContext` lazily computes and memoizes every derived
+statistic the statistical tests draw from, for a batch of equal-length
+sequences, so a suite run touches each bit O(1) times instead of once per
+test.  The shared statistics run on the 64-bits-per-word kernels of
+:mod:`repro.engine.packed` over the packed words; a lazy uint8 view of the
+matrix serves the statistics (and block geometries) without a word kernel.
 
-:class:`BatchContext` lifts the same statistics to a batch of equal-length
-sequences: each statistic is computed with one vectorised 2-D numpy pass
-over the whole ``(num_sequences, n)`` bit matrix, and the per-sequence
-:class:`SequenceContext` views returned by :meth:`BatchContext.context`
-transparently read their row out of the shared result.
+:class:`SequenceContext` is one row of a batch: the views returned by
+:meth:`BatchContext.context` read their row out of the shared result, and a
+context built from a lone sequence is a one-row batch.
 
 Every statistic is integer-valued, so a test that computes its decision
 statistic from context values produces *bit-identical* P-values to the
@@ -29,15 +30,9 @@ import numpy as np
 import repro.obs as obs
 from repro.engine import packed as _packed
 from repro.engine.packed import PackedMatrix, pack_matrix
-from repro.nist.common import BitsLike, pattern_counts, to_bits
+from repro.nist.common import BitsLike, to_bits
 
-__all__ = [
-    "SequenceContext",
-    "BatchContext",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "validate_backend",
-]
+__all__ = ["SequenceContext", "BatchContext"]
 
 _KERNEL_CALLS = obs.counter(
     "repro_packed_kernel_invocations_total",
@@ -61,25 +56,6 @@ class SupportsWindowContext(Protocol):
 
     def window_context(self, nbits: Optional[int] = None) -> "BatchContext":
         ...
-
-#: Recognised compute backends for batch statistics.
-BACKENDS = ("packed", "uint8")
-
-#: The engine default: 64-bits-per-word popcount kernels for the shared
-#: statistics, uint8 reference paths for everything else.  Both backends
-#: produce bit-identical statistics (and therefore P-values).
-DEFAULT_BACKEND = "packed"
-
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if recognised, raise ``ValueError`` otherwise.
-
-    The one validation (and error message) shared by every layer that takes
-    a backend knob — context, batch executor, platform, campaign, fleet.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
 
 
 def _window_weights(m: int) -> np.ndarray:
@@ -140,7 +116,7 @@ def _run_values_and_lengths(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class SequenceContext:
-    """Lazily computed, memoized shared statistics of one bit sequence.
+    """Shared statistics of one bit sequence: a row view of a batch.
 
     Tests draw their raw statistics (the values the paper's hardware counters
     would hold) from the context; each statistic is derived at most once per
@@ -149,6 +125,10 @@ class SequenceContext:
     two template tests share the 9-bit window values, and the frequency,
     runs and FIPS monobit tests share the ones count.
 
+    Every statistic reads its row out of a :class:`BatchContext`, which
+    memoizes it: a context built from raw bits wraps them as a one-row
+    batch, so a lone sequence runs on exactly the kernels a fleet batch does.
+
     Parameters
     ----------
     bits:
@@ -156,21 +136,23 @@ class SequenceContext:
     """
 
     def __init__(self, bits: BitsLike, *, _batch: Optional["BatchContext"] = None, _row: int = 0):
+        if _batch is None:
+            _batch = BatchContext(to_bits(bits)[np.newaxis, :])
         self._batch = _batch
         self._row = _row
-        # Batch-backed contexts resolve their row lazily: when the batch is
-        # packed and every requested statistic has a packed kernel, the
-        # uint8 matrix is never materialised at all.
-        self._bits: Optional[np.ndarray] = to_bits(bits) if _batch is None else None
-        self._ones: Optional[int] = None
-        self._walk_extremes: Optional[Tuple[int, int, int]] = None
-        self._num_runs: Optional[int] = None
+        # Resolved lazily: on a packed batch the uint8 row is only unpacked
+        # when a statistic without a packed kernel asks for raw bits.
+        self._bits: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._block_sums: Dict[int, np.ndarray] = {}
-        self._block_longest: Dict[int, np.ndarray] = {}
-        self._pattern_counts: Dict[Tuple[int, bool], np.ndarray] = {}
-        self._window_values: Dict[int, np.ndarray] = {}
-        self._block_value_counts: Dict[int, np.ndarray] = {}
+        self._rows: Dict[Tuple[object, ...], np.ndarray] = {}
+
+    def _row_of(self, statistic: str, *args: object, **kwargs: object) -> np.ndarray:
+        """This row of a :class:`BatchContext` statistic, memoized so that
+        repeated reads return the same array."""
+        key = (statistic, args, tuple(kwargs.items()))
+        if key not in self._rows:
+            self._rows[key] = getattr(self._batch, statistic)(*args, **kwargs)[self._row]
+        return self._rows[key]
 
     # ------------------------------------------------------------- basics
     @property
@@ -187,27 +169,18 @@ class SequenceContext:
     @property
     def n(self) -> int:
         """Sequence length."""
-        if self._batch is not None:
-            return self._batch.n
-        return int(self._bits.size)
+        return self._batch.n
 
     def last_bit(self) -> int:
         """The final bit of the sequence (without unpacking a packed batch)."""
         if self.n == 0:
             raise ValueError("empty sequence has no last bit")
-        if self._bits is None:
-            return int(self._batch.last_bits()[self._row])
-        return int(self._bits[-1])
+        return int(self._batch.last_bits()[self._row])
 
     @property
     def ones(self) -> int:
         """Total number of ones (the hardware's frequency counter)."""
-        if self._ones is None:
-            if self._batch is not None:
-                self._ones = int(self._batch.ones()[self._row])
-            else:
-                self._ones = int(self._bits.sum())
-        return self._ones
+        return int(self._batch.ones()[self._row])
 
     @property
     def zeros(self) -> int:
@@ -217,31 +190,12 @@ class SequenceContext:
     # ------------------------------------------------------------- walks / runs
     def walk_extremes(self) -> Tuple[int, int, int]:
         """``(S_max, S_min, S_final)`` of the ±1 random walk (cusum test)."""
-        if self._walk_extremes is None:
-            if self._batch is not None:
-                s_max, s_min, s_final = self._batch.walk_extremes()
-                self._walk_extremes = (
-                    int(s_max[self._row]),
-                    int(s_min[self._row]),
-                    int(s_final[self._row]),
-                )
-            elif self.n == 0:
-                self._walk_extremes = (0, 0, 0)
-            else:
-                walk = np.cumsum(2 * self.bits.astype(np.int64) - 1)
-                self._walk_extremes = (int(walk.max()), int(walk.min()), int(walk[-1]))
-        return self._walk_extremes
+        s_max, s_min, s_final = self._batch.walk_extremes()
+        return int(s_max[self._row]), int(s_min[self._row]), int(s_final[self._row])
 
     def num_runs(self) -> int:
         """Total number of runs (V_n(obs) of the runs test)."""
-        if self._num_runs is None:
-            if self._batch is not None:
-                self._num_runs = int(self._batch.num_runs()[self._row])
-            elif self.n == 0:
-                self._num_runs = 0
-            else:
-                self._num_runs = int(np.count_nonzero(np.diff(self.bits.astype(np.int8)))) + 1
-        return self._num_runs
+        return int(self._batch.num_runs()[self._row])
 
     def runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-run ``(bit values, run lengths)`` arrays, in sequence order."""
@@ -275,65 +229,24 @@ class SequenceContext:
     # ------------------------------------------------------------- block stats
     def block_sums(self, block_length: int) -> np.ndarray:
         """Ones count of each full ``block_length``-bit block (int64)."""
-        if block_length not in self._block_sums:
-            if self._batch is not None:
-                self._block_sums[block_length] = self._batch.block_sums(block_length)[self._row]
-            else:
-                num_blocks = self.n // block_length
-                trimmed = self.bits[: num_blocks * block_length]
-                self._block_sums[block_length] = trimmed.reshape(
-                    num_blocks, block_length
-                ).sum(axis=1, dtype=np.int64)
-        return self._block_sums[block_length]
+        return self._row_of("block_sums", block_length)
 
     def block_longest_one_runs(self, block_length: int) -> np.ndarray:
         """Longest run of ones within each full block (longest-run test)."""
-        if block_length not in self._block_longest:
-            if self._batch is not None:
-                self._block_longest[block_length] = self._batch.block_longest_one_runs(
-                    block_length
-                )[self._row]
-            else:
-                self._block_longest[block_length] = _matrix_block_longest_one_runs(
-                    self.bits[np.newaxis, :], block_length
-                )[0]
-        return self._block_longest[block_length]
+        return self._row_of("block_longest_one_runs", block_length)
 
     def block_value_counts(self, block_length: int) -> np.ndarray:
         """Histogram of non-overlapping block values (FIPS poker test)."""
-        if block_length not in self._block_value_counts:
-            if self._batch is not None:
-                self._block_value_counts[block_length] = self._batch.block_value_counts(
-                    block_length
-                )[self._row]
-            else:
-                num_blocks = self.n // block_length
-                trimmed = self.bits[: num_blocks * block_length].astype(np.int64)
-                values = trimmed.reshape(num_blocks, block_length) @ _window_weights(block_length)
-                self._block_value_counts[block_length] = np.bincount(
-                    values, minlength=1 << block_length
-                ).astype(np.int64)
-        return self._block_value_counts[block_length]
+        return self._row_of("block_value_counts", block_length)
 
     # ------------------------------------------------------------- pattern stats
     def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
         """Occurrences of every overlapping ``m``-bit pattern (2^m entries)."""
-        key = (m, cyclic)
-        if key not in self._pattern_counts:
-            if self._batch is not None and m > 0:
-                self._pattern_counts[key] = self._batch.pattern_counts(m, cyclic=cyclic)[self._row]
-            else:
-                self._pattern_counts[key] = pattern_counts(self.bits, m, cyclic=cyclic)
-        return self._pattern_counts[key]
+        return self._row_of("pattern_counts", m, cyclic=cyclic)
 
     def window_values(self, m: int) -> np.ndarray:
         """Integer value of every (non-cyclic) ``m``-bit window (template tests)."""
-        if m not in self._window_values:
-            if self._batch is not None:
-                self._window_values[m] = self._batch.window_values(m)[self._row]
-            else:
-                self._window_values[m] = _matrix_window_values(self.bits[np.newaxis, :], m)[0]
-        return self._window_values[m]
+        return self._row_of("window_values", m)
 
 
 class BatchContext:
@@ -343,15 +256,16 @@ class BatchContext:
     ``(num_sequences, n)`` bit matrix and cached; per-sequence contexts
     created with :meth:`context` read their row from the shared arrays.
 
-    With the default ``backend="packed"`` the cheap shared statistics (ones,
-    block ones, runs, longest run per block, walk extremes) run on the
-    64-bits-per-word :mod:`repro.engine.packed` kernels over a memoized
-    packed view of the matrix; everything else falls back to the uint8
-    reference paths.  ``backend="uint8"`` forces the reference paths
-    throughout.  The two backends are bit-identical statistic for statistic.
-    The constructor also accepts a prepacked
-    :class:`~repro.engine.packed.PackedMatrix` directly, in which case the
-    uint8 matrix is only materialised if a non-packed statistic needs it.
+    The cheap shared statistics (ones, block ones, runs, longest run per
+    block, walk extremes) run on the 64-bits-per-word
+    :mod:`repro.engine.packed` kernels over a memoized packed view of the
+    matrix.  Block lengths those kernels do not cover
+    (:func:`~repro.engine.packed.supports_block_ones`,
+    :func:`~repro.engine.packed.supports_block_longest_one_runs`), the
+    pattern and window counters, and the block-value histogram read the
+    lazy uint8 :attr:`matrix` view instead.  The constructor also accepts a
+    prepacked :class:`~repro.engine.packed.PackedMatrix` directly, in which
+    case the uint8 matrix is only materialised if a statistic needs it.
     """
 
     @staticmethod
@@ -371,18 +285,11 @@ class BatchContext:
         return matrix
 
     @classmethod
-    def from_blocks(
-        cls, blocks: Iterable[np.ndarray], backend: str = DEFAULT_BACKEND
-    ) -> "BatchContext":
+    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "BatchContext":
         """Batch context over equal-length source blocks (1-D uint8 arrays)."""
-        return cls(np.vstack([np.atleast_1d(block) for block in blocks]), backend=backend)
+        return cls(np.vstack([np.atleast_1d(block) for block in blocks]))
 
-    def __init__(
-        self,
-        matrix: Union[np.ndarray, PackedMatrix, Sequence[BitsLike]],
-        backend: str = DEFAULT_BACKEND,
-    ):
-        self.backend = validate_backend(backend)
+    def __init__(self, matrix: Union[np.ndarray, PackedMatrix, Sequence[BitsLike]]):
         if isinstance(matrix, PackedMatrix):
             # Prepacked input (e.g. the fleet scheduler's round matrix):
             # the uint8 view is only materialised if a non-packed statistic
@@ -496,9 +403,6 @@ class BatchContext:
             return self._matrix[row]
         return self._packed.row(row)
 
-    def _use_packed(self) -> bool:
-        return self.backend == "packed" and self._n > 0
-
     @property
     def num_sequences(self) -> int:
         return int(self._num_sequences)
@@ -520,41 +424,39 @@ class BatchContext:
     # ------------------------------------------------------------- statistics
     def ones(self) -> np.ndarray:
         if self._ones is None:
-            if self._use_packed():
-                _KERNEL_CALLS.inc(kernel="ones_count")
-                self._ones = _packed.ones_count(self.packed())
-            else:
-                self._ones = self.matrix.sum(axis=1, dtype=np.int64)
+            _KERNEL_CALLS.inc(kernel="ones_count")
+            self._ones = _packed.ones_count(self.packed())
         return self._ones
 
     def last_bits(self) -> np.ndarray:
-        """The final bit of every sequence (uint8, no unpack on packed input)."""
+        """The final bit of every sequence (uint8, no unpack on packed input).
+
+        Raises ``ValueError`` on empty sequences, which have no last bit.
+        """
         if self._last_bits is None:
-            if self._use_packed():
-                _KERNEL_CALLS.inc(kernel="last_bits")
-                self._last_bits = _packed.last_bits(self.packed())
-            else:
-                self._last_bits = self.matrix[:, -1]
+            _KERNEL_CALLS.inc(kernel="last_bits")
+            self._last_bits = _packed.last_bits(self.packed())
         return self._last_bits
 
     def walk_extremes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(S_max, S_min, S_final)`` per row; all zero for empty sequences."""
         if self._walk_extremes is None:
-            if self._use_packed():
+            if self.n == 0:
+                zeros = np.zeros(self.num_sequences, dtype=np.int64)
+                self._walk_extremes = (zeros, zeros.copy(), zeros.copy())
+            else:
                 _KERNEL_CALLS.inc(kernel="walk_extremes")
                 self._walk_extremes = _packed.walk_extremes(self.packed())
-            else:
-                walk = np.cumsum(2 * self.matrix.astype(np.int64) - 1, axis=1)
-                self._walk_extremes = (walk.max(axis=1), walk.min(axis=1), walk[:, -1])
         return self._walk_extremes
 
     def num_runs(self) -> np.ndarray:
+        """Runs per row (transitions + 1); an empty sequence has no runs."""
         if self._num_runs is None:
-            if self._use_packed():
+            if self.n == 0:
+                self._num_runs = np.zeros(self.num_sequences, dtype=np.int64)
+            else:
                 _KERNEL_CALLS.inc(kernel="transition_counts")
                 self._num_runs = _packed.transition_counts(self.packed()) + 1
-            else:
-                changes = np.count_nonzero(np.diff(self.matrix.astype(np.int8), axis=1), axis=1)
-                self._num_runs = (changes + 1).astype(np.int64)
         return self._num_runs
 
     def block_sums(self, block_length: int) -> np.ndarray:
@@ -564,7 +466,7 @@ class BatchContext:
                 if provided is not None:
                     self._block_sums[block_length] = provided
                     return provided
-            if self._use_packed() and _packed.supports_block_ones(block_length, self.n):
+            if _packed.supports_block_ones(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_ones")
                 self._block_sums[block_length] = _packed.block_ones(
                     self.packed(), block_length
@@ -584,9 +486,7 @@ class BatchContext:
                 if provided is not None:
                     self._block_longest[block_length] = provided
                     return provided
-            if self._use_packed() and _packed.supports_block_longest_one_runs(
-                block_length, self.n
-            ):
+            if _packed.supports_block_longest_one_runs(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
                 self._block_longest[block_length] = _packed.block_longest_one_runs(
                     self.packed(), block_length
@@ -610,23 +510,36 @@ class BatchContext:
         return self._block_value_counts[block_length]
 
     def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
+        """Occurrences of every overlapping ``m``-bit pattern, per row.
+
+        Follows :func:`repro.nist.common.pattern_counts`: ``m == 0`` counts
+        ``n`` empty patterns, and an empty sequence counts none.
+        """
         key = (m, cyclic)
         if key not in self._pattern_counts:
-            if m <= 0:
-                raise ValueError("pattern length m must be positive for batch counts")
-            counts = self._bincount_rows(self.window_values(m), 1 << m)
-            if cyclic and m > 1:
-                # The cyclic convention adds the m-1 windows wrapping from the
-                # tail into the head; their values come from the narrow
-                # (rows, 2(m-1)) seam matrix instead of a full extended copy.
-                seam = np.concatenate(
-                    [self.matrix[:, -(m - 1) :], self.matrix[:, : m - 1]], axis=1
-                )
-                counts = counts + self._bincount_rows(
-                    _matrix_window_values(seam, m), 1 << m
-                )
-            self._pattern_counts[key] = counts
+            self._pattern_counts[key] = self._count_patterns(m, cyclic)
         return self._pattern_counts[key]
+
+    def _count_patterns(self, m: int, cyclic: bool) -> np.ndarray:
+        rows = self.num_sequences
+        if m < 0:
+            raise ValueError("pattern length m must be non-negative")
+        if m == 0:
+            return np.full((rows, 1), self.n, dtype=np.int64)
+        if self.n == 0:
+            return np.zeros((rows, 1 << m), dtype=np.int64)
+        if m > self.n:
+            raise ValueError(f"pattern length m={m} exceeds sequence length n={self.n}")
+        counts = self._bincount_rows(self.window_values(m), 1 << m)
+        if cyclic and m > 1:
+            # The cyclic convention adds the m-1 windows wrapping from the
+            # tail into the head; their values come from the narrow
+            # (rows, 2(m-1)) seam matrix instead of a full extended copy.
+            seam = np.concatenate(
+                [self.matrix[:, -(m - 1) :], self.matrix[:, : m - 1]], axis=1
+            )
+            counts = counts + self._bincount_rows(_matrix_window_values(seam, m), 1 << m)
+        return counts
 
     def window_values(self, m: int) -> np.ndarray:
         if m not in self._window_values:

@@ -1,4 +1,4 @@
-"""Packed-bitplane backend: 64-bits-per-word kernels for the shared statistics.
+"""Packed bit-planes: 64-bits-per-word kernels for the shared statistics.
 
 The paper's hardware derives its shared sub-statistics with word-parallel
 logic over the raw bit stream; the software engine historically spent a full
@@ -21,9 +21,10 @@ whose length is not a multiple of 64 are zero-padded at the top of the last
 word; every kernel masks those tail bits out, and :class:`PackedMatrix`
 validates on construction that the padding really is zero.
 
-Every kernel is integer-exact and produces *bit-identical* values to the
-``uint8`` reference paths in :mod:`repro.engine.context` (asserted by
-``tests/test_packed.py``), so backend choice never changes a P-value.
+Packed words are the engine's one bit representation.  Every kernel is
+integer-exact and produces *bit-identical* values to the scalar references
+in :mod:`repro.nist` and to plain numpy over the unpacked bits (asserted by
+``tests/test_packed.py``), so packing never changes a P-value.
 
 The popcount primitive uses :func:`numpy.bitwise_count` where available
 (numpy >= 2.0) and falls back to a byte lookup table on older numpy.

@@ -54,12 +54,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine import packed as _packed
-from repro.engine.context import (
-    DEFAULT_BACKEND,
-    BatchContext,
-    SequenceContext,
-    validate_backend,
-)
+from repro.engine.context import BatchContext, SequenceContext
 from repro.engine.packed import BITS_PER_WORD, WORD_DTYPE, PackedMatrix, pack_matrix
 from repro.nist.common import BitsLike, to_bits
 
@@ -105,10 +100,6 @@ class StreamingBatchContext:
         rings are sized to this bound — per-row state is O(capacity), never
         O(stream) — and :meth:`window_matrix` can serve any trailing slice
         up to it.
-    backend:
-        Backend of the :class:`~repro.engine.context.BatchContext` views
-        produced by :meth:`window_context` (statistics are bit-identical
-        either way).
     track_runs:
         Maintain the per-word one-run summary rings that serve the
         block-longest statistic.  Disable for workloads that never read it
@@ -121,7 +112,6 @@ class StreamingBatchContext:
         window_bits: int,
         *,
         capacity_bits: Optional[int] = None,
-        backend: str = DEFAULT_BACKEND,
         track_runs: bool = True,
     ) -> None:
         if num_rows < 0:
@@ -131,7 +121,6 @@ class StreamingBatchContext:
         capacity = window_bits if capacity_bits is None else int(capacity_bits)
         if capacity < window_bits:
             raise ValueError("capacity_bits must be at least window_bits")
-        self.backend = validate_backend(backend)
         self.num_rows = int(num_rows)
         self.window_bits = int(window_bits)
         self.capacity_bits = capacity
@@ -550,7 +539,7 @@ class StreamingBatchContext:
         words are committed.
         """
         nbits = self.window_bits if nbits is None else int(nbits)
-        context = BatchContext(self.window_matrix(nbits), backend=self.backend)
+        context = BatchContext(self.window_matrix(nbits))
         if nbits != self.window_bits or not self.window_ready:
             return context
         stats = self.window_stats()
@@ -601,7 +590,6 @@ class StreamingBatchContext:
             "num_rows": self.num_rows,
             "window_bits": self.window_bits,
             "capacity_bits": self.capacity_bits,
-            "backend": self.backend,
             "track_runs": self.track_runs,
             "committed": self._committed,
             "total_bits": self._total_bits,
@@ -620,9 +608,9 @@ class StreamingBatchContext:
         """Restore a :meth:`state_dict` capture into this context.
 
         The context's geometry (rows, window, capacity, ``track_runs``) must
-        match the captured one; the backend is free to differ (statistics
-        are bit-identical on either backend).  Ring mirrors are rebuilt from
-        the captured primary halves.
+        match the captured one; a ``backend`` field in a version-1 capture
+        is ignored (every context runs on packed words).  Ring mirrors are
+        rebuilt from the captured primary halves.
         """
         if state.get("version") != 1:
             raise ValueError(
@@ -674,7 +662,6 @@ class StreamingBatchContext:
             int(state["num_rows"]),
             int(state["window_bits"]),
             capacity_bits=int(state["capacity_bits"]),
-            backend=str(state["backend"]),
             track_runs=bool(state["track_runs"]),
         )
         context.load_state(state)
@@ -696,15 +683,10 @@ class StreamingContext:
         window_bits: int,
         *,
         capacity_bits: Optional[int] = None,
-        backend: str = DEFAULT_BACKEND,
         track_runs: bool = True,
     ) -> None:
         self._batch = StreamingBatchContext(
-            1,
-            window_bits,
-            capacity_bits=capacity_bits,
-            backend=backend,
-            track_runs=track_runs,
+            1, window_bits, capacity_bits=capacity_bits, track_runs=track_runs
         )
 
     @property
@@ -719,10 +701,6 @@ class StreamingContext:
     @property
     def capacity_bits(self) -> int:
         return self._batch.capacity_bits
-
-    @property
-    def backend(self) -> str:
-        return self._batch.backend
 
     @property
     def total_bits(self) -> int:
@@ -783,7 +761,6 @@ class StreamingContext:
         stream = cls(
             int(state["window_bits"]),
             capacity_bits=int(state["capacity_bits"]),
-            backend=str(state["backend"]),
             track_runs=bool(state["track_runs"]),
         )
         stream.load_state(state)

@@ -515,11 +515,8 @@ def recover_fleet(
         raise FileNotFoundError(f"no fleet snapshot at {snapshot_path}")
     state, wal_generation = read_snapshot(snapshot_path)
     registry = DeviceRegistry.from_state(state["registry"], catalog=catalog)  # type: ignore[arg-type]
-    scheduler = FleetScheduler(
-        registry,
-        backend=state["backend"],
-        streaming=state["streaming"],
-    )
+    # A v1 snapshot's "backend" field is ignored (see load_state).
+    scheduler = FleetScheduler(registry, streaming=state["streaming"])
     scheduler.load_state(state)
     stats = JournalReplayStats()
     for generation in _segment_generations(spool):

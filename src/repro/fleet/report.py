@@ -183,9 +183,6 @@ class FleetReport(JsonCsvExportMixin):
     mix: Dict[str, int]
     rounds: List[FleetRound] = field(default_factory=list)
     scenarios: List[FleetScenarioStats] = field(default_factory=list)
-    #: Compute backend the scheduler evaluated rounds on ("packed" 64-bit
-    #: word kernels or the "uint8" reference paths); verdicts are identical.
-    backend: str = "packed"
     #: Whether the scheduler ran in streaming mode (long-lived per-device
     #: packed rings with O(1) window rolls instead of per-round matrix
     #: rebuilds); verdicts are identical either way.
@@ -271,7 +268,6 @@ class FleetReport(JsonCsvExportMixin):
                 "fail_after": self.fail_after,
                 "seed": self.seed,
                 "mix": dict(self.mix),
-                "backend": self.backend,
                 "streaming": self.streaming,
             },
             "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
@@ -293,8 +289,8 @@ class FleetReport(JsonCsvExportMixin):
             mix={str(k): v for k, v in config["mix"].items()},
             rounds=[FleetRound.from_dict(r) for r in data["rounds"]],
             scenarios=[FleetScenarioStats.from_dict(s) for s in data["scenarios"]],
-            # Reports saved before the packed backend existed ran on uint8.
-            backend=config.get("backend", "uint8"),
+            # A v1 "backend" config field is ignored: every backend gave
+            # bit-identical verdicts.
             # Reports saved before streaming mode existed ran the matrix path.
             streaming=bool(config.get("streaming", False)),
             # Reports saved before the batch-native heavy kernels recorded
@@ -312,7 +308,6 @@ class FleetReport(JsonCsvExportMixin):
 def build_report(
     registry: "DeviceRegistry",
     rounds: List[FleetRound],
-    backend: str = "packed",
     execution_paths: Optional[Dict[str, str]] = None,
     streaming: bool = False,
 ) -> FleetReport:
@@ -363,7 +358,6 @@ def build_report(
         mix=registry.scenario_counts(),
         rounds=list(rounds),
         scenarios=scenarios,
-        backend=backend,
         execution_paths=dict(execution_paths or {}),
         streaming=streaming,
     )

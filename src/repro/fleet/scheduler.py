@@ -4,8 +4,8 @@ A naive port of :class:`~repro.core.monitor.OnTheFlyMonitor` to a fleet runs
 one platform evaluation per device per round — thousands of per-sequence
 hardware-model passes, none of which share any work.  The scheduler
 multiplexes instead: each round it pulls **one** n-bit sequence per device,
-stacks the fleet into a single ``(num_devices, n)`` uint8 matrix and pushes
-it through :func:`repro.engine.batch.run_batch`, whose
+packs the fleet into a single ``(num_devices, words)`` array of 64-bit words
+and pushes it through :func:`repro.engine.batch.run_batch`, whose
 :class:`~repro.engine.context.BatchContext` computes the shared statistics
 of the design's test subset in single vectorised 2-D passes over the whole
 fleet.  The per-device verdicts then fold back into each device's
@@ -37,7 +37,6 @@ import numpy as np
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
-from repro.engine.context import DEFAULT_BACKEND, validate_backend
 from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows, pack_rows_into
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.engine.streaming import StreamingBatchContext, StreamingContext
@@ -225,26 +224,19 @@ def _evaluate_slice(
     devices: Sequence[Device],
     n: int,
     tests: Sequence[int],
-    backend: str,
-    words: Optional[np.ndarray],
+    words: np.ndarray,
 ) -> BatchResult:
     """Generate, pack and evaluate one device slice into its ``words`` rows.
 
-    Touches only its own sources and rows (``words`` is None on the uint8
-    backend), and never the fleet lock: the round's caller holds that lock
-    while it waits, and folds the result itself.
+    Touches only its own sources and rows, and never the fleet lock: the
+    round's caller holds that lock while it waits, and folds the result
+    itself.
     """
     with obs.span("generate"):
         blocks = (device.source.generate_block(n) for device in devices)
-        matrix: Union[np.ndarray, PackedMatrix]
-        if words is not None:
-            matrix = pack_rows_into(words, n, blocks)
-        else:
-            matrix = np.empty((len(devices), n), dtype=np.uint8)
-            for row, block in enumerate(blocks):
-                matrix[row] = block
+        matrix = pack_rows_into(words, n, blocks)
     with obs.span("evaluate"):
-        return run_batch(matrix, tests=list(tests), backend=backend)
+        return run_batch(matrix, tests=list(tests))
 
 
 def _evaluate_shard(
@@ -252,12 +244,11 @@ def _evaluate_shard(
     devices: Sequence[Device],
     n: int,
     tests: Sequence[int],
-    backend: str,
-    words: Optional[np.ndarray],
+    words: np.ndarray,
 ) -> BatchResult:
     """:func:`_evaluate_slice` under a ``shard`` span of the round's root."""
     with obs.span_under(parent, "shard", rows=len(devices)):
-        return _evaluate_slice(devices, n, tests, backend, words)
+        return _evaluate_slice(devices, n, tests, words)
 
 
 class FleetScheduler:
@@ -269,14 +260,6 @@ class FleetScheduler:
         The populated :class:`~repro.fleet.registry.DeviceRegistry`; the
         scheduler evaluates with the registry's shared design point (test
         subset, sequence length) and alpha.
-    backend:
-        Compute backend of the engine's shared statistics: ``"packed"``
-        (default) packs each round's fleet matrix into 64-bit words once
-        and evaluates it on the popcount kernels of
-        :mod:`repro.engine.packed`; ``"uint8"`` keeps the byte-per-bit
-        reference paths.  Verdicts are bit-identical either way; the choice
-        is recorded in :attr:`FleetReport.backend
-        <repro.fleet.report.FleetReport.backend>`.
     streaming:
         Keep per-shard streaming state instead of rebuilding matrices.
         Rounds push the fleet's new words into one long-lived
@@ -290,14 +273,8 @@ class FleetScheduler:
         the module docstring) with results bit-identical to one worker.
     """
 
-    def __init__(
-        self,
-        registry: DeviceRegistry,
-        backend: str = DEFAULT_BACKEND,
-        streaming: bool = False,
-    ):
+    def __init__(self, registry: DeviceRegistry, *, streaming: bool = False):
         self.registry = registry
-        self.backend = validate_backend(backend)
         self.streaming = bool(streaming)
         # Round-path fleet ring (built on first streaming round, rebuilt only
         # when the device count changes) and per-device ingest streams.
@@ -350,11 +327,10 @@ class FleetScheduler:
 
         ``matrix`` is a ``(devices, n)`` uint8 matrix or a prepacked
         :class:`~repro.engine.packed.PackedMatrix`; the engine's batch
-        context converts it to the scheduler's backend (a uint8 input is
-        packed once, keeping its bytes for per-bit consumers), and either
-        container yields identical verdicts.
+        context packs a uint8 input once (keeping its bytes for per-bit
+        consumers), and either container yields identical verdicts.
         """
-        result = run_batch(matrix, tests=list(self.registry.tests), backend=self.backend)
+        result = run_batch(matrix, tests=list(self.registry.tests))
         return self._fold(result, self.registry.alpha)
 
     def _evaluate_round(self, devices: List[Device], root: obs.Span) -> List[BatchResult]:
@@ -366,14 +342,9 @@ class FleetScheduler:
         """
         n = self.registry.n
         tests = self.registry.tests
-        words = (
-            np.empty((len(devices), (n + 63) // 64), dtype=WORD_DTYPE)
-            if self.backend == "packed"
-            else None
-        )
+        words = np.empty((len(devices), (n + 63) // 64), dtype=WORD_DTYPE)
         jobs = [
-            (devices[start:stop], n, tests, self.backend,
-             None if words is None else words[start:stop])
+            (devices[start:stop], n, tests, words[start:stop])
             for start, stop in _round_slices(len(devices), n)
         ]
         if len(jobs) == 1:
@@ -395,7 +366,7 @@ class FleetScheduler:
         rows, n = matrix.shape
         with self.lock:
             if self._round_stream is None or self._round_stream.num_rows != rows:
-                self._round_stream = StreamingBatchContext(rows, n, backend=self.backend)
+                self._round_stream = StreamingBatchContext(rows, n)
             stream = self._round_stream
         stream.push(matrix)
         return run_batch(stream.window_context(), tests=list(self.registry.tests))
@@ -618,9 +589,7 @@ class FleetScheduler:
                 entry = _IngestStream(
                     lock=threading.Lock(),
                     context=(
-                        StreamingContext(self.registry.n, backend=self.backend)
-                        if self.streaming
-                        else None
+                        StreamingContext(self.registry.n) if self.streaming else None
                     ),
                 )
                 self._ingest_streams[device_id] = entry
@@ -683,7 +652,6 @@ class FleetScheduler:
                 }
             return {
                 "version": 1,
-                "backend": self.backend,
                 "streaming": self.streaming,
                 "registry": self.registry.state_dict(),
                 "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
@@ -703,22 +671,23 @@ class FleetScheduler:
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` capture into this scheduler.
 
-        The backend and streaming mode must match the capture (they shape
-        the per-device state), and the registry configuration is validated
-        by :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  After
-        the restore, subsequent rounds and sequenced ingests are
-        bit-identical to the uninterrupted run.
+        The streaming mode must match the capture (it shapes the per-device
+        state), and the registry configuration is validated by
+        :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  A
+        ``backend`` field in older captures is ignored, whatever its value:
+        every backend gave bit-identical statistics.  After the restore,
+        subsequent rounds and sequenced ingests are bit-identical to the
+        uninterrupted run.
         """
         if state.get("version") != 1:
             raise ValueError(
                 f"unsupported fleet state version {state.get('version')!r}"
             )
-        for key, expected in (("backend", self.backend), ("streaming", self.streaming)):
-            if state[key] != expected:
-                raise ValueError(
-                    f"fleet state mismatch: {key} is {state[key]!r}, "
-                    f"this scheduler has {expected!r}"
-                )
+        if state["streaming"] != self.streaming:
+            raise ValueError(
+                f"fleet state mismatch: streaming is {state['streaming']!r}, "
+                f"this scheduler has {self.streaming!r}"
+            )
         with self.lock:
             self.registry.load_state(state["registry"])
             self.rounds = [
@@ -763,7 +732,6 @@ class FleetScheduler:
             return build_report(
                 self.registry,
                 self.rounds,
-                backend=self.backend,
                 execution_paths=dict(self.execution_paths),
                 streaming=self.streaming,
             )

@@ -373,7 +373,6 @@ class FleetService:
             "design": report.design,
             "n": report.n,
             "alpha": report.alpha,
-            "backend": report.backend,
             "streaming": report.streaming,
             "execution_paths": dict(sorted(report.execution_paths.items())),
             "num_devices": report.num_devices,

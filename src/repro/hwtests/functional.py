@@ -12,11 +12,11 @@ Every loader draws its statistics from a shared
 raw bits: the ones count, walk extremes, run count, per-block sums and
 longest runs, and cyclic pattern counts are each derived once and shared by
 every unit that needs them — mirroring how the paper's hardware counters
-share sub-statistics.  When the context is backed by a
-:class:`~repro.engine.context.BatchContext` (the platform's batch path), the
-statistics are computed in single vectorised passes over the whole batch,
-on the packed 64-bits-per-word kernels when the batch's backend is
-``"packed"``.  Only the template-matching units read raw bits.
+share sub-statistics.  Every context is a row of a
+:class:`~repro.engine.context.BatchContext` (a lone sequence is a one-row
+batch), so the statistics are computed in single vectorised passes over
+the whole batch, on the packed 64-bits-per-word kernels wherever the
+geometry has one.  Only the template-matching units read raw bits.
 
 The functional and cycle-accurate paths are verified equivalent by
 ``tests/test_hwtests_functional.py`` (same final register-file contents for

@@ -219,6 +219,16 @@ class TestCampaignReport:
         assert restored.execution_paths == data["execution_paths"]
         assert restored.to_dict()["cells"] == data["cells"]
 
+    @pytest.mark.parametrize("backend", ["packed", "uint8"])
+    def test_saved_backend_field_still_loads(self, small_report, backend):
+        # Reports saved while campaigns took a compute-backend option carry
+        # it in their config; it is read past, whatever its value.
+        data = small_report.to_dict()
+        assert "backend" not in data["config"]
+        data["config"]["backend"] = backend
+        restored = CampaignReport.from_json(json.dumps(data))
+        assert restored.to_json() == small_report.to_json()
+
     def test_json_is_valid_and_complete(self, small_report):
         data = json.loads(small_report.to_json())
         assert data["config"]["seed"] == 42

@@ -45,6 +45,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite"])
 
+    @pytest.mark.parametrize(
+        "argv", [["batch"], ["campaign"], ["fleet", "run"], ["fleet", "serve"], ["chaos"]]
+    )
+    def test_backend_flag_is_gone(self, argv, capsys):
+        # Packed words are the only bit representation: --backend is an
+        # unknown argument (argparse's usage error, exit status 2).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--backend", "uint8"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestDesignsCommand:
     def test_lists_all_eight_designs(self):

@@ -44,7 +44,7 @@ def make_fleet(streaming=False, devices=8, seed=5):
     registry = DeviceRegistry("n128_light")
     mix = FleetMix.parse("healthy-ideal:0.7,biased-0.60:0.3")
     registry.populate(devices, mix, seed=seed)
-    return FleetScheduler(registry, backend="packed", streaming=streaming)
+    return FleetScheduler(registry, streaming=streaming)
 
 
 def round_key(fleet_round):
@@ -162,8 +162,8 @@ class TestStreamingStateRoundTrip:
         n = 128
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, 512, dtype=np.uint8)
-        reference = StreamingContext(n, backend="packed")
-        restored_feed = StreamingContext(n, backend="packed")
+        reference = StreamingContext(n)
+        restored_feed = StreamingContext(n)
         reference.push(bits)
         restored_feed.push(bits[:split])
         restored = StreamingContext.from_state(restored_feed.state_dict())
@@ -179,7 +179,7 @@ class TestStreamingStateRoundTrip:
             assert restored.window_stats() == reference.window_stats()
 
     def test_partial_tail_byte_survives(self):
-        context = StreamingContext(128, backend="packed")
+        context = StreamingContext(128)
         context.push(np.ones(5, dtype=np.uint8))  # < one byte pending
         clone = StreamingContext.from_state(context.state_dict())
         assert clone.total_bits == 5 and clone.tail_bits == 5
@@ -191,7 +191,7 @@ class TestStreamingStateRoundTrip:
         assert clone.window_stats() == context.window_stats()
 
     def test_batched_rows_round_trip(self):
-        batch = StreamingBatchContext(4, 64, backend="packed")
+        batch = StreamingBatchContext(4, 64)
         rng = np.random.default_rng(0)
         batch.push(rng.integers(0, 2, (4, 97), dtype=np.uint8))
         clone = StreamingBatchContext.from_state(batch.state_dict())
@@ -253,9 +253,7 @@ class TestSchedulerStateRoundTrip:
         state = scheduler.state_dict()
 
         registry = DeviceRegistry.from_state(state["registry"])
-        clone = FleetScheduler(
-            registry, backend=state["backend"], streaming=state["streaming"]
-        )
+        clone = FleetScheduler(registry, streaming=state["streaming"])
         clone.load_state(state)
         assert health_map(clone) == health_map(scheduler)
         assert len(clone.rounds) == len(scheduler.rounds)
@@ -273,9 +271,7 @@ class TestSchedulerStateRoundTrip:
         for seq in range(3):
             scheduler.ingest(device, rng.integers(0, 2, 128, dtype=np.uint8), seq=seq)
         state = scheduler.state_dict()
-        clone = FleetScheduler(
-            DeviceRegistry.from_state(state["registry"]), backend="packed"
-        )
+        clone = FleetScheduler(DeviceRegistry.from_state(state["registry"]))
         clone.load_state(state)
         assert clone.last_ingest_seq(device) == 2
         with pytest.raises(DuplicateIngestError):
@@ -346,6 +342,45 @@ class TestDurableFleetRecovery:
         assert stats.applied == 4 and stats.rounds_applied == 1
         assert recovered.last_ingest_seq(device) == 3
         assert round_key(recovered.run_round()) == round_key(scheduler.run_round())
+        recovered.close()
+        durable.close()
+        scheduler.close()
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_v1_backend_field_is_ignored_on_recovery(self, tmp_path, streaming):
+        """A snapshot written when the scheduler still had a compute-backend
+        option (here the byte-per-bit one) restores and replays exactly."""
+        scheduler = make_fleet(streaming=streaming)
+        scheduler.run_round()
+        rng = np.random.default_rng(4)
+        device = scheduler.registry.device_ids()[0]
+        width = 200 if streaming else 128
+        for seq in range(2):
+            scheduler.ingest(device, rng.integers(0, 2, width, dtype=np.uint8), seq=seq)
+        durable = DurableFleet(scheduler, tmp_path, snapshot_interval_s=None)
+        durable.start()
+        for seq in range(2, 4):
+            scheduler.ingest(device, rng.integers(0, 2, width, dtype=np.uint8), seq=seq)
+        scheduler.run_round()
+        expected = health_map(scheduler)
+
+        snapshot = tmp_path / "snapshot.json"
+        payload = json.loads(snapshot.read_text())
+        state = payload["scheduler"]
+        state["backend"] = "uint8"
+        streams = [state["round_stream"]] + [
+            spec["context"] for spec in state["ingest_streams"].values()
+        ]
+        for stream in streams:
+            if stream is not None:
+                stream["backend"] = "uint8"
+        snapshot.write_text(json.dumps(payload))
+
+        recovered, stats = recover_fleet(tmp_path)
+        assert health_map(recovered) == expected
+        assert stats.applied == 2 and stats.rounds_applied == 1
+        assert round_key(recovered.run_round()) == round_key(scheduler.run_round())
+        assert "backend" not in recovered.state_dict()
         recovered.close()
         durable.close()
         scheduler.close()
@@ -421,7 +456,7 @@ class TestDurableFleetRecovery:
         assert payload["format"] == "repro-fleet-snapshot"
         assert payload["version"] == 1 and payload["wal_generation"] == 7
         state, generation = read_snapshot(tmp_path / "snap.json")
-        assert generation == 7 and state["backend"] == "packed"
+        assert generation == 7 and "backend" not in state
         scheduler.close()
 
     def test_unknown_snapshot_version_is_rejected(self, tmp_path):

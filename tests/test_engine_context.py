@@ -107,6 +107,38 @@ class TestSequenceContext:
         assert SequenceContext([1, 0, 1, 1]).ones == 3
 
 
+EMPTY = np.zeros(0, dtype=np.uint8)
+
+#: Each statistic read off the first row of an empty batch, and what the
+#: scalar references give for an empty sequence (an exception type where
+#: the statistic does not exist).
+EMPTY_STATISTICS = {
+    "ones": (lambda batch: batch.context(0).ones, 0),
+    "zeros": (lambda batch: batch.context(0).zeros, 0),
+    "num_runs": (lambda batch: batch.context(0).num_runs(), count_runs(EMPTY)),
+    "walk_extremes": (lambda batch: batch.context(0).walk_extremes(), random_walk_extremes(EMPTY)),
+    "last_bit": (lambda batch: batch.context(0).last_bit(), ValueError),
+    "last_bits": (lambda batch: batch.last_bits(), ValueError),
+    "block_sums": (lambda batch: batch.context(0).block_sums(8).tolist(), []),
+    "block_longest": (lambda batch: batch.context(0).block_longest_one_runs(8).tolist(), []),
+    "block_values": (lambda batch: batch.context(0).block_value_counts(4).tolist(), [0] * 16),
+    "patterns": (lambda batch: batch.context(0).pattern_counts(2).tolist(), [0] * 4),
+    "patterns_m0": (lambda batch: batch.context(0).pattern_counts(0).tolist(), [0]),
+    "longest_run": (lambda batch: batch.context(0).longest_run(), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_STATISTICS))
+def test_zero_length_batch_matches_scalar_expectations(name):
+    read, expected = EMPTY_STATISTICS[name]
+    batch = BatchContext(np.zeros((2, 0), dtype=np.uint8))
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            read(batch)
+    else:
+        assert read(batch) == expected
+
+
 class TestBatchContext:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):

@@ -153,20 +153,35 @@ class TestFleetScheduler:
                 == independent.monitor.failure_rate()
             )
 
-    def test_backends_and_containers_agree_on_verdicts(self):
-        """Any (backend, container) combination yields identical verdicts."""
+    def test_containers_agree_with_scalar_references(self):
+        """A uint8 matrix and its packed words yield the verdicts the
+        ``repro.nist`` references give row by row."""
+        from repro import nist
         from repro.engine.packed import pack_matrix
+        from repro.trng.biased import BiasedSource
         from repro.trng.ideal import IdealSource
 
-        matrix = IdealSource(seed=21).generate_matrix(8, 128)
-        verdicts = []
-        for backend in ("packed", "uint8"):
-            for container in (matrix, pack_matrix(matrix)):
-                scheduler = FleetScheduler(
-                    small_fleet(num_devices=8, seed=6), backend=backend
-                )
-                verdicts.append(scheduler.evaluate_matrix(container))
-        assert all(v == verdicts[0] for v in verdicts[1:])
+        healthy = IdealSource(seed=21).generate_matrix(8, 128)
+        matrix = np.vstack([healthy, BiasedSource(0.62, seed=22).generate_matrix(8, 128)])
+        references = {
+            1: nist.frequency_test,
+            2: nist.block_frequency_test,
+            3: nist.runs_test,
+            4: nist.longest_run_test,
+            13: nist.cumulative_sums_test,
+        }
+        registry = small_fleet(num_devices=16, seed=6)
+        assert tuple(registry.tests) == tuple(references)
+        alpha = registry.alpha
+        expected = [
+            tuple(number for number, test in references.items() if not test(row).passed(alpha))
+            for row in matrix
+        ]
+        assert any(expected), "the biased rows should fail some test"
+        for container in (matrix, pack_matrix(matrix)):
+            verdicts = FleetScheduler(registry).evaluate_matrix(container)
+            assert [verdict.failing_tests for verdict in verdicts] == expected
+            assert all(verdict.errors == () for verdict in verdicts)
 
     def test_evaluate_matrix_verdict_reduction(self):
         registry = DeviceRegistry("n128_light")
@@ -218,6 +233,17 @@ class TestFleetReport:
 
     def test_json_round_trip(self, report):
         assert FleetReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("backend", ["packed", "uint8"])
+    def test_saved_backend_field_still_loads(self, report, backend):
+        # Reports saved while the scheduler took a compute-backend option
+        # carry it in their config; it is read past, whatever its value.
+        import json
+
+        data = report.to_dict()
+        assert "backend" not in data["config"]
+        data["config"]["backend"] = backend
+        assert FleetReport.from_json(json.dumps(data)) == report
 
     def test_csv_columns_stable(self, report):
         header = report.to_csv().splitlines()[0]
@@ -361,27 +387,26 @@ class TestFanOut:
         return set_workers
 
     @staticmethod
-    def _outcome(num_devices, backend, rounds):
+    def _outcome(num_devices, rounds):
         registry = small_fleet(num_devices=num_devices, seed=13)
-        report = FleetScheduler(registry, backend=backend).run(rounds).to_dict()
+        report = FleetScheduler(registry).run(rounds).to_dict()
         for fleet_round in report["rounds"]:
             fleet_round.pop("elapsed_s")
         histories = [list(device.monitor.history) for device in registry]
         return registry.state_dict(), report, histories
 
-    @pytest.mark.parametrize("backend", ["packed", "uint8"])
     @pytest.mark.parametrize("workers, slices", [(2, 2), (3, 3), (8, 3)])
-    def test_rounds_match_one_worker(self, fan_out, backend, workers, slices):
+    def test_rounds_match_one_worker(self, fan_out, workers, slices):
         # 17 devices are 3 full tiles of 5 rows plus 2; 17 divides by none
         # of the worker counts, and 8 workers outnumber the full tiles.
         fan_out(1)
-        expected = self._outcome(17, backend, rounds=3)
+        expected = self._outcome(17, rounds=3)
         round_slices = fan_out(workers)
         bounds = round_slices(17, 128)
         assert len(bounds) == slices
         assert bounds[0][0] == 0 and bounds[-1][1] == 17
         assert all(stop - start >= self.TILE for start, stop in bounds)
-        assert self._outcome(17, backend, rounds=3) == expected
+        assert self._outcome(17, rounds=3) == expected
 
     def test_small_rounds_stay_one_slice(self, fan_out):
         round_slices = fan_out(4)

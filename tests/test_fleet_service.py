@@ -223,7 +223,7 @@ class TestServiceConcurrency:
             status, body = summary_result["response"]
             assert status == 200
             assert body["rounds_completed"] == 1
-            assert body["backend"] == "packed"
+            assert body["streaming"] is False and "backend" not in body
         finally:
             summary_release.set()
             server.shutdown()

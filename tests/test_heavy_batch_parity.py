@@ -2,13 +2,13 @@
 
 The five heavyweight NIST tests (rank, DFT, universal, linear complexity,
 random excursions + variant) run through :mod:`repro.engine.heavy`'s
-batch-native kernels on the packed backend.  These tests pin the contract of
+batch-native kernels over packed words.  These tests pin the contract of
 that path on deliberately awkward inputs — lengths that are not multiples of
 64 (live word-padding bits), degenerate all-zeros / all-ones streams,
 single-row batches, inapplicably short sequences — and the dispatch
-semantics: packed batches record ``"batched"``, the uint8 backend stays
-``"inline"``, a :class:`~repro.engine.heavy.BatchFallback` geometry falls
-back per-sequence, and error messages match the scalar reference verbatim.
+semantics: batches record ``"batched"``, a
+:class:`~repro.engine.heavy.BatchFallback` geometry falls back
+per-sequence, and error messages match the scalar reference verbatim.
 """
 
 import numpy as np
@@ -124,20 +124,6 @@ class TestShortSequenceErrors:
 
 
 class TestDispatchSemantics:
-    def test_uint8_backend_stays_inline(self):
-        matrix = _rows(6, rows=3, n=2048)
-        reports = run_batch(
-            matrix, tests=HEAVY_TESTS, parameters=SMALL_PARAMS, backend="uint8"
-        )
-        for row, report in enumerate(reports):
-            for number in HEAVY_TESTS:
-                test_id = NIST_NUMBER_TO_ID[number]
-                assert report.execution_paths[test_id] == "inline"
-                reference = REFERENCES[number](
-                    matrix[row], **SMALL_PARAMS.get(number, {})
-                )
-                _assert_identical(report.results[test_id], reference)
-
     @pytest.mark.parametrize(
         "seed, rows, as_list", [(8, 3, False), (9, 2, False), (9, 1, True)]
     )

@@ -54,7 +54,7 @@ class TestBatchInstrumentation:
         paths_before = path_sum()
         batched_before = totals.value(path="batched")
         freq_before = seconds.count(test="nist.frequency")
-        run_batch(sequences, tests=["nist.frequency", "nist.runs"], backend="packed")
+        run_batch(sequences, tests=["nist.frequency", "nist.runs"])
         assert bits.value() - bits_before == sequences.size
         # Two tests over four sequences: eight per-sequence evaluations, all
         # decided as P-value columns over the packed batch.
@@ -64,7 +64,7 @@ class TestBatchInstrumentation:
 
     def test_trace_covers_pack_dispatch_decision(self, sequences):
         obs.clear_traces()
-        run_batch(sequences, tests=["nist.frequency"], backend="packed")
+        run_batch(sequences, tests=["nist.frequency"])
         roots = [root for root in obs.TRACER.traces() if root.name == "run_batch"]
         assert roots, "run_batch recorded no root span"
         stages = roots[-1].stage_names()
@@ -88,7 +88,7 @@ class TestBatchInstrumentation:
         obs.clear_traces()
         totals.inc = counting_inc
         try:
-            run_batch(sequences, tests=tests, backend="packed")
+            run_batch(sequences, tests=tests)
         finally:
             del totals.inc
         (root,) = [r for r in obs.TRACER.traces() if r.name == "run_batch"]
@@ -111,7 +111,7 @@ class TestKernelInstrumentation:
     def test_packed_kernel_dispatches_counted(self, sequences):
         calls = metric("repro_packed_kernel_invocations_total")
         before = calls.value(kernel="ones_count")
-        ctx = BatchContext(sequences, backend="packed")
+        ctx = BatchContext(sequences)
         ctx.ones()
         assert calls.value(kernel="ones_count") - before == 1
         # Cached on the context: a second read is not a second dispatch.
@@ -129,18 +129,12 @@ class TestKernelInstrumentation:
         calls = metric("repro_packed_kernel_invocations_total")
         kernels = ("walk_extremes", "transition_counts", "block_longest_one_runs")
         before = {kernel: calls.value(kernel=kernel) for kernel in kernels}
-        ctx = BatchContext(matrix, backend="packed")
+        ctx = BatchContext(matrix)
         ctx.walk_extremes()
         ctx.num_runs()
         ctx.block_longest_one_runs(block_length)
         for kernel in kernels:
             assert calls.value(kernel=kernel) - before[kernel] == 1
-
-    def test_uint8_backend_does_not_touch_kernel_counters(self, sequences):
-        calls = metric("repro_packed_kernel_invocations_total")
-        before = calls.value(kernel="ones_count")
-        BatchContext(sequences, backend="uint8").ones()
-        assert calls.value(kernel="ones_count") == before
 
 
 class TestStreamingInstrumentation:

@@ -1,9 +1,10 @@
-"""Packed-bitplane backend: round-trips and bit-exact parity with uint8.
+"""Packed bit-planes: round-trips and bit-exact parity with plain numpy.
 
 The 64-bits-per-word kernels of :mod:`repro.engine.packed` must produce
-*bit-identical* statistics (and therefore P-values) to the byte-per-bit
-reference paths for every matrix shape — including the awkward ones: ``n``
-not a multiple of 64 (tail bits in the last word), a single row, an empty
+*bit-identical* statistics to plain numpy expressions over the unpacked
+bits — and therefore P-values identical to the :mod:`repro.nist` scalar
+references — for every matrix shape, including the awkward ones: ``n`` not
+a multiple of 64 (tail bits in the last word), a single row, an empty
 tail, all-zeros and all-ones rows.  These tests sweep those shapes with
 seeded random matrices and hypothesis-generated sequences.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nist
 from repro.engine import packed as P
 from repro.engine.batch import run_batch
 from repro.engine.context import BatchContext
@@ -37,6 +39,34 @@ def special_matrices(rows, n):
     yield random_matrix(rows, n, seed=rows * 1000 + n)
     yield random_matrix(rows, n, seed=rows * 1000 + n + 1, p=0.9)
 
+
+def walk_reference(matrix):
+    """``(S_max, S_min, S_final)`` per row from the full ±1 walk."""
+    walk = np.cumsum(2 * matrix.astype(np.int64) - 1, axis=1)
+    return walk.max(axis=1), walk.min(axis=1), walk[:, -1]
+
+
+def transitions_reference(matrix):
+    """Adjacent-bit changes per row."""
+    return np.count_nonzero(np.diff(matrix.astype(np.int8), axis=1), axis=1)
+
+
+def block_sums_reference(matrix, block_length):
+    rows, n = matrix.shape
+    num_blocks = n // block_length
+    blocks = matrix[:, : num_blocks * block_length].reshape(rows, num_blocks, block_length)
+    return blocks.sum(axis=2, dtype=np.int64)
+
+
+def block_longest_reference(matrix, block_length):
+    """Longest run of ones per full block: ones so far minus ones so far at
+    the block's latest zero is the length of the run ending at each bit."""
+    rows, n = matrix.shape
+    num_blocks = n // block_length
+    blocks = matrix[:, : num_blocks * block_length].reshape(rows, num_blocks, block_length)
+    ones = np.cumsum(blocks, axis=2, dtype=np.int64)
+    at_last_zero = np.maximum.accumulate(np.where(blocks == 0, ones, 0), axis=2)
+    return (ones - at_last_zero).max(axis=2)
 
 class TestRoundTrip:
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
@@ -96,7 +126,7 @@ class TestPopcount:
 
 
 class TestKernelParity:
-    """Each packed kernel against the uint8 reference, shape by shape."""
+    """Each packed kernel against plain numpy, shape by shape."""
 
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
     def test_ones_count(self, rows, n):
@@ -109,21 +139,16 @@ class TestKernelParity:
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
     def test_transition_counts(self, rows, n):
         for matrix in special_matrices(rows, n):
-            reference = np.count_nonzero(
-                np.diff(matrix.astype(np.int8), axis=1), axis=1
-            ).astype(np.int64)
             assert np.array_equal(
-                P.transition_counts(P.pack_matrix(matrix)), reference
+                P.transition_counts(P.pack_matrix(matrix)), transitions_reference(matrix)
             )
 
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
     def test_walk_extremes(self, rows, n):
         for matrix in special_matrices(rows, n):
-            walk = np.cumsum(2 * matrix.astype(np.int64) - 1, axis=1)
-            s_max, s_min, s_final = P.walk_extremes(P.pack_matrix(matrix))
-            assert np.array_equal(s_max, walk.max(axis=1))
-            assert np.array_equal(s_min, walk.min(axis=1))
-            assert np.array_equal(s_final, walk[:, -1])
+            packed = P.walk_extremes(P.pack_matrix(matrix))
+            for fast, reference in zip(packed, walk_reference(matrix)):
+                assert np.array_equal(fast, reference)
 
     @pytest.mark.parametrize("rows,n", AWKWARD_SHAPES)
     def test_last_bits(self, rows, n):
@@ -136,13 +161,9 @@ class TestKernelParity:
         matrix = random_matrix(4, n, seed=block_length)
         packed = P.pack_matrix(matrix)
         assert P.supports_block_ones(block_length, n)
-        num_blocks = n // block_length
-        reference = (
-            matrix[:, : num_blocks * block_length]
-            .reshape(4, num_blocks, block_length)
-            .sum(axis=2, dtype=np.int64)
+        assert np.array_equal(
+            P.block_ones(packed, block_length), block_sums_reference(matrix, block_length)
         )
-        assert np.array_equal(P.block_ones(packed, block_length), reference)
 
     def test_block_ones_unsupported_geometry(self):
         matrix = random_matrix(2, 100)
@@ -213,18 +234,17 @@ KERNEL_WIDTHS = {
 }
 
 
-def assert_kernel_matches_uint8(kernel, matrix, block_length):
+def assert_kernel_matches_numpy(kernel, matrix, block_length):
     packed = P.pack_matrix(matrix)
-    reference = BatchContext(matrix, backend="uint8")
     if kernel == "walk_extremes":
-        for fast, slow in zip(P.walk_extremes(packed), reference.walk_extremes()):
-            assert np.array_equal(fast, slow)
+        for fast, reference in zip(P.walk_extremes(packed), walk_reference(matrix)):
+            assert np.array_equal(fast, reference)
     elif kernel == "transition_counts":
-        assert np.array_equal(P.transition_counts(packed), reference.num_runs() - 1)
+        assert np.array_equal(P.transition_counts(packed), transitions_reference(matrix))
     else:
         assert np.array_equal(
             P.block_longest_one_runs(packed, block_length),
-            reference.block_longest_one_runs(block_length),
+            block_longest_reference(matrix, block_length),
         )
 
 
@@ -248,7 +268,7 @@ class TestTileSeams:
         assert tile > 1
         for rows in seam_row_counts(tile):
             for matrix in seam_matrices(rows, n):
-                assert_kernel_matches_uint8(kernel, matrix, block_length)
+                assert_kernel_matches_numpy(kernel, matrix, block_length)
 
     @pytest.mark.parametrize("n", [65536, 65536 + 11])
     @pytest.mark.parametrize(
@@ -263,7 +283,7 @@ class TestTileSeams:
         assert tile == 5
         for rows in seam_row_counts(tile):
             for matrix in seam_matrices(rows, n):
-                assert_kernel_matches_uint8(kernel, matrix, block_length)
+                assert_kernel_matches_numpy(kernel, matrix, block_length)
 
     def test_small_batches_are_one_tile(self):
         # An 8x128 ingest chunk and a 48x4096 batch never split.
@@ -297,39 +317,42 @@ class TestPackRowsInto:
 
 
 class TestBatchContextParity:
-    """The two backends are bit-identical through the context layer."""
+    """The context's statistics equal plain numpy over the unpacked bits."""
 
     @pytest.mark.parametrize("rows,n", [(3, 100), (1, 4096), (5, 20000), (2, 127)])
     def test_shared_statistics_match(self, rows, n):
         matrix = random_matrix(rows, n, seed=n)
-        packed_ctx = BatchContext(matrix, backend="packed")
-        uint8_ctx = BatchContext(matrix, backend="uint8")
-        assert np.array_equal(packed_ctx.ones(), uint8_ctx.ones())
-        assert np.array_equal(packed_ctx.num_runs(), uint8_ctx.num_runs())
-        for fast, slow in zip(packed_ctx.walk_extremes(), uint8_ctx.walk_extremes()):
-            assert np.array_equal(fast, slow)
+        ctx = BatchContext(matrix)
+        assert np.array_equal(ctx.ones(), matrix.sum(axis=1, dtype=np.int64))
+        assert np.array_equal(ctx.num_runs(), transitions_reference(matrix) + 1)
+        for fast, reference in zip(ctx.walk_extremes(), walk_reference(matrix)):
+            assert np.array_equal(fast, reference)
         for block_length in (8, 16, 32, 64):
             if block_length <= n:
                 assert np.array_equal(
-                    packed_ctx.block_sums(block_length),
-                    uint8_ctx.block_sums(block_length),
+                    ctx.block_sums(block_length),
+                    block_sums_reference(matrix, block_length),
                 )
                 assert np.array_equal(
-                    packed_ctx.block_longest_one_runs(block_length),
-                    uint8_ctx.block_longest_one_runs(block_length),
+                    ctx.block_longest_one_runs(block_length),
+                    block_longest_reference(matrix, block_length),
                 )
 
     def test_unsupported_block_length_falls_back(self):
         matrix = random_matrix(2, 100, seed=5)
-        ctx = BatchContext(matrix, backend="packed")
-        reference = BatchContext(matrix, backend="uint8")
+        ctx = BatchContext(matrix)
         # 20 has no packed kernel; the context must silently use uint8.
-        assert np.array_equal(ctx.block_sums(20), reference.block_sums(20))
+        assert not P.supports_block_ones(20, 100)
+        assert not P.supports_block_longest_one_runs(20, 100)
+        assert np.array_equal(ctx.block_sums(20), block_sums_reference(matrix, 20))
+        assert np.array_equal(
+            ctx.block_longest_one_runs(20), block_longest_reference(matrix, 20)
+        )
 
     def test_prepacked_input_defers_unpack(self):
         matrix = random_matrix(4, 4096, seed=9)
         packed = P.pack_matrix(matrix)  # no retained source
-        ctx = BatchContext(packed, backend="packed")
+        ctx = BatchContext(packed)
         assert ctx._matrix is None
         ctx.ones()
         ctx.walk_extremes()
@@ -337,15 +360,20 @@ class TestBatchContextParity:
         assert ctx._matrix is None  # packed kernels never touched the bytes
         assert np.array_equal(ctx.matrix, matrix)  # ...but unpack on demand
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            BatchContext(np.zeros((1, 8), dtype=np.uint8), backend="simd")
-
 
 class TestEngineParity:
-    """run_batch: identical P-values, whatever the backend or container."""
+    """run_batch: P-values of the scalar references, whatever the container."""
 
     TESTS = [1, 2, 3, 4, 11, 12, 13]
+    REFERENCES = {
+        1: nist.frequency_test,
+        2: nist.block_frequency_test,
+        3: nist.runs_test,
+        4: nist.longest_run_test,
+        11: nist.serial_test,
+        12: nist.approximate_entropy_test,
+        13: nist.cumulative_sums_test,
+    }
 
     def p_values(self, reports):
         return [
@@ -354,13 +382,14 @@ class TestEngineParity:
         ]
 
     @pytest.mark.parametrize("n", [128, 4096])
-    def test_backends_bit_identical(self, n):
+    def test_p_values_match_nist_references(self, n):
         matrix = IdealSource(seed=42).generate_matrix(8, n)
-        packed_reports = run_batch(matrix, tests=self.TESTS, backend="packed")
-        uint8_reports = run_batch(matrix, tests=self.TESTS, backend="uint8")
-        assert self.p_values(packed_reports) == self.p_values(uint8_reports)
-        assert all(report.backend == "packed" for report in packed_reports)
-        assert all(report.backend == "uint8" for report in uint8_reports)
+        reports = run_batch(matrix, tests=self.TESTS)
+        expected = [
+            [self.REFERENCES[number](row).p_values for number in self.TESTS]
+            for row in matrix
+        ]
+        assert [list(row.values()) for row in self.p_values(reports)] == expected
 
     def test_prepacked_input_matches_uint8_matrix(self):
         source = IdealSource(seed=77)
@@ -372,10 +401,6 @@ class TestEngineParity:
         from_packed = run_batch(prepacked, tests=self.TESTS)
         from_matrix = run_batch(matrix, tests=self.TESTS)
         assert self.p_values(from_packed) == self.p_values(from_matrix)
-
-    def test_run_batch_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_batch(np.zeros((2, 128), dtype=np.uint8), backend="simd")
 
     def test_empty_prepacked_batch(self):
         packed = P.pack_matrix(np.zeros((0, 128), dtype=np.uint8))
