@@ -63,6 +63,8 @@ _MEMO_TOTAL = obs.counter(
     labels=("test", "outcome"),
 )
 
+_ZERO = np.int64(0)
+
 #: Entries the cusum memo keeps.  A 1024-device ``n65536_light`` round has
 #: ~430 distinct excursions, so this holds several designs' working sets.
 _CUSUM_MEMO_CAPACITY = 8192
@@ -137,10 +139,14 @@ def batch_block_frequency(batch: "BatchContext", block_length: int = 128) -> np.
     _validate_block_frequency(n, block_length)
     ones_per_block = batch.block_sums(block_length)
     num_blocks = ones_per_block.shape[1]
-    proportions = ones_per_block / block_length
+    # (π_i − ½)² in one float slab, updated in place: the reference's
+    # operations in the reference's order.
+    deviations = np.divide(ones_per_block, block_length)
+    deviations -= 0.5
+    np.square(deviations, out=deviations)
     # Row sums over the C-contiguous last axis run the same pairwise
     # summation the scalar reference runs on one row.
-    chi_squared = 4.0 * block_length * np.sum((proportions - 0.5) ** 2, axis=1)
+    chi_squared = 4.0 * block_length * np.sum(deviations, axis=1)
     return _special.gammaincc(num_blocks / 2.0, chi_squared / 2.0)
 
 
@@ -171,11 +177,15 @@ def batch_longest_run(
     k, v_values, pi = LONGEST_RUN_TABLES[block_length]
     per_block = batch.block_longest_one_runs(block_length)
     rows, num_blocks = per_block.shape
-    indices = np.clip(per_block - v_values[0], 0, k)
-    offsets = np.arange(rows, dtype=np.int64)[:, np.newaxis] * (k + 1)
-    categories = np.bincount(
-        (indices + offsets).ravel(), minlength=rows * (k + 1)
-    ).reshape(rows, k + 1)
+    # Class index of every block, offset by its row's bincount range, in
+    # one int64 slab.  Numpy-scalar bounds keep np.clip off its Python-int
+    # range check (two np.iinfo constructions per call).
+    indices = per_block - v_values[0]
+    np.clip(indices, _ZERO, np.int64(k), out=indices)
+    indices += np.arange(rows, dtype=np.int64)[:, np.newaxis] * (k + 1)
+    categories = np.bincount(indices.ravel(), minlength=rows * (k + 1)).reshape(
+        rows, k + 1
+    )
     expected = num_blocks * np.array(pi)
     chi_squared = np.sum((categories - expected) ** 2 / expected, axis=1)
     return _special.gammaincc(k / 2.0, chi_squared / 2.0)

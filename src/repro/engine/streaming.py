@@ -440,16 +440,9 @@ class StreamingBatchContext:
         words_per_block = block_length // BITS_PER_WORD
         num_blocks = self.window_bits // block_length
         pops = self._take(self._sums["pop"], start, num_blocks * words_per_block)
-        blocks = pops.reshape(self.num_rows, num_blocks, words_per_block)
-        if words_per_block <= 8:
-            # numpy reductions over a short trailing axis are dominated by
-            # per-slice overhead; unrolled adds are several times faster at
-            # the block lengths the NIST designs use (1-8 words per block).
-            acc = blocks[:, :, 0].astype(np.int64)
-            for index in range(1, words_per_block):
-                acc += blocks[:, :, index]
-            return acc
-        return blocks.sum(axis=2, dtype=np.int64)
+        return _packed.sum_short_axis(
+            pops.reshape(self.num_rows, num_blocks, words_per_block)
+        )
 
     def _window_block_longest(self, block_length: int, start: int) -> Optional[np.ndarray]:
         """Window block longest-one-runs via the per-word run-summary merge."""

@@ -37,7 +37,9 @@ class BiasedSource(SeededSource):
 
     def _generate_block(self, n: int) -> np.ndarray:
         # One uniform draw per bit, exactly like the bit-serial path.
-        return (self._rng.random(n) < self.p_one).astype(np.uint8)
+        bits = np.empty(n, dtype=np.uint8)
+        np.less(self._rng.random(n), self.p_one, out=bits.view(np.bool_))
+        return bits
 
     @property
     def name(self) -> str:

@@ -10,6 +10,8 @@ from repro.trng.source import SeededSource
 
 __all__ = ["IdealSource"]
 
+_TOP_BIT = np.uint32(1 << 31)
+
 
 class IdealSource(SeededSource):
     """An ideal TRNG model: independent, unbiased bits.
@@ -45,7 +47,9 @@ class IdealSource(SeededSource):
         count = n - start
         words = bitgen.random_raw((count + 1) // 2)
         halves = np.asarray(words, dtype="<u8").view("<u4")
-        np.right_shift(halves[:count], 31, out=bits[start:], casting="unsafe")
+        # The top bit of each half, compared straight into the uint8 output
+        # through its bool view (a shift writes it through a casting loop).
+        np.greater_equal(halves[:count], _TOP_BIT, out=bits[start:].view(np.bool_))
         odd = bool(count % 2)
         if self._half_pending or odd:
             state: Dict[str, Any] = bitgen.state
