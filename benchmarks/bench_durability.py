@@ -39,7 +39,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NUM_DEVICES = 128 if SMOKE else 1024
 CHUNKS_PER_DEVICE = 2 if SMOKE else 4
 #: Sequences per ingest chunk: sustained feeds batch a few sequences per
-#: request (the service accepts any positive multiple of n), so the
+#: request (the service accepts chunks of any size), so the
 #: per-record WAL framing amortises over a realistic payload.
 SEQS_PER_CHUNK = 8
 DESIGN = "n128_light"

@@ -269,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--fail-after", type=int, default=2)
     fleet.add_argument("--seed", type=int, default=0,
                        help="fleet seed; device placement and streams derive from it")
-    fleet.add_argument("--streaming", action="store_true",
-                       help="keep per-device packed rings across rounds (O(1) window "
-                            "rolls, ingest accepts arbitrary chunk sizes) instead of "
-                            "rebuilding each round's matrix; verdicts are identical")
     fleet.add_argument("--json", dest="json_path", default=None,
                        help="write the full fleet report as JSON to this path")
     fleet.add_argument("--csv", dest="csv_path", default=None,
@@ -339,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "first (expects 400, then the real chunk)")
     chaos.add_argument("--snapshot-interval", type=float, default=0.2,
                        help="background snapshot interval of the service under test")
-    chaos.add_argument("--streaming", action="store_true",
-                       help="exercise the streaming ingest path (varied chunk "
-                            "sizes) instead of whole sequences")
     chaos.add_argument("--workdir", default=None,
                        help="spool/scratch directory (default: a fresh "
                             "temporary directory, removed on success)")
@@ -705,7 +698,7 @@ def _cmd_fleet(args, out) -> int:
             # populate() would reject zero devices.
             if args.devices > 0:
                 registry.populate(args.devices, mix, seed=args.seed)
-            scheduler = FleetScheduler(registry, streaming=args.streaming)
+            scheduler = FleetScheduler(registry)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -842,7 +835,6 @@ def _cmd_chaos(args, out) -> int:
             reorder_rate=args.reorder,
             corrupt_rate=args.corrupt,
             snapshot_interval_s=args.snapshot_interval,
-            streaming=args.streaming,
             workdir=args.workdir,
         )
         result = run_chaos(config, out=None if args.quiet else out)

@@ -23,7 +23,7 @@ is that aggregation tier, built on the substrate of PRs 1–3:
   matching retrying client.
 * :mod:`repro.fleet.durability` makes the whole thing crash-safe: atomic
   versioned snapshots of the scheduler (registry, health machines, rounds,
-  streaming rings) plus a CRC-framed write-ahead ingest journal, replayed
+  ingest tails) plus a CRC-framed write-ahead ingest journal, replayed
   bit-identically by :func:`recover_fleet` after a crash.
 * :mod:`repro.fleet.chaos` proves it: a seeded harness that boots the real
   service, kills it with SIGKILL mid-ingest, injects drop/duplicate/

@@ -61,7 +61,6 @@ _SUMMARY_KEYS = (
     "design",
     "n",
     "alpha",
-    "streaming",
     "num_devices",
     "rounds_completed",
     "health",
@@ -84,7 +83,6 @@ class ChaosConfig:
     reorder_rate: float = 0.1
     corrupt_rate: float = 0.1
     snapshot_interval_s: float = 0.2
-    streaming: bool = False
     workdir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -148,7 +146,7 @@ def _chunk_bits(config: ChaosConfig, device_index: int, chunk_index: int, n: int
     rng = np.random.default_rng(
         [config.seed, 0x5EED, device_index, chunk_index]
     )
-    size = _chunk_size(config, device_index, chunk_index, n)
+    size = _chunk_size(device_index, chunk_index, n)
     if device_index % 4 == 3:
         bits = (rng.random(size) < 0.9).astype(np.uint8)
     else:
@@ -156,12 +154,12 @@ def _chunk_bits(config: ChaosConfig, device_index: int, chunk_index: int, n: int
     return "".join("1" if bit else "0" for bit in bits.tolist())
 
 
-def _chunk_size(config: ChaosConfig, device_index: int, chunk_index: int, n: int) -> int:
-    """Chunk sizes: whole sequences in matrix mode, varied in streaming."""
-    if not config.streaming:
-        return n
-    # Between n/2 and ~3n/2, sweeping windows across chunk boundaries so
-    # partial sequences pend in the rings at kill time.
+def _chunk_size(device_index: int, chunk_index: int, n: int) -> int:
+    """Chunk sizes between n/2 and ~3n/2.
+
+    Sequences straddle chunk boundaries, so partial sequences wait in the
+    device tails at kill time.
+    """
     return n // 2 + (device_index * 7 + chunk_index * 13) % n
 
 
@@ -189,8 +187,6 @@ def _service_command(config: ChaosConfig, spool: Path, restore: bool) -> List[st
         "--snapshot-interval",
         str(config.snapshot_interval_s),
     ]
-    if config.streaming:
-        command.append("--streaming")
     if restore:
         command.append("--restore")
     return command
@@ -247,7 +243,7 @@ def _control_run(config: ChaosConfig, n_chunks: Dict[str, List[str]]) -> Tuple[
     registry = DeviceRegistry(config.design)
     for device_id in n_chunks:
         registry.register(device_id)
-    with FleetScheduler(registry, streaming=config.streaming) as scheduler:
+    with FleetScheduler(registry) as scheduler:
         for device_id, chunks in n_chunks.items():
             for seq, bits in enumerate(chunks):
                 scheduler.ingest(device_id, bits, seq=seq)
@@ -257,7 +253,6 @@ def _control_run(config: ChaosConfig, n_chunks: Dict[str, List[str]]) -> Tuple[
             "design": report.design,
             "n": report.n,
             "alpha": report.alpha,
-            "streaming": report.streaming,
             "num_devices": report.num_devices,
             "rounds_completed": report.rounds_completed,
             "health": registry.health_counts(),

@@ -1,7 +1,7 @@
 """Fleet durability: crash-safe snapshots, a write-ahead ingest journal.
 
-The fleet's value is its *state* — thousands of health machines, streaming
-rings and round counters accumulated over hours of monitoring — and before
+The fleet's value is its *state* — thousands of health machines, ingest
+tails and round counters accumulated over hours of monitoring — and before
 this module a crash of the service lost all of it.  The layer here makes
 the fleet durable with the classic two-piece recipe:
 
@@ -9,7 +9,7 @@ Snapshots
     :func:`write_snapshot` captures
     :meth:`~repro.fleet.scheduler.FleetScheduler.state_dict` — registry
     device specs (sources pickled with their RNG state), per-device health
-    machines, round history, streaming rings — into one versioned JSON
+    machines, round history, ingest tails — into one versioned JSON
     file, written atomically (tmp file + fsync + rename + directory fsync,
     the :func:`atomic_write_bytes` discipline rule ROB001 enforces across
     ``repro/fleet/``).  A reader never observes a torn snapshot: it sees
@@ -176,7 +176,8 @@ def encode_state(value: Any) -> Any:
     """Recursively encode a state dict into JSON-safe values.
 
     numpy arrays travel as base64 raw bytes plus dtype and shape (compact
-    and bit-exact — the streaming rings are uint64 words), ``bytes`` blobs
+    and bit-exact — ingest tails are uint8 bits, version-1 streaming rings
+    uint64 words), ``bytes`` blobs
     (pickled sources) as base64, numpy scalars as their Python values.
     Tuples become lists; the consumers all tolerate that.
     """
@@ -412,6 +413,8 @@ def replay_records(
     scheduler: FleetScheduler,
     records: List[Dict[str, Any]],
     stats: Optional[JournalReplayStats] = None,
+    *,
+    whole_sequences: bool = False,
 ) -> JournalReplayStats:
     """Re-apply journal records to a restored scheduler, idempotently.
 
@@ -424,6 +427,10 @@ def replay_records(
     their RNG state, so a replayed round is bit-identical to the one the
     crash interrupted.  The scheduler's journal must not be attached yet
     (replayed mutations would be re-journaled).
+
+    ``whole_sequences`` replays only chunks of a positive multiple of n
+    bits: a version-1 matrix-mode fleet journaled every chunk before
+    rejecting any other size, so such a record had no effect then.
     """
     stats = stats if stats is not None else JournalReplayStats()
     for record in records:
@@ -458,8 +465,13 @@ def replay_records(
                         stats.devices_registered += 1
                         _WAL_REPLAYED.inc(outcome="device_registered")
         elif kind == "ingest":
+            nbits = int(record["nbits"])
+            if whole_sequences and nbits % scheduler.registry.n:
+                stats.errors += 1
+                _WAL_REPLAYED.inc(outcome="error")
+                continue
             bits = unpack_bits(
-                base64.b64decode(record["bits"]), count=int(record["nbits"])
+                base64.b64decode(record["bits"]), count=nbits
             )
             try:
                 scheduler.ingest(record["device"], bits, seq=record.get("seq"))
@@ -472,8 +484,9 @@ def replay_records(
                 stats.gaps += 1
                 _WAL_REPLAYED.inc(outcome="gap")
             except (KeyError, ValueError):
-                # A malformed chunk was journaled ahead of its validation
-                # failure; it had no effect then and has none now.
+                # Older builds journaled malformed chunks ahead of their
+                # validation failure; such a chunk had no effect then and
+                # has none now.
                 stats.errors += 1
                 _WAL_REPLAYED.inc(outcome="error")
         else:
@@ -515,9 +528,12 @@ def recover_fleet(
         raise FileNotFoundError(f"no fleet snapshot at {snapshot_path}")
     state, wal_generation = read_snapshot(snapshot_path)
     registry = DeviceRegistry.from_state(state["registry"], catalog=catalog)  # type: ignore[arg-type]
-    # A v1 snapshot's "backend" field is ignored (see load_state).
-    scheduler = FleetScheduler(registry, streaming=state["streaming"])
+    scheduler = FleetScheduler(registry)
     scheduler.load_state(state)
+    # Segments at or after a version-1 snapshot's generation were written
+    # by the build that wrote the snapshot: a new build's first checkpoint
+    # writes version 2 and prunes every older segment.
+    legacy_matrix = state["version"] == 1 and not state["streaming"]
     stats = JournalReplayStats()
     for generation in _segment_generations(spool):
         if generation < wal_generation:
@@ -527,7 +543,7 @@ def recover_fleet(
         stats.segments.append(segment.name)
         if torn:
             stats.torn_segments += 1
-        replay_records(scheduler, records, stats)
+        replay_records(scheduler, records, stats, whole_sequences=legacy_matrix)
     _RECOVERIES.inc()
     return scheduler, stats
 

@@ -183,10 +183,6 @@ class FleetReport(JsonCsvExportMixin):
     mix: Dict[str, int]
     rounds: List[FleetRound] = field(default_factory=list)
     scenarios: List[FleetScenarioStats] = field(default_factory=list)
-    #: Whether the scheduler ran in streaming mode (long-lived per-device
-    #: packed rings with O(1) window rolls instead of per-round matrix
-    #: rebuilds); verdicts are identical either way.
-    streaming: bool = False
     #: Canonical test id -> execution path the engine took for it
     #: ("batched" batch-native kernel / "inline" per-sequence scalar), as
     #: observed on the scheduler's most recent evaluations.  Empty for reports saved before the
@@ -268,7 +264,6 @@ class FleetReport(JsonCsvExportMixin):
                 "fail_after": self.fail_after,
                 "seed": self.seed,
                 "mix": dict(self.mix),
-                "streaming": self.streaming,
             },
             "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
             "scenarios": [stats.to_dict() for stats in self.scenarios],
@@ -289,10 +284,9 @@ class FleetReport(JsonCsvExportMixin):
             mix={str(k): v for k, v in config["mix"].items()},
             rounds=[FleetRound.from_dict(r) for r in data["rounds"]],
             scenarios=[FleetScenarioStats.from_dict(s) for s in data["scenarios"]],
-            # A v1 "backend" config field is ignored: every backend gave
-            # bit-identical verdicts.
-            # Reports saved before streaming mode existed ran the matrix path.
-            streaming=bool(config.get("streaming", False)),
+            # A v1 "backend" or "streaming" config field is ignored: every
+            # backend and both former scheduler modes gave bit-identical
+            # verdicts.
             # Reports saved before the batch-native heavy kernels recorded
             # no per-test paths.
             execution_paths={
@@ -309,7 +303,6 @@ def build_report(
     registry: "DeviceRegistry",
     rounds: List[FleetRound],
     execution_paths: Optional[Dict[str, str]] = None,
-    streaming: bool = False,
 ) -> FleetReport:
     """Aggregate a registry's device health into a :class:`FleetReport`.
 
@@ -359,5 +352,4 @@ def build_report(
         rounds=list(rounds),
         scenarios=scenarios,
         execution_paths=dict(execution_paths or {}),
-        streaming=streaming,
     )

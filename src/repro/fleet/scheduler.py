@@ -20,6 +20,11 @@ draws and the kernels.  Verdict reduction and every fold stay on the
 calling thread.  Only rounds that give every worker a full row tile fan
 out; smaller ones run the same code inline.  There is no knob.
 
+Ingest takes chunks of any size.  As in the paper's platform, whose input
+buffer holds only the unfinished sequence, each device keeps a tail of
+fewer than n bits; the complete sequences of tail plus chunk run through
+the same batch path as one matrix, and the remainder becomes the new tail.
+
 ``benchmarks/bench_fleet.py`` pins the speedup: the multiplexed round must
 stay >= 5x faster than the naive per-device loop at a 512-device fleet.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,7 +44,7 @@ from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
 from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows, pack_rows_into
 from repro.engine.registry import NIST_NUMBER_TO_ID
-from repro.engine.streaming import StreamingBatchContext, StreamingContext
+from repro.engine.streaming import StreamingContext
 from repro.fleet.registry import Device, DeviceRegistry
 from repro.fleet.report import FleetReport, FleetRound, build_report
 from repro.nist.common import BitsLike, to_bits
@@ -190,6 +195,11 @@ def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
     return verdicts
 
 
+#: The empty tail (never written to: tails are replaced, not mutated).
+_NO_BITS = np.zeros(0, dtype=np.uint8)
+_NO_BITS.flags.writeable = False
+
+
 @dataclass
 class _IngestStream:
     """Per-device ingest state (the service path's serialisation point).
@@ -197,17 +207,29 @@ class _IngestStream:
     ``lock`` serialises ingests for one device (chunk order defines the
     stream, and the monotonic ``seq`` contract needs a total per-device
     order) without ever holding the fleet lock across an engine
-    evaluation.  In streaming mode ``context`` is the device's packed ring
-    and ``pending`` counts the bits of the next, not yet complete, n-bit
-    sequence sitting in it; in matrix mode both stay empty and the entry
-    only carries the lock and the idempotency high-water mark
-    ``last_seq``.
+    evaluation.  ``tail`` holds the bits of the device's next, not yet
+    complete, n-bit sequence (fewer than n); ``last_seq`` is the
+    idempotency high-water mark.
     """
 
     lock: threading.Lock
-    context: Optional[StreamingContext] = None
-    pending: int = 0
+    tail: np.ndarray = field(default_factory=lambda: _NO_BITS)
     last_seq: Optional[int] = None
+
+
+def _stored_tail(spec: Dict[str, Any]) -> np.ndarray:
+    """A device's tail from its :meth:`FleetScheduler.state_dict` entry.
+
+    A version-1 entry of a streaming fleet holds the device's packed ring
+    and the count of its pending bits instead: the tail is the ring's last
+    ``pending`` bits.  A version-1 matrix entry holds neither.
+    """
+    if "tail" in spec:
+        return np.asarray(spec["tail"], dtype=np.uint8)
+    pending = int(spec["pending"])
+    if spec["context"] is None or pending == 0:
+        return _NO_BITS
+    return StreamingContext.from_state(spec["context"]).window_matrix(pending).row(0)
 
 
 def _round_slices(rows: int, n: int) -> List[Tuple[int, int]]:
@@ -260,25 +282,15 @@ class FleetScheduler:
         The populated :class:`~repro.fleet.registry.DeviceRegistry`; the
         scheduler evaluates with the registry's shared design point (test
         subset, sequence length) and alpha.
-    streaming:
-        Keep per-shard streaming state instead of rebuilding matrices.
-        Rounds push the fleet's new words into one long-lived
-        :class:`~repro.engine.streaming.StreamingBatchContext` (one packed
-        ring per device) and evaluate the preseeded rolled window; ingest
-        keeps a per-device :class:`~repro.engine.streaming.StreamingContext`
-        and accepts *arbitrary* chunk sizes — partial sequences pend in the
-        device's ring (see :meth:`pending_bits`) instead of being rejected.
-        Verdicts are bit-identical to the matrix path.  Streaming rounds
-        always run inline; matrix rounds fan out over device slices (see
-        the module docstring) with results bit-identical to one worker.
+
+    Rounds fan out over device slices (see the module docstring) with
+    results bit-identical to one worker.  Ingest accepts chunks of any
+    size; a trailing partial sequence waits in the device's tail (see
+    :meth:`pending_bits`) until the next chunk completes it.
     """
 
-    def __init__(self, registry: DeviceRegistry, *, streaming: bool = False):
+    def __init__(self, registry: DeviceRegistry):
         self.registry = registry
-        self.streaming = bool(streaming)
-        # Round-path fleet ring (built on first streaming round, rebuilt only
-        # when the device count changes) and per-device ingest streams.
-        self._round_stream: Optional[StreamingBatchContext] = None
         self._ingest_streams: Dict[str, "_IngestStream"] = {}
         # Guards the ingest-entry dict alone (add-only membership), so
         # state_dict() can enumerate entries *before* taking their locks —
@@ -355,22 +367,6 @@ class FleetScheduler:
             results.extend(future.result() for future in futures)
         return results
 
-    def _round_stream_result(self, matrix: np.ndarray) -> BatchResult:
-        """Streaming round path: push new words, evaluate the rolled window.
-
-        The fleet ring lives across rounds (rebuilt only when the device
-        count changes); each round is one vectorised push of the fleet's
-        new words, and the engine runs on the preseeded window context —
-        the round matrix is never re-packed or re-scanned.
-        """
-        rows, n = matrix.shape
-        with self.lock:
-            if self._round_stream is None or self._round_stream.num_rows != rows:
-                self._round_stream = StreamingBatchContext(rows, n)
-            stream = self._round_stream
-        stream.push(matrix)
-        return run_batch(stream.window_context(), tests=list(self.registry.tests))
-
     # ------------------------------------------------------------- rounds
     def run_round(self) -> FleetRound:
         """Advance every simulated device by one sequence.
@@ -379,11 +375,9 @@ class FleetScheduler:
         stream — staged attacks and aging trajectories unfold across
         rounds), evaluates the fleet through the engine — fanned out over
         device slices when the round is large enough — and folds each
-        verdict into its device's health machine on the calling thread.  In
-        ``streaming`` mode the fleet matrix is pushed into the long-lived
-        fleet ring and the rolled window is evaluated instead (identical
-        verdicts).  If generation or evaluation raises, nothing is folded
-        and no round is recorded or journaled.
+        verdict into its device's health machine on the calling thread.
+        If generation or evaluation raises, nothing is folded and no round
+        is recorded or journaled.
         """
         with self.lock:
             devices = self.registry.simulated_devices()
@@ -391,22 +385,11 @@ class FleetScheduler:
                 raise ValueError(
                     "no simulated devices registered; populate() the fleet first"
                 )
-            n = self.registry.n
             # The root span is also the round timer: its duration feeds both
             # FleetRound.elapsed_s and the latency histogram (spans always
             # measure, even with recording disabled — see repro.obs.tracing).
-            with obs.trace(
-                "fleet.run_round", devices=len(devices), streaming=self.streaming
-            ) as root:
-                if self.streaming:
-                    with obs.span("generate"):
-                        matrix = np.empty((len(devices), n), dtype=np.uint8)
-                        for row, device in enumerate(devices):
-                            matrix[row] = device.source.generate_block(n)
-                    with obs.span("evaluate"):
-                        results = [self._round_stream_result(matrix)]
-                else:
-                    results = self._evaluate_round(devices, root)
+            with obs.trace("fleet.run_round", devices=len(devices)) as root:
+                results = self._evaluate_round(devices, root)
                 with obs.span("fold"):
                     verdicts: List[FleetVerdict] = []
                     for result in results:
@@ -454,15 +437,13 @@ class FleetScheduler:
     ) -> List[MonitorEvent]:
         """Evaluate raw bits for one registered device (the service path).
 
-        ``bits`` is anything :func:`~repro.nist.common.to_bits` accepts.  In
-        the default matrix mode it must hold a positive multiple of the
-        design's sequence length; each n-bit sequence is evaluated through
-        the engine and folded into the device's health machine in order.
-        In ``streaming`` mode *any* positive number of bits is accepted:
-        chunks append to the device's packed ring, a window is evaluated
-        whenever n new bits have accumulated, and a trailing partial
-        sequence simply pends in the ring (:meth:`pending_bits`) until the
-        next chunk completes it — the device's stream is never rebuilt.
+        ``bits`` is anything :func:`~repro.nist.common.to_bits` accepts,
+        at least one bit.  The chunk extends the device's tail; every
+        complete n-bit sequence of the result is evaluated through the
+        engine as one matrix and folded into the device's health machine in
+        order, and the remainder (fewer than n bits) becomes the new tail
+        (:meth:`pending_bits`).  An empty chunk raises ``ValueError`` before
+        anything is journaled.
 
         ``seq`` opts the chunk into the idempotent sequenced contract: per
         device, sequence numbers must arrive strictly in order.  A replayed
@@ -470,9 +451,10 @@ class FleetScheduler:
         :class:`DuplicateIngestError` *without* re-applying anything, an
         out-of-order chunk (``seq > last + 1``) raises
         :class:`IngestSequenceGapError` without applying it, and the
-        sequence number commits only after the chunk's effects are fully
-        folded — which is what lets clients retry blindly and the
-        durability layer replay its write-ahead journal after a crash.
+        sequence number commits, together with the new tail, only after the
+        chunk's effects are fully folded — which is what lets clients retry
+        blindly and the durability layer replay its write-ahead journal
+        after a crash.
 
         Only the health-machine fold takes the fleet lock: the engine
         evaluation itself is pure compute over the submitted bits (the
@@ -485,6 +467,8 @@ class FleetScheduler:
         device = self.registry.get(device_id)
         arr = to_bits(bits)
         _INGEST_BITS.inc(arr.size)
+        if arr.size == 0:
+            raise ValueError("ingest needs at least one bit")
         n = self.registry.n
         entry = self._ingest_entry(device_id)
         with entry.lock:
@@ -497,39 +481,18 @@ class FleetScheduler:
             journal = self.journal
             if journal is not None:
                 journal.append_ingest(device_id, arr, seq=seq)
-            verdicts: List[FleetVerdict]
-            if self.streaming:
-                if arr.size == 0:
-                    raise ValueError("streaming ingest needs at least one bit")
-                context = entry.context
-                assert context is not None  # streaming entries always carry a ring
-                verdicts = []
-                offset = 0
-                while offset < arr.size:
-                    take = min(n - entry.pending, arr.size - offset)
-                    context.push(arr[offset : offset + take])
-                    offset += take
-                    entry.pending += take
-                    if entry.pending == n:
-                        result = run_batch(
-                            context.window_context(),
-                            tests=list(self.registry.tests),
-                        )
-                        verdicts.extend(self._fold(result, self.registry.alpha))
-                        entry.pending = 0
-            else:
-                if arr.size == 0 or arr.size % n != 0:
-                    raise ValueError(
-                        f"ingest needs a positive multiple of {n} bits "
-                        f"(the {self.registry.design_name} sequence length), "
-                        f"got {arr.size}"
-                    )
-                verdicts = self.evaluate_matrix(arr.reshape(-1, n))
+            if entry.tail.size:
+                arr = np.concatenate((entry.tail, arr))
+            complete = arr.size - arr.size % n
+            verdicts = (
+                self.evaluate_matrix(arr[:complete].reshape(-1, n)) if complete else []
+            )
             with self.lock:
                 events = self._observe_all(device, verdicts)
-            # Commit the idempotency high-water mark only after the fold:
-            # a chunk that failed validation or evaluation stays unapplied
-            # and must be resendable under the same seq.
+            # Commit the tail and the idempotency high-water mark only after
+            # the fold: a chunk whose evaluation failed stays unapplied and
+            # must be resendable under the same seq.
+            entry.tail = arr[complete:].copy()
             if seq is not None:
                 entry.last_seq = seq
             return events
@@ -586,20 +549,14 @@ class FleetScheduler:
         with self._streams_lock:
             entry = self._ingest_streams.get(device_id)
             if entry is None:
-                entry = _IngestStream(
-                    lock=threading.Lock(),
-                    context=(
-                        StreamingContext(self.registry.n) if self.streaming else None
-                    ),
-                )
+                entry = _IngestStream(lock=threading.Lock())
                 self._ingest_streams[device_id] = entry
             return entry
 
     def pending_bits(self, device_id: str) -> int:
-        """Bits of the device's next sequence pending in its ingest ring.
+        """Bits of the device's next sequence waiting in its ingest tail.
 
-        Always 0 outside streaming mode (partial sequences are rejected
-        there) and for devices that have not streamed yet.
+        0 for devices that have not ingested yet.
         """
         self.registry.get(device_id)
         with self._streams_lock:
@@ -607,7 +564,7 @@ class FleetScheduler:
         if entry is None:
             return 0
         with entry.lock:
-            return entry.pending
+            return int(entry.tail.size)
 
     # ------------------------------------------------------------- state dict
     def state_dict(self) -> Dict[str, Any]:
@@ -616,9 +573,9 @@ class FleetScheduler:
         Covers the registry's device specs and health machines (sources
         pickled with their RNG state — see
         :meth:`~repro.fleet.registry.DeviceRegistry.state_dict` for the
-        trust caveat), the round history, the execution-path record, the
-        round-path fleet ring and every device's ingest entry (ring,
-        pending bits, idempotency high-water mark).
+        trust caveat), the round history, the execution-path record and
+        every device's ingest entry (tail bits, idempotency high-water
+        mark).
 
         The capture is crash-consistent: locks are taken in the same order
         every ingest uses (device entry locks first, then the fleet lock),
@@ -641,27 +598,15 @@ class FleetScheduler:
             for _, entry in entries:
                 entry.lock.release()
         try:
-            streams: Dict[str, Any] = {}
-            for device_id, entry in entries:
-                streams[device_id] = {
-                    "pending": entry.pending,
-                    "last_seq": entry.last_seq,
-                    "context": (
-                        None if entry.context is None else entry.context.state_dict()
-                    ),
-                }
             return {
-                "version": 1,
-                "streaming": self.streaming,
+                "version": 2,
                 "registry": self.registry.state_dict(),
                 "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
                 "execution_paths": dict(self.execution_paths),
-                "round_stream": (
-                    None
-                    if self._round_stream is None
-                    else self._round_stream.state_dict()
-                ),
-                "ingest_streams": streams,
+                "ingest_streams": {
+                    device_id: {"tail": entry.tail, "last_seq": entry.last_seq}
+                    for device_id, entry in entries
+                },
             }
         finally:
             self.lock.release()
@@ -671,22 +616,20 @@ class FleetScheduler:
     def load_state(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_dict` capture into this scheduler.
 
-        The streaming mode must match the capture (it shapes the per-device
-        state), and the registry configuration is validated by
-        :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  A
-        ``backend`` field in older captures is ignored, whatever its value:
-        every backend gave bit-identical statistics.  After the restore,
-        subsequent rounds and sequenced ingests are bit-identical to the
-        uninterrupted run.
+        Reads version 2 and the version-1 captures of both former scheduler
+        modes.  The registry configuration is validated by
+        :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  Fields of
+        older captures are ignored where they no longer shape any verdict:
+        ``backend`` (every backend gave bit-identical statistics),
+        ``streaming``, and a streaming fleet's ``round_stream`` ring (every
+        round pushed n fresh bits, so the ring never reached a later
+        verdict); a streaming device's ring becomes its tail (see
+        :func:`_stored_tail`).  After the restore, subsequent rounds and
+        sequenced ingests are bit-identical to the uninterrupted run.
         """
-        if state.get("version") != 1:
+        if state.get("version") not in (1, 2):
             raise ValueError(
                 f"unsupported fleet state version {state.get('version')!r}"
-            )
-        if state["streaming"] != self.streaming:
-            raise ValueError(
-                f"fleet state mismatch: streaming is {state['streaming']!r}, "
-                f"this scheduler has {self.streaming!r}"
             )
         with self.lock:
             self.registry.load_state(state["registry"])
@@ -694,24 +637,12 @@ class FleetScheduler:
                 FleetRound.from_dict(entry) for entry in state["rounds"]
             ]
             self.execution_paths = dict(state["execution_paths"])
-            round_stream = state["round_stream"]
-            self._round_stream = (
-                None
-                if round_stream is None
-                else StreamingBatchContext.from_state(round_stream)
-            )
         with self._streams_lock:
             self._ingest_streams.clear()
             for device_id, spec in state["ingest_streams"].items():
-                context_state = spec["context"]
                 self._ingest_streams[device_id] = _IngestStream(
                     lock=threading.Lock(),
-                    context=(
-                        None
-                        if context_state is None
-                        else StreamingContext.from_state(context_state)
-                    ),
-                    pending=int(spec["pending"]),
+                    tail=_stored_tail(spec),
                     last_seq=spec["last_seq"],
                 )
 
@@ -733,5 +664,4 @@ class FleetScheduler:
                 self.registry,
                 self.rounds,
                 execution_paths=dict(self.execution_paths),
-                streaming=self.streaming,
             )

@@ -10,14 +10,12 @@ network-facing API without a single new dependency.  Endpoints:
     only through ingest.
 ``POST /ingest``
     Evaluate raw bits for a registered device.  Body ``{"device_id": "...",
-    "bits": "0101..."}`` where ``bits`` is an ASCII 0/1 string holding a
-    positive multiple of the design's sequence length; every n-bit sequence
-    runs through the engine's batch path and folds into the device's health
-    machine.  Responds with the per-sequence verdicts and the new state.
-    On a streaming scheduler the multiple-of-n restriction is lifted: any
-    chunk size is accepted, windows are evaluated from the device's packed
-    ring as they complete, and the response's ``pending_bits`` reports the
-    partial sequence still waiting in the ring.
+    "bits": "0101..."}`` where ``bits`` is an ASCII 0/1 string of at least
+    one bit.  The chunk extends the device's tail of unfinished bits; every
+    n-bit sequence it completes runs through the engine's batch path and
+    folds into the device's health machine.  Responds with the per-sequence
+    verdicts, the new state and ``pending_bits``, the partial sequence still
+    waiting in the tail.
 ``GET /devices/<id>/health``
     Health snapshot of one device.
 ``GET /fleet/summary``
@@ -297,8 +295,7 @@ class FleetService:
         }
         if seq is not None:
             response["last_seq"] = seq
-        if self.scheduler.streaming:
-            response["pending_bits"] = self.scheduler.pending_bits(device_id)
+        response["pending_bits"] = self.scheduler.pending_bits(device_id)
         return response
 
     # --------------------------------------------------------- backpressure
@@ -373,7 +370,6 @@ class FleetService:
             "design": report.design,
             "n": report.n,
             "alpha": report.alpha,
-            "streaming": report.streaming,
             "execution_paths": dict(sorted(report.execution_paths.items())),
             "num_devices": report.num_devices,
             "rounds_completed": report.rounds_completed,

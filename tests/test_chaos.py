@@ -13,13 +13,13 @@ import pytest
 from repro.fleet.chaos import ChaosConfig, ChaosResult, run_chaos
 
 
-@pytest.mark.parametrize("streaming", [False, True], ids=["matrix", "streaming"])
-def test_kill9_recovery_matches_uninterrupted_run(streaming):
+def test_kill9_recovery_matches_uninterrupted_run():
+    # Chunk sizes vary between n/2 and ~3n/2, so partial sequences wait in
+    # the device tails when the service is killed.
     config = ChaosConfig(
         devices=2,
         chunks_per_device=3,
         seed=13,
-        streaming=streaming,
         snapshot_interval_s=0.1,
     )
     result = run_chaos(config)

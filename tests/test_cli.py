@@ -56,6 +56,15 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["fleet", "run"], ["fleet", "serve"], ["chaos"]])
+    def test_streaming_flag_is_gone(self, argv, capsys):
+        # The fleet has one scheduler mode: --streaming is an unknown
+        # argument there (monitor --streaming stays).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--streaming"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "--streaming" in capsys.readouterr().err
+
 
 class TestDesignsCommand:
     def test_lists_all_eight_designs(self):
@@ -390,7 +399,7 @@ class TestSuiteCommand:
 
 
 class TestStreamingFlags:
-    """--streaming wiring: path banner, flag validation, fleet mode."""
+    """monitor --streaming wiring: path banner and flag validation."""
 
     def test_monitor_streaming_runs_and_prints_the_path(self):
         code, text = run_cli(
@@ -450,13 +459,3 @@ class TestStreamingFlags:
         )
         assert code == 2
         assert "history_bits must be at least" in text
-
-    def test_fleet_run_streaming_mode(self):
-        code, text = run_cli(
-            ["fleet", "run", "--devices", "16", "--rounds", "2", "--seed", "9",
-             "--streaming",
-             "--mix", "healthy-ideal:0.9,wire-cut:0.1"]
-        )
-        assert code == 0
-        assert "fleet: 16 devices on n128_light" in text
-        assert "wire-cut" in text

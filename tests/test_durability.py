@@ -4,7 +4,7 @@ The load-bearing invariant throughout: ``load_state(state_dict())`` puts a
 fresh object into a state *bit-identical* to the original — pinned not by
 comparing internals but by running both sides forward and demanding
 identical observable behaviour (health verdicts, round reports, streaming
-windows).
+windows, ingest tails).
 """
 
 import json
@@ -40,11 +40,11 @@ from repro.fleet.durability import (
 )
 
 
-def make_fleet(streaming=False, devices=8, seed=5):
+def make_fleet(devices=8, seed=5):
     registry = DeviceRegistry("n128_light")
     mix = FleetMix.parse("healthy-ideal:0.7,biased-0.60:0.3")
     registry.populate(devices, mix, seed=seed)
-    return FleetScheduler(registry, streaming=streaming)
+    return FleetScheduler(registry)
 
 
 def round_key(fleet_round):
@@ -246,14 +246,13 @@ class TestMonitorRoundTrip:
 
 # ------------------------------------------------------- scheduler round-trip
 class TestSchedulerStateRoundTrip:
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_continued_rounds_are_bit_identical(self, streaming):
-        scheduler = make_fleet(streaming=streaming)
+    def test_continued_rounds_are_bit_identical(self):
+        scheduler = make_fleet()
         scheduler.run(3)
         state = scheduler.state_dict()
 
         registry = DeviceRegistry.from_state(state["registry"])
-        clone = FleetScheduler(registry, streaming=state["streaming"])
+        clone = FleetScheduler(registry)
         clone.load_state(state)
         assert health_map(clone) == health_map(scheduler)
         assert len(clone.rounds) == len(scheduler.rounds)
@@ -281,6 +280,34 @@ class TestSchedulerStateRoundTrip:
         clone.close()
         scheduler.close()
 
+    def test_tails_survive(self):
+        scheduler = make_fleet()
+        device = scheduler.registry.device_ids()[0]
+        rng = np.random.default_rng(2)
+        scheduler.ingest(device, rng.integers(0, 2, 300, dtype=np.uint8), seq=0)
+        state = scheduler.state_dict()
+        assert state["version"] == 2
+        assert state["ingest_streams"][device]["tail"].size == 44
+        clone = FleetScheduler(DeviceRegistry.from_state(state["registry"]))
+        clone.load_state(decode_state(json.loads(json.dumps(encode_state(state)))))
+        assert clone.pending_bits(device) == 44
+        chunk = rng.integers(0, 2, 100, dtype=np.uint8)
+        ours = clone.ingest(device, chunk, seq=1)
+        theirs = scheduler.ingest(device, chunk, seq=1)
+        assert [e.report for e in ours] == [e.report for e in theirs] and len(ours) == 1
+        assert health_map(clone) == health_map(scheduler)
+        assert clone.pending_bits(device) == scheduler.pending_bits(device) == 16
+        clone.close()
+        scheduler.close()
+
+    def test_unknown_state_version_is_rejected(self):
+        scheduler = make_fleet(devices=2)
+        state = scheduler.state_dict()
+        state["version"] = 3
+        with pytest.raises(ValueError, match="unsupported fleet state version"):
+            FleetScheduler(DeviceRegistry.from_state(state["registry"])).load_state(state)
+        scheduler.close()
+
 
 class TestSequencedIngestContract:
     def test_duplicate_and_gap_do_not_mutate(self):
@@ -302,11 +329,27 @@ class TestSequencedIngestContract:
         device = scheduler.registry.device_ids()[0]
         scheduler.ingest(device, "01" * 64, seq=0)
         with pytest.raises(ValueError):
-            scheduler.ingest(device, "0" * 7, seq=1)  # not a multiple of n
+            scheduler.ingest(device, "", seq=1)  # an empty chunk
         # The failed chunk stays resendable under the same seq.
         assert scheduler.last_ingest_seq(device) == 0
         scheduler.ingest(device, "01" * 64, seq=1)
         assert scheduler.last_ingest_seq(device) == 1
+        scheduler.close()
+
+    def test_empty_sequenced_ingest_is_not_journaled(self, tmp_path):
+        scheduler = make_fleet(devices=4)
+        durable = DurableFleet(scheduler, tmp_path, snapshot_interval_s=None)
+        durable.start()
+        device = scheduler.registry.device_ids()[0]
+        scheduler.ingest(device, "01" * 40, seq=0)
+        for empty in ("", " ", np.zeros(0, dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                scheduler.ingest(device, empty, seq=1)
+        records, _ = read_journal(durable.journal.path)
+        assert [(r["t"], r["seq"], r["nbits"]) for r in records] == [("ingest", 0, 80)]
+        assert scheduler.last_ingest_seq(device) == 0
+        assert scheduler.pending_bits(device) == 80
+        durable.close()
         scheduler.close()
 
     def test_unsequenced_ingest_still_works(self):
@@ -320,20 +363,16 @@ class TestSequencedIngestContract:
 
 # ------------------------------------------------------- durable fleet + recovery
 class TestDurableFleetRecovery:
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_kill_dash_nine_recovery_is_bit_identical(self, tmp_path, streaming):
-        scheduler = make_fleet(streaming=streaming)
+    @pytest.mark.parametrize("width", [128, 200])
+    def test_kill_dash_nine_recovery_is_bit_identical(self, tmp_path, width):
+        scheduler = make_fleet()
         scheduler.run_round()
         durable = DurableFleet(scheduler, tmp_path, snapshot_interval_s=None)
         durable.start()
         rng = np.random.default_rng(9)
         device = scheduler.registry.device_ids()[0]
         for seq in range(4):
-            scheduler.ingest(
-                device, rng.integers(0, 2, 200, dtype=np.uint8)
-                if streaming else rng.integers(0, 2, 128, dtype=np.uint8),
-                seq=seq,
-            )
+            scheduler.ingest(device, rng.integers(0, 2, width, dtype=np.uint8), seq=seq)
         scheduler.run_round()
         expected = health_map(scheduler)
         # No close(): this is the kill -9. Recovery = snapshot + journal.
@@ -341,46 +380,8 @@ class TestDurableFleetRecovery:
         assert health_map(recovered) == expected
         assert stats.applied == 4 and stats.rounds_applied == 1
         assert recovered.last_ingest_seq(device) == 3
+        assert recovered.pending_bits(device) == scheduler.pending_bits(device)
         assert round_key(recovered.run_round()) == round_key(scheduler.run_round())
-        recovered.close()
-        durable.close()
-        scheduler.close()
-
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_v1_backend_field_is_ignored_on_recovery(self, tmp_path, streaming):
-        """A snapshot written when the scheduler still had a compute-backend
-        option (here the byte-per-bit one) restores and replays exactly."""
-        scheduler = make_fleet(streaming=streaming)
-        scheduler.run_round()
-        rng = np.random.default_rng(4)
-        device = scheduler.registry.device_ids()[0]
-        width = 200 if streaming else 128
-        for seq in range(2):
-            scheduler.ingest(device, rng.integers(0, 2, width, dtype=np.uint8), seq=seq)
-        durable = DurableFleet(scheduler, tmp_path, snapshot_interval_s=None)
-        durable.start()
-        for seq in range(2, 4):
-            scheduler.ingest(device, rng.integers(0, 2, width, dtype=np.uint8), seq=seq)
-        scheduler.run_round()
-        expected = health_map(scheduler)
-
-        snapshot = tmp_path / "snapshot.json"
-        payload = json.loads(snapshot.read_text())
-        state = payload["scheduler"]
-        state["backend"] = "uint8"
-        streams = [state["round_stream"]] + [
-            spec["context"] for spec in state["ingest_streams"].values()
-        ]
-        for stream in streams:
-            if stream is not None:
-                stream["backend"] = "uint8"
-        snapshot.write_text(json.dumps(payload))
-
-        recovered, stats = recover_fleet(tmp_path)
-        assert health_map(recovered) == expected
-        assert stats.applied == 2 and stats.rounds_applied == 1
-        assert round_key(recovered.run_round()) == round_key(scheduler.run_round())
-        assert "backend" not in recovered.state_dict()
         recovered.close()
         durable.close()
         scheduler.close()

@@ -192,14 +192,15 @@ class TestFleetScheduler:
         assert not verdict.passed
         assert verdict.failing_tests == (1, 2, 3, 4, 13)
 
-    def test_ingest_requires_whole_sequences(self):
+    def test_ingest_keeps_a_partial_tail(self):
         registry = small_fleet(num_devices=4)
         scheduler = FleetScheduler(registry)
         device_id = registry.device_ids()[0]
-        with pytest.raises(ValueError):
-            scheduler.ingest(device_id, np.zeros(5, dtype=np.uint8))
+        assert scheduler.ingest(device_id, np.zeros(5, dtype=np.uint8)) == []
+        assert scheduler.pending_bits(device_id) == 5
         events = scheduler.ingest(device_id, np.zeros(256, dtype=np.uint8))
         assert len(events) == 2
+        assert scheduler.pending_bits(device_id) == 5
         assert registry.get(device_id).state is HealthState.FAILED
 
     def test_empty_fleet_round_is_an_error(self):
@@ -245,6 +246,17 @@ class TestFleetReport:
         data["config"]["backend"] = backend
         assert FleetReport.from_json(json.dumps(data)) == report
 
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_saved_streaming_field_still_loads(self, report, streaming):
+        # Reports saved while the scheduler had a streaming mode carry it in
+        # their config; it is read past, whatever its value.
+        import json
+
+        data = report.to_dict()
+        assert "streaming" not in data["config"]
+        data["config"]["streaming"] = streaming
+        assert FleetReport.from_json(json.dumps(data)) == report
+
     def test_csv_columns_stable(self, report):
         header = report.to_csv().splitlines()[0]
         assert header == ",".join(SUMMARY_COLUMNS)
@@ -288,40 +300,13 @@ class TestPercentile:
             percentile([1], 101)
 
 
-class TestStreamingScheduler:
-    """Streaming mode: rolled fleet rounds and arbitrary-chunk ingest."""
-
-    def _health_trajectory(self, scheduler, rounds):
-        trajectory = []
-        for _ in range(rounds):
-            fleet_round = scheduler.run_round()
-            trajectory.append(
-                (fleet_round.failing_sequences, dict(fleet_round.health))
-            )
-        return trajectory
-
-    def test_streaming_rounds_match_matrix_rounds(self):
-        matrix_mode = FleetScheduler(small_fleet(num_devices=24, seed=7))
-        streaming = FleetScheduler(
-            small_fleet(num_devices=24, seed=7), streaming=True
-        )
-        left = self._health_trajectory(matrix_mode, 4)
-        right = self._health_trajectory(streaming, 4)
-        assert left == right
-        assert any(failing > 0 for failing, _ in left)  # threats really fire
-        assert streaming.report().streaming is True
-        assert matrix_mode.report().streaming is False
-
-    def test_streaming_report_flag_survives_serialization(self):
-        scheduler = FleetScheduler(small_fleet(num_devices=8, seed=5), streaming=True)
-        scheduler.run_round()
-        report = scheduler.report()
-        assert FleetReport.from_dict(report.to_dict()).streaming is True
+class TestChunkedIngest:
+    """Ingest of any chunk size: a partial sequence waits in the tail."""
 
     def test_ingest_accepts_arbitrary_chunks(self):
         registry = small_fleet(num_devices=8, seed=21)
         device_id = registry.device_ids()[0]
-        scheduler = FleetScheduler(registry, streaming=True)
+        scheduler = FleetScheduler(registry)
         n = registry.n
         rng = np.random.default_rng(99)
         bits = rng.integers(0, 2, size=2 * n + 37, dtype=np.uint8)
@@ -333,11 +318,11 @@ class TestStreamingScheduler:
                 break
             events.extend(scheduler.ingest(device_id, bits[offset : offset + take]))
             offset += take
-        # Two full sequences were completed; 37 bits pend in the ring.
+        # Two full sequences were completed; 37 bits wait in the tail.
         assert len(events) == 2
         assert scheduler.pending_bits(device_id) == 37
-        # The streamed verdicts equal the matrix-mode evaluation of the
-        # same two sequences.
+        # The chunked verdicts equal one whole-sequence ingest of the same
+        # two sequences.
         reference = FleetScheduler(small_fleet(num_devices=8, seed=21))
         ref_events = reference.ingest(device_id, bits[: 2 * n])
         assert [e.report.failing_tests for e in events] == [
@@ -345,21 +330,45 @@ class TestStreamingScheduler:
         ]
         assert [e.state for e in events] == [e.state for e in ref_events]
 
-    def test_streaming_ingest_rejects_empty(self):
+    def test_ingest_rejects_empty(self):
         registry = small_fleet(num_devices=4, seed=2)
-        scheduler = FleetScheduler(registry, streaming=True)
+        scheduler = FleetScheduler(registry)
+        device_id = registry.device_ids()[0]
         with pytest.raises(ValueError):
-            scheduler.ingest(registry.device_ids()[0], np.zeros(0, dtype=np.uint8))
+            scheduler.ingest(device_id, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            scheduler.ingest(device_id, " ")
+        assert scheduler.pending_bits(device_id) == 0
 
-    def test_pending_bits_outside_streaming_mode(self):
+    def test_pending_bits(self):
         registry = small_fleet(num_devices=4, seed=3)
         scheduler = FleetScheduler(registry)
         device_id = registry.device_ids()[0]
         assert scheduler.pending_bits(device_id) == 0
-        with pytest.raises(ValueError):
-            scheduler.ingest(device_id, np.zeros(37, dtype=np.uint8))
+        scheduler.ingest(device_id, np.zeros(37, dtype=np.uint8))
+        assert scheduler.pending_bits(device_id) == 37
         with pytest.raises(KeyError):
             scheduler.pending_bits("no-such-device")
+
+    def test_failed_evaluation_leaves_the_tail(self, monkeypatch):
+        registry = small_fleet(num_devices=4, seed=4)
+        scheduler = FleetScheduler(registry)
+        device_id = registry.device_ids()[0]
+        scheduler.ingest(device_id, np.ones(100, dtype=np.uint8), seq=0)
+
+        def broken(matrix):
+            raise RuntimeError("engine down")
+
+        monkeypatch.setattr(scheduler, "evaluate_matrix", broken)
+        with pytest.raises(RuntimeError):
+            scheduler.ingest(device_id, np.zeros(60, dtype=np.uint8), seq=1)
+        assert scheduler.pending_bits(device_id) == 100
+        assert scheduler.last_ingest_seq(device_id) == 0
+        monkeypatch.undo()
+        # The chunk is resent under the same seq and completes a sequence.
+        (event,) = scheduler.ingest(device_id, np.zeros(60, dtype=np.uint8), seq=1)
+        assert scheduler.pending_bits(device_id) == 32
+        assert scheduler.last_ingest_seq(device_id) == 1
 
 
 class TestFanOut:

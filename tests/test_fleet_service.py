@@ -124,9 +124,14 @@ class TestServiceEndToEnd:
         )
         assert status == 400 and "0" in body["error"]
         status, _ = call(
-            server_base, "POST", "/ingest", {"device_id": "edge-400", "bits": "01"}
+            server_base, "POST", "/ingest", {"device_id": "edge-400", "bits": " "}
         )
         assert status == 400
+        # A partial sequence is accepted; it waits in the device's tail.
+        status, body = call(
+            server_base, "POST", "/ingest", {"device_id": "edge-400", "bits": "01"}
+        )
+        assert status == 200 and body["pending_bits"] == 2
         status, _ = call(
             server_base, "POST", "/devices", {"device_id": "edge-bad-scenario",
                                               "scenario": "not-a-threat"}
@@ -223,7 +228,7 @@ class TestServiceConcurrency:
             status, body = summary_result["response"]
             assert status == 200
             assert body["rounds_completed"] == 1
-            assert body["streaming"] is False and "backend" not in body
+            assert "streaming" not in body and "backend" not in body
         finally:
             summary_release.set()
             server.shutdown()
@@ -257,13 +262,13 @@ class TestServiceFacade:
         assert summary["num_devices"] == 4
 
 
-class TestStreamingService:
-    """Streaming scheduler behind the service: chunked ingest + pending_bits."""
+class TestChunkedIngestService:
+    """Chunks of any size behind the service, with ``pending_bits``."""
 
     def make_service(self):
         registry = DeviceRegistry("n128_light")
         registry.populate(4, FleetMix.healthy_with_threats(0.9), seed=0)
-        return FleetService(FleetScheduler(registry, streaming=True))
+        return FleetService(FleetScheduler(registry))
 
     def test_partial_chunk_pends_then_completes(self):
         service = self.make_service()
@@ -281,23 +286,27 @@ class TestStreamingService:
     def test_arbitrary_chunk_sizes_accepted(self):
         service = self.make_service()
         device_id = service.registry.device_ids()[1]
-        # 1-bit chunks would be rejected by the matrix path; streaming
-        # ingest takes them and reports the growing remainder.
+        # 1-bit chunks are taken; the response reports the growing tail.
         for index in range(3):
             response = service.ingest({"device_id": device_id, "bits": "1"})
             assert response["pending_bits"] == index + 1
 
-    def test_summary_reports_streaming_mode(self):
+    def test_whole_sequences_leave_no_pending_bits(self):
         service = self.make_service()
-        assert service.fleet_summary()["streaming"] is True
-
-    def test_matrix_mode_has_no_pending_bits_field(self):
-        registry = DeviceRegistry("n128_light")
-        registry.populate(2, FleetMix.healthy_with_threats(0.9), seed=1)
-        service = FleetService(FleetScheduler(registry))
-        device_id = registry.device_ids()[0]
+        device_id = service.registry.device_ids()[2]
         response = service.ingest(
-            {"device_id": device_id, "bits": bits_string(IdealSource(seed=43), 128)}
+            {"device_id": device_id, "bits": bits_string(IdealSource(seed=43), 256)}
         )
-        assert "pending_bits" not in response
-        assert service.fleet_summary()["streaming"] is False
+        assert response["sequences"] == 2
+        assert response["pending_bits"] == 0
+
+    def test_whitespace_only_bits_are_a_400(self):
+        service = self.make_service()
+        device_id = service.registry.device_ids()[3]
+        with pytest.raises(ServiceError) as excinfo:
+            service.ingest({"device_id": device_id, "bits": " \n"})
+        assert excinfo.value.status == 400
+        assert service.scheduler.pending_bits(device_id) == 0
+
+    def test_summary_has_no_mode_field(self):
+        assert "streaming" not in self.make_service().fleet_summary()
