@@ -1,20 +1,26 @@
 """Committed baseline of accepted findings, with staleness enforcement.
 
-A baseline entry grandfathers one *justified* finding: rule id, path, line,
-the stripped source line it anchors to, and a written justification.  The
-contract is deliberately strict so the baseline can never rot silently:
+A baseline entry grandfathers one *justified* finding: rule id, path, the
+stripped source line it anchors to (its snippet), the line where that
+snippet stood when the entry was written, and a written justification.
+An entry matches on rule, path and snippet, so an edit that only moves
+the line keeps it valid; the contract is otherwise strict so the baseline
+can never rot silently:
 
 * every entry must carry a non-empty ``justification`` — an unjustified
   entry invalidates the whole baseline (exit code 2);
-* an entry whose file is gone, whose line number is past the end of the
-  file, or whose recorded snippet no longer matches that exact line is
-  **stale** and fails the run (the referenced line no longer exists);
-* an entry that matches its line but no longer matches any live finding is
-  equally stale — the violation was fixed, so the baseline slot must go.
+* an entry whose file is gone, or whose snippet is no longer a line of the
+  file, is **stale** and fails the run (the referenced line no longer
+  exists);
+* each entry accepts at most one finding, so a second identical finding
+  stays live;
+* an entry that no longer matches any live finding is equally stale — the
+  violation was fixed, so the baseline slot must go.
 
 ``--update-baseline`` rewrites the file from the current findings,
-preserving justifications of surviving entries and inserting a
-``TODO: justify`` placeholder (which itself fails validation) for new ones.
+recording each finding's current line and preserving justifications of
+surviving entries, and inserts a ``TODO: justify`` placeholder (which
+itself fails validation) for new ones.
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ class BaselineEntry:
 
     def key(self) -> Tuple[str, str, int, str]:
         return (self.rule, self.path, self.line, self.snippet)
+
+    def anchor(self) -> Tuple[str, str, str]:
+        """What a finding must share to be accepted: rule, path and snippet."""
+        return (self.rule, self.path, self.snippet)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -132,16 +142,12 @@ class Baseline:
                 )
                 continue
             with open(entry.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-            if entry.line < 1 or entry.line > len(lines):
+                lines = {line.strip() for line in handle.read().splitlines()}
+            if entry.snippet not in lines:
                 errors.append(
-                    f"stale baseline entry {entry.rule}: {entry.path} has "
-                    f"{len(lines)} lines, entry references line {entry.line}"
-                )
-            elif lines[entry.line - 1].strip() != entry.snippet:
-                errors.append(
-                    f"stale baseline entry {entry.rule} at {entry.path}:{entry.line}: "
-                    f"the line changed (expected {entry.snippet!r})"
+                    f"stale baseline entry {entry.rule}: {entry.path} references "
+                    f"line {entry.line}, but the line changed: {entry.snippet!r} "
+                    f"is no longer in the file"
                 )
         return errors
 
@@ -151,29 +157,33 @@ class Baseline:
     ) -> Tuple[List[Finding], List[Finding], List[str]]:
         """Split findings into (live, baselined) and report unmatched entries.
 
-        A finding is baselined when an entry matches its rule, path, line
-        and snippet exactly.  Entries left unmatched after the pass are
-        stale (the finding they accepted no longer fires) and are returned
-        as errors.
+        A finding is baselined when an unused entry matches its rule, path
+        and snippet; the entry recorded at the finding's own line is
+        preferred, any other takes a moved line.  Each entry accepts one
+        finding.  Entries left unmatched after the pass are stale (the
+        finding they accepted no longer fires) and are returned as errors.
         """
-        by_key: Dict[Tuple[str, str, int, str], BaselineEntry] = {
-            entry.key(): entry for entry in self.entries
-        }
+        pool: Dict[Tuple[str, str, str], List[BaselineEntry]] = {}
+        for entry in self.entries:
+            pool.setdefault(entry.anchor(), []).append(entry)
         live: List[Finding] = []
         baselined: List[Finding] = []
-        matched = set()
         for finding in findings:
-            key = (finding.rule, finding.path, finding.line, finding.snippet)
-            if key in by_key:
-                matched.add(key)
+            candidates = pool.get((finding.rule, finding.path, finding.snippet))
+            if candidates:
+                entry = next(
+                    (e for e in candidates if e.line == finding.line), candidates[0]
+                )
+                candidates.remove(entry)
                 baselined.append(finding)
             else:
                 live.append(finding)
+        unmatched = {id(entry) for entries in pool.values() for entry in entries}
         errors = [
             f"stale baseline entry {entry.rule} at {entry.path}:{entry.line}: "
             f"no current finding matches it (fixed? remove the entry)"
             for entry in self.entries
-            if entry.key() not in matched
+            if id(entry) in unmatched
         ]
         return live, baselined, errors
 

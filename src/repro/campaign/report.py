@@ -137,11 +137,6 @@ class CampaignReport(JsonCsvExportMixin):
     designs: Tuple[str, ...]
     scenarios: Tuple[str, ...]
     cells: List[CampaignCell] = field(default_factory=list)
-    #: Evaluation layer -> execution path the campaign took for it
-    #: ("hw.platform": "batched").
-    #: Empty for reports saved before execution paths were recorded; older
-    #: reports may also carry a "campaign.cells" entry, read back as is.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- selection
     def cells_for_design(self, design: str) -> List[CampaignCell]:
@@ -212,7 +207,6 @@ class CampaignReport(JsonCsvExportMixin):
                 "scenarios": list(self.scenarios),
             },
             "cells": [cell.to_dict() for cell in self.cells],
-            "execution_paths": dict(sorted(self.execution_paths.items())),
         }
 
     @classmethod
@@ -229,12 +223,8 @@ class CampaignReport(JsonCsvExportMixin):
             scenarios=tuple(config["scenarios"]),
             cells=[CampaignCell.from_dict(cell) for cell in data["cells"]],
             # A v1 "backend" config field is ignored: every backend gave
-            # bit-identical P-values.
-            # Older reports recorded no execution paths.
-            execution_paths={
-                str(k): str(v)
-                for k, v in data.get("execution_paths", {}).items()
-            },
+            # bit-identical P-values.  So is a saved "execution_paths" map:
+            # every evaluation runs through one batch path.
         )
 
     # to_json / from_json / save_json / to_csv / save_csv come from

@@ -220,8 +220,4 @@ def run_campaign(
         designs=tuple(config.designs),
         scenarios=labels,
         cells=cells,
-        # Evaluation-layer provenance surfaced in the report: every trial
-        # goes through OnTheFlyPlatform.evaluate_batch, whose sequences
-        # always share one vectorised BatchContext.
-        execution_paths={"hw.platform": "batched"},
     )

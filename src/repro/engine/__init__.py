@@ -5,15 +5,15 @@ the hardware testing block derives common sub-statistics (bit counts, block
 sums, pattern counters) once and shares them across the on-the-fly tests.
 Here a :class:`SequenceContext` memoizes those derived statistics for one
 sequence, a :class:`BatchContext` computes them with vectorised 2-D passes
-for a whole batch, the :class:`TestRegistry` puts the NIST, FIPS and
-hardware-model tests behind one ``run(context) -> TestResult`` interface,
-and :func:`run_batch` executes any test selection over many sequences —
-deciding the five light tests as P-value columns from the shared integer
-statistics (:mod:`repro.engine.decisions`) and the heavyweight ones through
-the batch-native kernels of :mod:`repro.engine.heavy`, so the full suite
-runs batched on packed 64-bits-per-word statistics, one sequence included
-(a lone :class:`SequenceContext` is a one-row batch); tests without a batch
-kernel run per sequence in the same process.  Its columnar
+for a whole batch, and the :class:`TestRegistry` puts the NIST, FIPS and
+hardware-model tests behind one interface: a ``run(context) -> TestResult``
+runner and a batch entry per test.  :func:`run_batch` executes any test
+selection over many sequences through those batch entries alone — the five
+light tests decide P-value columns from the shared integer statistics
+(:mod:`repro.engine.decisions`), the other NIST tests run the batch kernels
+of :mod:`repro.engine.heavy` on packed 64-bits-per-word statistics and the
+shared pattern and window counters, one sequence included (a lone
+:class:`SequenceContext` is a one-row batch).  Its columnar
 :class:`BatchResult` doubles as a sequence of per-row :class:`EngineReport`
 views.
 
@@ -28,7 +28,6 @@ Quickstart::
 """
 
 from repro.engine.batch import BatchResult, EngineReport, run_batch
-from repro.engine.heavy import BatchFallback
 from repro.engine.context import BatchContext, SequenceContext
 from repro.engine.packed import PackedMatrix, pack_matrix, unpack_matrix
 from repro.engine.registry import (
@@ -43,7 +42,6 @@ from repro.engine.streaming import StreamingBatchContext, StreamingContext
 
 __all__ = [
     "BatchContext",
-    "BatchFallback",
     "BatchResult",
     "DEFAULT_REGISTRY",
     "EngineReport",

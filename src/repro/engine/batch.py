@@ -4,26 +4,26 @@
 instead of evaluating sequences one at a time (each test re-scanning the
 same bitstream), a batch of equal-length sequences shares a
 :class:`~repro.engine.context.BatchContext` whose statistics are computed
-with single vectorised 2-D passes over the whole bit matrix.  On a batch
-every test with a batch runner evaluates the whole batch in one
-call: the five light tests (frequency, block frequency, runs, longest run,
-cusum) decide one P-value column from the shared integer statistics
-(:mod:`repro.engine.decisions`), the heavy ones (rank, DFT, universal,
-linear complexity, random excursions) run their batch-native kernels
-(:mod:`repro.engine.heavy`).  A single sequence is a one-row batch.  The
-remaining tests — and every test on mixed lengths or with a
-:class:`~repro.engine.heavy.BatchFallback` geometry — run per sequence, in
-this process.
+with single vectorised 2-D passes over the whole bit matrix.  Every
+registered test has a batch entry, and ``run_batch`` has one dispatch
+loop: one call per test over the whole batch.  The five light tests
+(frequency, block frequency, runs, longest run, cusum) decide one P-value
+column from the shared integer statistics
+(:mod:`repro.engine.decisions`), the other NIST tests run their batch
+kernels (:mod:`repro.engine.heavy`), and the FIPS and hardware-model
+entries read the same batch.  A single sequence is a one-row batch; on
+mixed lengths each distinct length is its own batch, and its rows go back
+into the columns.
 
 The result is columnar.  A :class:`BatchResult` holds one column per test —
 the P-values, the error strings and the ``failing(alpha)`` mask a fleet
 verdict reduces from — and is a sequence of per-row :class:`EngineReport`
 views whose ``results`` build the scalar references'
-:class:`~repro.nist.common.TestResult` objects only when read.  The path
-each test took is recorded once per batch in
-:attr:`BatchResult.execution_paths` (``"batched"`` or ``"inline"``).  Results are bit-identical to running each test directly on
-each sequence — asserted by ``tests/test_engine_parity.py``,
-``tests/test_heavy_batch_parity.py`` and ``tests/test_columnar_decisions.py``.
+:class:`~repro.nist.common.TestResult` objects only when read.  Results
+are bit-identical to running each test directly on each sequence —
+asserted by ``tests/test_engine_parity.py``,
+``tests/test_heavy_batch_parity.py``, ``tests/test_batch_entries.py`` and
+``tests/test_columnar_decisions.py``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine.context import BatchContext, SequenceContext
-from repro.engine.heavy import BatchFallback
 from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
+    BatchOutcome,
     NIST_NUMBER_TO_ID,
     RegisteredTest,
     TestRegistry,
@@ -66,8 +66,7 @@ _TEST_SECONDS = obs.histogram(
 )
 _TESTS_TOTAL = obs.counter(
     "repro_engine_tests_total",
-    "Per-sequence test evaluations by execution path (batched/inline).",
-    labels=("path",),
+    "Per-sequence test evaluations (sequences x tests).",
 )
 _BITS_EVALUATED = obs.counter(
     "repro_engine_bits_evaluated_total",
@@ -80,48 +79,67 @@ class _Column:
 
     ``p_values`` holds each row's primary P-value (NaN where the test
     raised) and ``errors`` the error string of each row that raised.  A
-    decided column (a batch runner's P-value column) builds a row's
-    :class:`TestResult` with ``build`` only when it is read; per-sequence
-    outcomes (heavy kernels, the scalar spill) arrive built.
+    decided row (from a batch runner's P-value column) builds its
+    :class:`TestResult` with ``build`` only when it is read; rows of a
+    runner that returns one result per sequence arrive built.
     """
 
     def __init__(
         self,
-        path: str,
         p_values: np.ndarray,
-        build: Optional[Callable[[int], TestResult]] = None,
-        results: Optional[Dict[int, TestResult]] = None,
-        errors: Optional[Dict[int, str]] = None,
+        decided: Optional[np.ndarray],
+        build: Callable[[int], TestResult],
     ) -> None:
-        self.path = path
         self.p_values = p_values
-        self.errors = errors or {}
+        #: Mask of the decided rows (``None``: every row is decided).
+        self.decided = decided
+        self.errors: Dict[int, str] = {}
         self._build = build
-        self._results = results or {}
+        self._results: Dict[int, TestResult] = {}
 
     @classmethod
     def of_outcomes(
-        cls, path: str, rows: int, results: Dict[int, TestResult], errors: Dict[int, str]
+        cls,
+        rows: int,
+        outcomes: List[Tuple[np.ndarray, Union[BatchOutcome, Exception]]],
+        build: Callable[[int], TestResult],
     ) -> "_Column":
-        p_values = np.full(rows, np.nan)
-        for row, result in results.items():
-            p_values[row] = result.p_value
-        return cls(path, p_values, results=results, errors=errors)
+        """Scatter each length group's outcome back into the batch's rows."""
+        if len(outcomes) == 1 and isinstance(outcomes[0][1], np.ndarray):
+            # One batch decided every row: its P-value column is the column.
+            return cls(outcomes[0][1], None, build)
+        column = cls(np.full(rows, np.nan), np.zeros(rows, dtype=bool), build)
+        for group_rows, outcome in outcomes:
+            if isinstance(outcome, Exception):
+                column.errors.update(
+                    dict.fromkeys(group_rows.tolist(), _describe_error(outcome))
+                )
+            elif isinstance(outcome, np.ndarray):
+                column.p_values[group_rows] = outcome
+                column.decided[group_rows] = True
+            else:
+                for row, result in zip(group_rows.tolist(), outcome):
+                    if isinstance(result, Exception):
+                        column.errors[row] = _describe_error(result)
+                    else:
+                        column._results[row] = result
+                        column.p_values[row] = result.p_value
+        return column
 
     def result(self, row: int) -> Optional[TestResult]:
-        if self._build is not None:
+        if self.decided is None or self.decided[row]:
             return self._build(row)
         return self._results.get(row)
 
     def failing(self, alpha: float) -> np.ndarray:
         """Rows whose result rejects randomness at ``alpha`` (never errored rows)."""
-        if self._build is not None:
-            # A decided column has one P-value per row, so TestResult.passed
-            # reduces to p >= alpha (NaN fails).
-            return ~(self.p_values >= alpha)
-        failing = np.zeros(self.p_values.size, dtype=bool)
-        for row, result in self._results.items():
-            failing[row] = not result.passed(alpha)
+        # A decided row has one P-value, so TestResult.passed reduces to
+        # p >= alpha (NaN fails).
+        failing = ~(self.p_values >= alpha)
+        if self.decided is not None:
+            failing &= self.decided
+            for row, result in self._results.items():
+                failing[row] = not result.passed(alpha)
         return failing
 
 
@@ -146,11 +164,6 @@ class EngineReport:
     def n(self) -> int:
         """Sequence length."""
         return self._batch.lengths[self._row]
-
-    @property
-    def execution_paths(self) -> Dict[str, str]:
-        """Execution path per test id (see :attr:`BatchResult.execution_paths`)."""
-        return self._batch.execution_paths
 
     @property
     def results(self) -> Dict[str, TestResult]:
@@ -192,7 +205,7 @@ class EngineReport:
         return self._fields() == other._fields()
 
     def _fields(self) -> Tuple[object, ...]:
-        return (self.n, self.results, self.errors, self.execution_paths)
+        return (self.n, self.results, self.errors)
 
     def __repr__(self) -> str:
         return (
@@ -215,7 +228,7 @@ class BatchResult(Sequence[EngineReport]):
     """
 
     def __init__(self, lengths: Sequence[int], columns: Dict[str, _Column]) -> None:
-        #: Sequence length per row (rows differ only on the mixed-length path).
+        #: Sequence length per row (rows differ only on mixed-length input).
         self.lengths = tuple(lengths)
         self._columns = columns
         self._reports: List[Optional[EngineReport]] = [None] * len(self.lengths)
@@ -225,12 +238,6 @@ class BatchResult(Sequence[EngineReport]):
     def test_ids(self) -> Tuple[str, ...]:
         """Canonical ids of the tests that ran, in execution order."""
         return tuple(self._columns)
-
-    @property
-    def execution_paths(self) -> Dict[str, str]:
-        """Execution path per test id: "batched" (one call over the whole
-        batch) or "inline" (per sequence)."""
-        return {test_id: column.path for test_id, column in self._columns.items()}
 
     @property
     def p_values(self) -> np.ndarray:
@@ -344,8 +351,8 @@ def run_batch(
         :meth:`BatchContext.from_streaming` — is used as-is, statistics
         already cached in it included.
         Equal-length sequences — a single sequence included — are stacked
-        into one bit matrix and share vectorised statistics; mixed lengths
-        fall back to per-sequence contexts.
+        into one bit matrix and share vectorised statistics; on mixed
+        lengths each distinct length is stacked into its own batch.
     tests:
         Test specs resolvable by the registry — canonical ids
         (``"nist.serial"``, ``"fips.poker"``, ``"hw.platform"``), NIST
@@ -419,105 +426,66 @@ def _run_batch(
                 )
             params[test_id] = dict(kwargs)
 
-        if batch is None and len({arr.size for arr in arrays}) == 1:
-            batch = BatchContext(np.vstack(arrays))
         if batch is not None:
+            groups = [(batch, np.arange(num_sequences))]
             lengths = [batch.n] * num_sequences
         else:
-            # Mixed-length fallback: one one-row context per sequence.
+            # One batch per distinct length (one in all for equal lengths).
+            by_length: Dict[int, List[int]] = {}
+            for row, arr in enumerate(arrays):
+                by_length.setdefault(arr.size, []).append(row)
+            groups = [
+                (BatchContext(np.vstack([arrays[row] for row in rows])), np.array(rows))
+                for rows in by_length.values()
+            ]
             lengths = [int(arr.size) for arr in arrays]
     _BITS_EVALUATED.inc(sum(lengths))
 
-    # Row contexts are created on first use and shared by every test that
-    # runs per sequence (and by decided columns building a row's results).
+    # Row contexts are created on first use, by a decided column building
+    # that row's result, from the row's length group.
     contexts: List[Optional[SequenceContext]] = [None] * num_sequences
 
     def context(row: int) -> SequenceContext:
         found = contexts[row]
         if found is None:
-            found = batch.context(row) if batch is not None else SequenceContext(arrays[row])
-            contexts[row] = found
+            group, rows = next((group, rows) for group, rows in groups if row in rows)
+            found = contexts[row] = group.context(int(np.searchsorted(rows, row)))
         return found
 
-    # Each test's outcome, folded into its column under one decision span
-    # once every test has been dispatched; per-sequence evaluations are
-    # counted per path and flushed once per batch, so the fixed metric cost
-    # of a batch does not grow with the number of tests.
-    outcomes: Dict[str, Callable[[], _Column]] = {}
-    evaluations: Dict[str, int] = {}
-
-    def count(path: str) -> None:
-        evaluations[path] = evaluations.get(path, 0) + num_sequences
-
-    def run_inline(test: RegisteredTest, kwargs: Dict[str, object]) -> None:
-        # The dispatch span covers the per-sequence test evaluations.
-        # Collecting outcomes first keeps skip_errors=False raising from
-        # inside the dispatch span, exactly where the failure happened.
-        results: Dict[int, TestResult] = {}
-        errors: Dict[int, str] = {}
-        with obs.span("dispatch", test=test.id, path="inline") as dispatch_span:
-            for row in range(num_sequences):
+    # Each test's outcome per length group, folded into its column under
+    # one decision span once every test has been dispatched.  Collecting
+    # outcomes first keeps skip_errors=False raising from inside the
+    # dispatch span, exactly where the failure happened.
+    outcomes: Dict[str, List[Tuple[np.ndarray, Union[BatchOutcome, Exception]]]] = {}
+    for test in resolved:
+        kwargs = params.get(test.id, {})
+        ran: List[Tuple[np.ndarray, Union[BatchOutcome, Exception]]] = []
+        with obs.span("dispatch", test=test.id) as dispatch_span:
+            for group, rows in groups:
                 try:
-                    results[row] = test.run(context(row), **kwargs)
+                    outcome = test.batch_runner(group, **kwargs)
                 except Exception as exc:  # noqa: BLE001 - see skip_errors docs
                     if not skip_errors:
                         raise
-                    errors[row] = _describe_error(exc)
+                    # Batch runners validate parameters once for the whole
+                    # group (all its rows share n), so the error is uniform.
+                    outcome = exc
+                if not skip_errors and isinstance(outcome, list):
+                    for result in outcome:
+                        if isinstance(result, Exception):
+                            raise result
+                ran.append((rows, outcome))
         _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-        count("inline")
-        outcomes[test.id] = partial(
-            _Column.of_outcomes, "inline", num_sequences, results, errors
-        )
+        outcomes[test.id] = ran
+    _TESTS_TOTAL.inc(num_sequences * len(resolved))
 
-    for test in resolved:
-        kwargs = params.get(test.id, {})
-        if batch is not None and test.batch_runner is not None:
-            # One call over the whole batch: a P-value column for the
-            # light tests, batch-native kernels for the heavy ones.
-            try:
-                with obs.span("dispatch", test=test.id, path="batched") as dispatch_span:
-                    outcome = test.run_batch(batch, **kwargs)
-            except BatchFallback:
-                # Parameters outside the kernel's fast path: rerun this one
-                # test per sequence.
-                run_inline(test, kwargs)
-                continue
-            except Exception as exc:  # noqa: BLE001 - see skip_errors docs
-                if not skip_errors:
-                    raise
-                # Batch runners validate parameters once for the whole
-                # batch (all rows share n), so the error is uniform.
-                count("batched")
-                outcomes[test.id] = partial(
-                    _Column.of_outcomes,
-                    "batched",
-                    num_sequences,
-                    {},
-                    dict.fromkeys(range(num_sequences), _describe_error(exc)),
-                )
-                continue
-            _TEST_SECONDS.observe(dispatch_span.duration_s, test=test.id)
-            count("batched")
-            if isinstance(outcome, np.ndarray):
-                outcomes[test.id] = partial(
-                    _Column,
-                    "batched",
-                    outcome,
-                    build=partial(_row_result, test, kwargs, context),
-                )
-            else:
-                outcomes[test.id] = partial(
-                    _Column.of_outcomes,
-                    "batched",
-                    num_sequences,
-                    dict(enumerate(outcome)),
-                    {},
-                )
-        else:
-            run_inline(test, kwargs)
-
-    for path, total in evaluations.items():
-        _TESTS_TOTAL.inc(total, path=path)
     with obs.span("decision", tests=len(resolved)):
-        columns = {test.id: outcomes[test.id]() for test in resolved}
+        columns = {
+            test.id: _Column.of_outcomes(
+                num_sequences,
+                outcomes[test.id],
+                partial(_row_result, test, params.get(test.id, {}), context),
+            )
+            for test in resolved
+        }
     return BatchResult(lengths, columns)

@@ -105,16 +105,6 @@ def _matrix_block_longest_one_runs(matrix: np.ndarray, block_length: int) -> np.
     return longest.reshape(rows, num_blocks)
 
 
-def _run_values_and_lengths(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-run ``(bit value, run length)`` arrays of a 1-D bit sequence."""
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    boundaries = np.flatnonzero(np.diff(arr.astype(np.int8))) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [arr.size]])
-    return arr[starts].astype(np.int64), (ends - starts).astype(np.int64)
-
-
 class SequenceContext:
     """Shared statistics of one bit sequence: a row view of a batch.
 
@@ -146,12 +136,12 @@ class SequenceContext:
         self._runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._rows: Dict[Tuple[object, ...], np.ndarray] = {}
 
-    def _row_of(self, statistic: str, *args: object, **kwargs: object) -> np.ndarray:
+    def _row_of(self, statistic: str, *args: object) -> np.ndarray:
         """This row of a :class:`BatchContext` statistic, memoized so that
         repeated reads return the same array."""
-        key = (statistic, args, tuple(kwargs.items()))
+        key = (statistic, args)
         if key not in self._rows:
-            self._rows[key] = getattr(self._batch, statistic)(*args, **kwargs)[self._row]
+            self._rows[key] = getattr(self._batch, statistic)(*args)[self._row]
         return self._rows[key]
 
     # ------------------------------------------------------------- basics
@@ -200,7 +190,9 @@ class SequenceContext:
     def runs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-run ``(bit values, run lengths)`` arrays, in sequence order."""
         if self._runs is None:
-            self._runs = _run_values_and_lengths(self.bits)
+            rows, values, lengths = self._batch.runs()
+            start, stop = np.searchsorted(rows, [self._row, self._row + 1])
+            self._runs = (values[start:stop], lengths[start:stop])
         return self._runs
 
     def run_length_histogram(self, cap: int = 6) -> Dict[int, Dict[int, int]]:
@@ -240,9 +232,9 @@ class SequenceContext:
         return self._row_of("block_value_counts", block_length)
 
     # ------------------------------------------------------------- pattern stats
-    def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
-        """Occurrences of every overlapping ``m``-bit pattern (2^m entries)."""
-        return self._row_of("pattern_counts", m, cyclic=cyclic)
+    def pattern_counts(self, m: int) -> np.ndarray:
+        """Occurrences of every cyclic overlapping ``m``-bit pattern (2^m entries)."""
+        return self._row_of("pattern_counts", m)
 
     def window_values(self, m: int) -> np.ndarray:
         """Integer value of every (non-cyclic) ``m``-bit window (template tests)."""
@@ -262,10 +254,11 @@ class BatchContext:
     matrix.  Block lengths those kernels do not cover
     (:func:`~repro.engine.packed.supports_block_ones`,
     :func:`~repro.engine.packed.supports_block_longest_one_runs`), the
-    pattern and window counters, and the block-value histogram read the
-    lazy uint8 :attr:`matrix` view instead.  The constructor also accepts a
-    prepacked :class:`~repro.engine.packed.PackedMatrix` directly, in which
-    case the uint8 matrix is only materialised if a statistic needs it.
+    pattern and window counters, the per-row run arrays and the
+    block-value histogram read the lazy uint8 :attr:`matrix` view instead.
+    The constructor also accepts a prepacked
+    :class:`~repro.engine.packed.PackedMatrix` directly, in which case the
+    uint8 matrix is only materialised if a statistic needs it.
     """
 
     @staticmethod
@@ -309,9 +302,10 @@ class BatchContext:
         self._last_bits: Optional[np.ndarray] = None
         self._walk_extremes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._num_runs: Optional[np.ndarray] = None
+        self._runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._block_sums: Dict[int, np.ndarray] = {}
         self._block_longest: Dict[int, np.ndarray] = {}
-        self._pattern_counts: Dict[Tuple[int, bool], np.ndarray] = {}
+        self._pattern_counts: Dict[int, np.ndarray] = {}
         self._window_values: Dict[int, np.ndarray] = {}
         self._block_value_counts: Dict[int, np.ndarray] = {}
         self._block_sums_provider: Optional[BlockProvider] = None
@@ -459,6 +453,22 @@ class BatchContext:
                 self._num_runs = _packed.transition_counts(self.packed()) + 1
         return self._num_runs
 
+    def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, bit value, length)`` of every run of every row, in order.
+
+        A run starts at each row's first bit and wherever a bit differs from
+        its predecessor, so no run crosses rows of the flattened matrix.
+        """
+        if self._runs is None:
+            matrix = self.matrix
+            rows, n = matrix.shape
+            starts = np.ones((rows, n), dtype=bool)
+            np.not_equal(matrix[:, 1:], matrix[:, :-1], out=starts[:, 1:])
+            first = np.flatnonzero(starts)
+            values = matrix.ravel()[first].astype(np.int64)
+            self._runs = (first // max(n, 1), values, np.diff(first, append=rows * n))
+        return self._runs
+
     def block_sums(self, block_length: int) -> np.ndarray:
         if block_length not in self._block_sums:
             if self._block_sums_provider is not None:
@@ -509,18 +519,34 @@ class BatchContext:
             )
         return self._block_value_counts[block_length]
 
-    def pattern_counts(self, m: int, *, cyclic: bool = True) -> np.ndarray:
-        """Occurrences of every overlapping ``m``-bit pattern, per row.
+    def pattern_counts(self, m: int) -> np.ndarray:
+        """Occurrences of every cyclic overlapping ``m``-bit pattern, per row.
 
-        Follows :func:`repro.nist.common.pattern_counts`: ``m == 0`` counts
-        ``n`` empty patterns, and an empty sequence counts none.
+        Follows :func:`repro.nist.common.pattern_counts` with ``cyclic=True``:
+        ``m == 0`` counts ``n`` empty patterns, and an empty sequence counts
+        none.  The serial and approximate-entropy tests share one counter
+        set, as the paper's hardware does: once a wider count ``c_k`` is
+        cached, the ``m``-bit counts are its exact marginal sums over the
+        trailing ``k - m`` bits (each cyclic ``m``-bit window is the prefix
+        of exactly one cyclic ``k``-bit window), so asking for the widest
+        count first costs one bincount pass for every width.
         """
-        key = (m, cyclic)
-        if key not in self._pattern_counts:
-            self._pattern_counts[key] = self._count_patterns(m, cyclic)
-        return self._pattern_counts[key]
+        counts = self._pattern_counts.get(m)
+        if counts is None:
+            wider = [k for k in self._pattern_counts if k > m]
+            if m >= 0 and wider:
+                k = min(wider)
+                counts = (
+                    self._pattern_counts[k]
+                    .reshape(self.num_sequences, 1 << m, 1 << (k - m))
+                    .sum(axis=2)
+                )
+            else:
+                counts = self._count_patterns(m)
+            self._pattern_counts[m] = counts
+        return counts
 
-    def _count_patterns(self, m: int, cyclic: bool) -> np.ndarray:
+    def _count_patterns(self, m: int) -> np.ndarray:
         rows = self.num_sequences
         if m < 0:
             raise ValueError("pattern length m must be non-negative")
@@ -531,7 +557,7 @@ class BatchContext:
         if m > self.n:
             raise ValueError(f"pattern length m={m} exceeds sequence length n={self.n}")
         counts = self._bincount_rows(self.window_values(m), 1 << m)
-        if cyclic and m > 1:
+        if m > 1:
             # The cyclic convention adds the m-1 windows wrapping from the
             # tail into the head; their values come from the narrow
             # (rows, 2(m-1)) seam matrix instead of a full extended copy.

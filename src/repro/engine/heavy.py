@@ -1,19 +1,14 @@
-"""Batched kernels for the five heavyweight NIST tests.
+"""Batch entries of the ten NIST tests beyond the five light ones.
 
-After the cheap tests went batch-native on shared statistics over packed
-words, the only per-sequence Python left on the engine's hot path was the
-five expensive tests — rank, DFT, universal, linear complexity and random
-excursions(+variant) — historically fanned out over a process pool.  This
-module computes each of them across a whole
-:class:`~repro.engine.context.BatchContext` at once, working directly on the
-packed bit-planes of :mod:`repro.engine.packed` wherever the algorithm
-allows:
+Each entry evaluates a whole :class:`~repro.engine.context.BatchContext` at
+once, on the packed bit-planes of :mod:`repro.engine.packed` or the shared
+counters wherever the algorithm allows:
 
 * **rank** — the 32x32 matrices are read straight off the packed words as
   little-endian ``uint32`` chunks (one chunk per matrix row; the within-row
   bit reversal is a column permutation, which GF(2) rank ignores) and
   eliminated with a vectorised XOR basis over every matrix of every
-  sequence simultaneously.
+  sequence simultaneously; other geometries run the reference per row.
 * **DFT** — one batched FFT over ``(rows, n)`` chunks; numpy's pocketfft
   evaluates each row exactly as the per-sequence call does, so the peak
   counts are bit-identical.
@@ -28,52 +23,54 @@ allows:
   from ``cumsum`` + ``bincount``; the batch's cusum walk-extreme kernels
   (:meth:`BatchContext.walk_extremes`) bound which of the eight states were
   ever visited, so never-entered states skip their table column entirely.
+* **serial and approximate entropy** — one cyclic counter set (the paper's
+  Section III-C): each entry asks for its widest count first, and the
+  narrower ones are its marginal sums.
+* **template matching** — one template shift register: per-block hits of the
+  shared ``m``-bit window values, through the counting helper each test's
+  context runner uses too.
 
-Every kernel ends in the *same* shared decision helper as its scalar
-reference (``rank_decision``, ``dft_decision``, ...), fed the same integer
-statistics — which is what makes the P-values bit-identical, as
-``tests/test_heavy_batch_parity.py`` and ``tests/test_engine_parity.py``
-assert.  A kernel that cannot serve the requested parameters raises
-:class:`BatchFallback` and the executor reruns that test per sequence.
+Every entry ends in the *same* shared decision helper as its scalar
+reference (``rank_decision``, ``_serial_result``, ...), fed the same
+integer statistics — which is what makes the P-values bit-identical, as
+``tests/test_heavy_batch_parity.py``, ``tests/test_batch_entries.py`` and
+``tests/test_engine_parity.py`` assert.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.engine import packed as _packed
+from repro.nist import approximate_entropy as _apen
+from repro.nist import nonoverlapping as _nonoverlapping
+from repro.nist import overlapping as _overlapping
+from repro.nist import serial as _serial
 from repro.nist.common import TestResult
 from repro.nist.dft import dft_decision, dft_threshold
 from repro.nist.linear_complexity import linear_complexity_decision
 from repro.nist.random_excursions import EXCURSION_STATES, excursions_decision
 from repro.nist.random_excursions_variant import VARIANT_STATES, variant_decision
-from repro.nist.rank import rank_decision
+from repro.nist.rank import binary_matrix_rank_test, rank_decision
 from repro.nist.universal import UNIVERSAL_CONSTANTS, recommended_l, universal_decision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.context import BatchContext
 
 __all__ = [
-    "BatchFallback",
+    "batch_approximate_entropy",
+    "batch_non_overlapping_template",
+    "batch_overlapping_template",
     "batch_rank",
+    "batch_serial",
     "batch_dft",
     "batch_universal",
     "batch_linear_complexity",
     "batch_random_excursions",
     "batch_random_excursions_variant",
 ]
-
-
-class BatchFallback(Exception):
-    """A batch kernel cannot serve the requested parameters.
-
-    Raised instead of computing something slightly different (e.g. rank on
-    non-32x32 matrices, which the packed word layout cannot slice): the
-    executor catches it and reruns that one test through the per-sequence
-    scalar path, preserving exact reference behaviour for every geometry.
-    """
 
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -134,12 +131,14 @@ def batch_rank(
     Only the standard 32x32 geometry has a packed kernel (each matrix row is
     exactly one little-endian ``uint32`` chunk of the bit-plane; the bit
     reversal within a chunk permutes columns, leaving the rank unchanged).
-    Other geometries raise :class:`BatchFallback`.
+    The word layout cannot slice other geometries, so they run the scalar
+    reference on each row.
     """
     if (matrix_rows, matrix_cols) != (32, 32):
-        raise BatchFallback(
-            f"packed rank kernel requires 32x32 matrices, got {matrix_rows}x{matrix_cols}"
-        )
+        return [
+            binary_matrix_rank_test(batch.row_bits(row), matrix_rows, matrix_cols)
+            for row in range(batch.num_sequences)
+        ]
     n = batch.n
     bits_per_matrix = matrix_rows * matrix_cols
     num_matrices = n // bits_per_matrix
@@ -188,6 +187,66 @@ def batch_dft(batch: "BatchContext") -> List[TestResult]:
             spectrum < threshold, axis=1
         )
     return [dft_decision(float(n1), n) for n1 in below]
+
+
+# ---------------------------------------------------------------------------
+# Tests 7/8: template matching on the shared window values
+# ---------------------------------------------------------------------------
+
+def _each_row(
+    decide: Callable[[int], TestResult], rows: int
+) -> List[Union[TestResult, Exception]]:
+    """``decide(row)`` for every row; a row whose decision raises keeps its
+    exception and errors alone, as its reference does on that sequence
+    (e.g. a serial ∇²ψ² that rounds below zero)."""
+    outcomes: List[Union[TestResult, Exception]] = []
+    for row in range(rows):
+        try:
+            outcomes.append(decide(row))
+        except Exception as exc:  # noqa: BLE001 - run_batch reports it per row
+            outcomes.append(exc)
+    return outcomes
+
+
+def batch_non_overlapping_template(
+    batch: "BatchContext",
+    template: Sequence[int] = _nonoverlapping.DEFAULT_TEMPLATE_9,
+    num_blocks: int = 8,
+) -> List[Union[TestResult, Exception]]:
+    """Batched non-overlapping template test: per-block counts in one pass."""
+    n = batch.n
+    template, block_length = _nonoverlapping._validate(n, template, num_blocks)
+    counts = _nonoverlapping._block_counts(
+        batch.window_values, batch.row_bits, batch.num_sequences,
+        template, num_blocks, block_length,
+    )
+    rows = counts.tolist()
+    return _each_row(
+        lambda row: _nonoverlapping._non_overlapping_result(
+            n, template, num_blocks, block_length, rows[row]
+        ),
+        batch.num_sequences,
+    )
+
+
+def batch_overlapping_template(
+    batch: "BatchContext",
+    template: Sequence[int] = _overlapping.DEFAULT_TEMPLATE_ONES_9,
+    block_length: int = 1032,
+    k: int = 5,
+) -> List[Union[TestResult, Exception]]:
+    """Batched overlapping template test: block categories in one bincount."""
+    n = batch.n
+    template, num_blocks = _overlapping._validate(n, template, block_length)
+    categories = _overlapping._block_categories(
+        batch.window_values(len(template)), template, block_length, num_blocks, k
+    )
+    return _each_row(
+        lambda row: _overlapping._overlapping_result(
+            n, template, block_length, num_blocks, k, categories[row]
+        ),
+        batch.num_sequences,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +420,37 @@ def batch_linear_complexity(
                 )
             )
     return results
+
+
+# ---------------------------------------------------------------------------
+# Tests 11/12: serial and approximate entropy on one counter set
+# ---------------------------------------------------------------------------
+
+def batch_serial(
+    batch: "BatchContext", m: int = 4
+) -> List[Union[TestResult, Exception]]:
+    """Batched serial test: the m-bit counts, then their two marginals."""
+    n = batch.n
+    _serial._validate(n, m)
+    counts = [batch.pattern_counts(m - shift) for shift in range(3)]
+    return _each_row(
+        lambda row: _serial._serial_result(n, m, *(c[row] for c in counts)),
+        batch.num_sequences,
+    )
+
+
+def batch_approximate_entropy(
+    batch: "BatchContext", m: int = 3
+) -> List[Union[TestResult, Exception]]:
+    """Batched approximate entropy test: the (m+1)-bit counts and their marginal."""
+    n = batch.n
+    _apen._validate(n, m)
+    counts_m1 = batch.pattern_counts(m + 1)
+    counts_m = batch.pattern_counts(m)
+    return _each_row(
+        lambda row: _apen._apen_result(n, m, counts_m[row], counts_m1[row]),
+        batch.num_sequences,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,10 @@ class PackedMatrix:
     def row(self, index: int) -> np.ndarray:
         """One row as a 1-D uint8 bit array, without unpacking the rest.
 
-        The lazy per-row escape hatch of the batch executor's scalar
-        fallback paths: a packed-only batch hands a single sequence to a
-        per-bit consumer at ``n`` bytes instead of ``rows * n``.
+        The lazy per-row escape hatch of the batch entries that call a
+        scalar reference per row: a packed-only batch hands a single
+        sequence to a per-bit consumer at ``n`` bytes instead of
+        ``rows * n``.
         """
         return unpack_rows(self, index, index + 1)[0]
 

@@ -6,9 +6,11 @@ own dispatch structure — a hard-coded dict in ``nist/suite.py``, a fixed
 list in ``fips/battery.py`` and ad-hoc per-design wiring in ``hwtests/``.
 This module replaces those with one :class:`TestRegistry` of
 :class:`RegisteredTest` entries sharing the :class:`StatisticalTest`
-protocol: every test exposes a stable id, a human-readable name and a
+protocol: every test exposes a stable id, a human-readable name, a
 ``run(context, **params) -> TestResult`` entry point fed from a shared
-:class:`~repro.engine.context.SequenceContext`.
+:class:`~repro.engine.context.SequenceContext`, and a batch entry that
+evaluates a whole :class:`~repro.engine.context.BatchContext` at once —
+the one path :func:`repro.engine.batch.run_batch` dispatches through.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Optional,
     Protocol,
     Tuple,
     Union,
@@ -64,8 +65,9 @@ __all__ = [
 #: id or alias string, or a NIST test number.
 TestSpec = Union["RegisteredTest", str, int]
 
-#: What a batch runner returns: one P-value column or one result per sequence.
-BatchOutcome = Union[np.ndarray, List[TestResult]]
+#: What a batch runner returns: one P-value column, or one result per
+#: sequence (the exception instead, for a row on which its reference raises).
+BatchOutcome = Union[np.ndarray, List[Union[TestResult, Exception]]]
 
 
 @runtime_checkable
@@ -93,34 +95,28 @@ class RegisteredTest:
         Human-readable name.
     runner:
         ``runner(context, **params) -> TestResult``.
+    batch_runner:
+        Batch entry point ``batch_runner(batch, **params)`` evaluating the
+        whole :class:`~repro.engine.context.BatchContext` at once.  It
+        returns either one P-value column (a float array with one entry per
+        sequence, for tests whose result carries a single P-value;
+        ``run_batch`` builds a row's :class:`TestResult` with ``runner``
+        only when it is read) or one result per sequence; either way
+        bit-identical to ``runner``.  Errors that depend only on the
+        parameters and ``n`` are raised once for the batch; a row whose own
+        bits make its reference raise carries that exception in its slot.
     aliases:
         Alternative lookup keys (the NIST number, its string form, ...).
-    batch_runner:
-        Optional batch-native entry point ``batch_runner(batch, **params)``
-        evaluating the whole :class:`~repro.engine.context.BatchContext` at
-        once.  It returns either one P-value column (a float array with one
-        entry per sequence, for tests whose result carries a single
-        P-value; ``run_batch`` builds a row's :class:`TestResult` with
-        ``runner`` only when it is read) or one result per sequence; either
-        way bit-identical to ``runner``.  May raise
-        :class:`~repro.engine.heavy.BatchFallback` for parameters outside
-        its fast path.
     """
 
     id: str
     name: str
     runner: Callable[..., TestResult]
+    batch_runner: Callable[..., BatchOutcome]
     aliases: Tuple[TestSpec, ...] = ()
-    batch_runner: Optional[Callable[..., BatchOutcome]] = None
 
     def run(self, context: SequenceContext, **params) -> TestResult:
         return self.runner(context, **params)
-
-    def run_batch(self, batch: BatchContext, **params) -> BatchOutcome:
-        """Evaluate the whole batch at once (batch-native tests only)."""
-        if self.batch_runner is None:
-            raise ValueError(f"test {self.id!r} has no batch-native runner")
-        return self.batch_runner(batch, **params)
 
 
 class TestRegistry:
@@ -207,27 +203,64 @@ def _reference_runner(reference: Callable[..., TestResult]) -> Callable[..., Tes
     return runner
 
 
-def _fips_runner(context_test: Callable[[SequenceContext], _fips.FipsTestResult]):
-    """Adapt a FIPS pass/fail test to the :class:`TestResult` interface.
+def _fips_result(outcome: _fips.FipsTestResult) -> TestResult:
+    """A FIPS pass/fail outcome behind the :class:`TestResult` interface.
 
     FIPS tests have no significance level, so the P-value degenerates to
     1.0 (accept) / 0.0 (reject); the native result rides in ``details``.
     """
+    return TestResult(
+        name=outcome.name,
+        statistic=outcome.statistic,
+        p_value=1.0 if outcome.passed else 0.0,
+        details={"fips": outcome, **outcome.details},
+    )
+
+
+def _fips_runner(context_test: Callable[[SequenceContext], _fips.FipsTestResult]):
+    """Adapt a FIPS context test to the :class:`TestResult` interface."""
 
     def runner(context: SequenceContext) -> TestResult:
-        outcome = context_test(context)
-        return TestResult(
-            name=outcome.name,
-            statistic=outcome.statistic,
-            p_value=1.0 if outcome.passed else 0.0,
-            details={"fips": outcome, **outcome.details},
-        )
+        return _fips_result(context_test(context))
 
     runner.__name__ = f"uniform_{context_test.__name__}"
     return runner
 
 
+def _fips_batch_runner(batch_test: Callable[[BatchContext], List[_fips.FipsTestResult]]):
+    """Adapt a FIPS batch test to one :class:`TestResult` per row."""
+
+    def batch_runner(batch: BatchContext) -> List[TestResult]:
+        return [_fips_result(outcome) for outcome in batch_test(batch)]
+
+    batch_runner.__name__ = f"uniform_{batch_test.__name__}"
+    return batch_runner
+
+
 _HW_PLATFORM_CACHE: Dict[Tuple[str, float], object] = {}
+
+
+def _hw_platform(design: str, alpha: float, n: int):
+    """The cached platform model of ``design``, checked against length ``n``."""
+    from repro.core.platform import OnTheFlyPlatform  # deferred: avoids cycle
+
+    key = (design, alpha)
+    platform = _HW_PLATFORM_CACHE.get(key)
+    if platform is None:
+        platform = _HW_PLATFORM_CACHE.setdefault(key, OnTheFlyPlatform(design, alpha=alpha))
+    if n != platform.n:
+        raise ValueError(f"expected {platform.n} bits, got {n}")
+    return platform
+
+
+def _platform_result(design: str, report) -> TestResult:
+    """A platform report as a degenerate P-value (1.0 pass / 0.0 fail)."""
+    return TestResult(
+        name=f"HW/SW platform ({design})",
+        statistic=float(len(report.failing_tests)),
+        p_value=1.0 if report.passed else 0.0,
+        details={"platform_report": report, "failing_tests": report.failing_tests},
+    )
 
 
 def _hw_platform_runner(context: SequenceContext, design: str = "n65536_high",
@@ -240,21 +273,16 @@ def _hw_platform_runner(context: SequenceContext, design: str = "n65536_high",
     0.0 fail) with the full :class:`~repro.core.results.PlatformReport` in
     ``details``.
     """
-    from repro.core.platform import OnTheFlyPlatform  # deferred: avoids cycle
-
-    key = (design, alpha)
-    platform = _HW_PLATFORM_CACHE.get(key)
-    if platform is None:
-        platform = _HW_PLATFORM_CACHE.setdefault(key, OnTheFlyPlatform(design, alpha=alpha))
-    if context.n != platform.n:
-        raise ValueError(f"expected {platform.n} bits, got {context.n}")
+    platform = _hw_platform(design, alpha, context.n)
     report = platform.evaluate_sequence(context.bits, accelerated=True)
-    return TestResult(
-        name=f"HW/SW platform ({design})",
-        statistic=float(len(report.failing_tests)),
-        p_value=1.0 if report.passed else 0.0,
-        details={"platform_report": report, "failing_tests": report.failing_tests},
-    )
+    return _platform_result(design, report)
+
+
+def _hw_platform_batch_runner(batch: BatchContext, design: str = "n65536_high",
+                              alpha: float = 0.01) -> List[TestResult]:
+    """The platform model over a whole batch (:meth:`OnTheFlyPlatform.evaluate_batch`)."""
+    platform = _hw_platform(design, alpha, batch.n)
+    return [_platform_result(design, report) for report in platform.evaluate_batch(batch)]
 
 
 def build_default_registry() -> TestRegistry:
@@ -278,10 +306,10 @@ def build_default_registry() -> TestRegistry:
         14: _reference_runner(random_excursions_test),
         15: _reference_runner(random_excursions_variant_test),
     }
-    # Batch-native entry points evaluate a whole packed batch at once: the
-    # five light tests decide one P-value column from the shared integer
-    # statistics, the heavyweight ones run their kernels.  The scalar
-    # runner stays the per-sequence reference.
+    # Batch entry points evaluate a whole packed batch at once: the five
+    # light tests decide one P-value column from the shared integer
+    # statistics, the others run the kernels of repro.engine.heavy.  The
+    # context runner stays the per-sequence reference.
     batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
         1: _decisions.batch_frequency,
         2: _decisions.batch_block_frequency,
@@ -289,8 +317,12 @@ def build_default_registry() -> TestRegistry:
         4: _decisions.batch_longest_run,
         5: _heavy.batch_rank,
         6: _heavy.batch_dft,
+        7: _heavy.batch_non_overlapping_template,
+        8: _heavy.batch_overlapping_template,
         9: _heavy.batch_universal,
         10: _heavy.batch_linear_complexity,
+        11: _heavy.batch_serial,
+        12: _heavy.batch_approximate_entropy,
         13: _decisions.batch_cumulative_sums,
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
@@ -302,22 +334,23 @@ def build_default_registry() -> TestRegistry:
                 name=NIST_TEST_NAMES[number],
                 runner=runner,
                 aliases=(number, str(number), f"nist.{number}"),
-                batch_runner=batch_runners.get(number),
+                batch_runner=batch_runners[number],
             )
         )
 
-    fips_context_tests = {
-        "monobit": _fips.monobit_test_from_context,
-        "poker": _fips.poker_test_from_context,
-        "runs": _fips.runs_test_from_context,
-        "long_run": _fips.long_run_test_from_context,
+    fips_tests = {
+        "monobit": (_fips.monobit_test_from_context, _fips.batch_monobit),
+        "poker": (_fips.poker_test_from_context, _fips.batch_poker),
+        "runs": (_fips.runs_test_from_context, _fips.batch_runs),
+        "long_run": (_fips.long_run_test_from_context, _fips.batch_long_run),
     }
-    for short_name, context_test in fips_context_tests.items():
+    for short_name, (context_test, batch_test) in fips_tests.items():
         registry.register(
             RegisteredTest(
                 id=f"fips.{short_name}",
                 name=f"FIPS {short_name.replace('_', ' ')}",
                 runner=_fips_runner(context_test),
+                batch_runner=_fips_batch_runner(batch_test),
             )
         )
 
@@ -326,6 +359,7 @@ def build_default_registry() -> TestRegistry:
             id="hw.platform",
             name="HW/SW on-the-fly platform",
             runner=_hw_platform_runner,
+            batch_runner=_hw_platform_batch_runner,
         )
     )
     return registry

@@ -31,6 +31,10 @@ __all__ = [
     "long_run_test",
     "long_run_test_from_context",
     "fips_battery",
+    "batch_monobit",
+    "batch_poker",
+    "batch_runs",
+    "batch_long_run",
 ]
 
 #: Canonical short names of the four FIPS tests, in battery order.
@@ -226,6 +230,43 @@ def long_run_test_from_context(context) -> FipsTestResult:
     return _long_run_result(context.longest_run())
 
 
+def batch_monobit(batch) -> List[FipsTestResult]:
+    """Monobit test on every row of a batch, from the shared ones counter."""
+    _check_length(batch.n)
+    return [_monobit_result(ones) for ones in batch.ones().tolist()]
+
+
+def batch_poker(batch) -> List[FipsTestResult]:
+    """Poker test on every row of a batch, from the shared nibble histogram."""
+    _check_length(batch.n)
+    counts = batch.block_value_counts(4).astype(np.float64)
+    return [_poker_result(row) for row in counts]
+
+
+def batch_runs(batch) -> List[FipsTestResult]:
+    """Runs test on every row of a batch, from the shared per-row run arrays."""
+    _check_length(batch.n)
+    row, value, lengths = batch.runs()
+    rows = batch.num_sequences
+    keys = (row * 2 + value) * 7 + np.minimum(lengths, 6)
+    counts = np.bincount(keys, minlength=rows * 14).reshape(rows, 2, 7).tolist()
+    return [
+        _runs_result(
+            {bit: dict(enumerate(per_bit[1:], start=1)) for bit, per_bit in enumerate(per_row)}
+        )
+        for per_row in counts
+    ]
+
+
+def batch_long_run(batch) -> List[FipsTestResult]:
+    """Long-run test on every row of a batch, from the shared per-row run arrays."""
+    _check_length(batch.n)
+    row, _, lengths = batch.runs()
+    row_starts = np.flatnonzero(np.diff(row, prepend=-1))
+    longest = np.maximum.reduceat(lengths, row_starts)
+    return [_long_run_result(value) for value in longest.tolist()]
+
+
 def fips_battery(bits: BitsLike) -> FipsReport:
     """Run the complete FIPS 140-2 battery on one 20 000-bit block."""
     arr = _check_block(bits)
@@ -246,8 +287,9 @@ class FipsBattery:
     test draws its raw statistic (ones count, nibble histogram, run-length
     histogram, longest run) from a
     :class:`~repro.engine.context.SequenceContext`, so the four tests share
-    one scan of the block instead of four — and :meth:`run_batch` shares one
-    vectorised pass across a whole batch of 20 000-bit blocks.
+    one scan of the block instead of four — and :meth:`run_batch` runs the
+    four batch entries, one vectorised pass each across a whole batch of
+    20 000-bit blocks.
     """
 
     _CONTEXT_TESTS = (
@@ -274,4 +316,7 @@ class FipsBattery:
             _check_length(arr.size)
         if not arrays:
             return []
-        return [self.run(context) for context in BatchContext(np.vstack(arrays)).contexts()]
+        batch = BatchContext(np.vstack(arrays))
+        tests = (batch_monobit, batch_poker, batch_runs, batch_long_run)
+        columns = [test(batch) for test in tests]
+        return [FipsReport(results=list(results)) for results in zip(*columns)]

@@ -183,11 +183,6 @@ class FleetReport(JsonCsvExportMixin):
     mix: Dict[str, int]
     rounds: List[FleetRound] = field(default_factory=list)
     scenarios: List[FleetScenarioStats] = field(default_factory=list)
-    #: Canonical test id -> execution path the engine took for it
-    #: ("batched" batch-native kernel / "inline" per-sequence scalar), as
-    #: observed on the scheduler's most recent evaluations.  Empty for reports saved before the
-    #: batch-native heavy kernels existed.
-    execution_paths: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- selection
     @property
@@ -267,7 +262,6 @@ class FleetReport(JsonCsvExportMixin):
             },
             "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
             "scenarios": [stats.to_dict() for stats in self.scenarios],
-            "execution_paths": dict(sorted(self.execution_paths.items())),
         }
 
     @classmethod
@@ -286,13 +280,8 @@ class FleetReport(JsonCsvExportMixin):
             scenarios=[FleetScenarioStats.from_dict(s) for s in data["scenarios"]],
             # A v1 "backend" or "streaming" config field is ignored: every
             # backend and both former scheduler modes gave bit-identical
-            # verdicts.
-            # Reports saved before the batch-native heavy kernels recorded
-            # no per-test paths.
-            execution_paths={
-                str(k): str(v)
-                for k, v in data.get("execution_paths", {}).items()
-            },
+            # verdicts.  So is a saved "execution_paths" map: every test
+            # now runs through its batch entry.
         )
 
     # to_json / from_json / save_json / to_csv / save_csv come from
@@ -302,7 +291,6 @@ class FleetReport(JsonCsvExportMixin):
 def build_report(
     registry: "DeviceRegistry",
     rounds: List[FleetRound],
-    execution_paths: Optional[Dict[str, str]] = None,
 ) -> FleetReport:
     """Aggregate a registry's device health into a :class:`FleetReport`.
 
@@ -351,5 +339,4 @@ def build_report(
         mix=registry.scenario_counts(),
         rounds=list(rounds),
         scenarios=scenarios,
-        execution_paths=dict(execution_paths or {}),
     )

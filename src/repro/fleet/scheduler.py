@@ -303,35 +303,12 @@ class FleetScheduler:
         #: replayed rounds are not re-journaled).
         self.journal: Optional["IngestJournal"] = None
         self.rounds: List[FleetRound] = []
-        #: Canonical test id -> execution path ("batched" / "inline")
-        #: observed on the most recent evaluations; surfaced in
-        #: :attr:`FleetReport.execution_paths
-        #: <repro.fleet.report.FleetReport.execution_paths>` to prove the
-        #: heavy tests ran on the batch kernels.
-        self.execution_paths: Dict[str, str] = {}
         #: Serialises fleet mutations (rounds, ingest, registration) between
         #: the scheduler's owner and the HTTP service threads; re-entrant so
         #: the service can call locked scheduler methods under it.
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------- evaluation
-    def _fold_paths(self, paths: Dict[str, str]) -> None:
-        """Merge observed per-test execution paths under the fleet lock.
-
-        ``evaluate_matrix`` runs outside the lock on the ingest path, so
-        two service threads (or a request racing ``report()``'s snapshot
-        iteration) would otherwise mutate and read the dict concurrently.
-        The lock is re-entrant, so the locked ``run_round`` path folds
-        through here unchanged.
-        """
-        with self.lock:
-            self.execution_paths.update(paths)
-
-    def _fold(self, result: BatchResult, alpha: float) -> List[FleetVerdict]:
-        """Reduce a batch result to verdicts, folding its execution paths."""
-        self._fold_paths(result.execution_paths)
-        return _reduce_verdicts(result, alpha)
-
     def evaluate_matrix(
         self, matrix: Union[np.ndarray, PackedMatrix]
     ) -> List[FleetVerdict]:
@@ -343,7 +320,7 @@ class FleetScheduler:
         consumers), and either container yields identical verdicts.
         """
         result = run_batch(matrix, tests=list(self.registry.tests))
-        return self._fold(result, self.registry.alpha)
+        return _reduce_verdicts(result, self.registry.alpha)
 
     def _evaluate_round(self, devices: List[Device], root: obs.Span) -> List[BatchResult]:
         """One :class:`BatchResult` per device slice, in device order.
@@ -393,7 +370,7 @@ class FleetScheduler:
                 with obs.span("fold"):
                     verdicts: List[FleetVerdict] = []
                     for result in results:
-                        verdicts.extend(self._fold(result, self.registry.alpha))
+                        verdicts.extend(_reduce_verdicts(result, self.registry.alpha))
                     failing = 0
                     transitions: Dict[Tuple[str, str], int] = {}
                     for device, verdict in zip(devices, verdicts):
@@ -602,7 +579,6 @@ class FleetScheduler:
                 "version": 2,
                 "registry": self.registry.state_dict(),
                 "rounds": [fleet_round.to_dict() for fleet_round in self.rounds],
-                "execution_paths": dict(self.execution_paths),
                 "ingest_streams": {
                     device_id: {"tail": entry.tail, "last_seq": entry.last_seq}
                     for device_id, entry in entries
@@ -621,7 +597,8 @@ class FleetScheduler:
         :meth:`~repro.fleet.registry.DeviceRegistry.load_state`.  Fields of
         older captures are ignored where they no longer shape any verdict:
         ``backend`` (every backend gave bit-identical statistics),
-        ``streaming``, and a streaming fleet's ``round_stream`` ring (every
+        ``streaming``, ``execution_paths`` (every test now runs through its
+        batch entry) and a streaming fleet's ``round_stream`` ring (every
         round pushed n fresh bits, so the ring never reached a later
         verdict); a streaming device's ring becomes its tail (see
         :func:`_stored_tail`).  After the restore, subsequent rounds and
@@ -636,7 +613,6 @@ class FleetScheduler:
             self.rounds = [
                 FleetRound.from_dict(entry) for entry in state["rounds"]
             ]
-            self.execution_paths = dict(state["execution_paths"])
         with self._streams_lock:
             self._ingest_streams.clear()
             for device_id, spec in state["ingest_streams"].items():
@@ -660,8 +636,4 @@ class FleetScheduler:
     def report(self) -> FleetReport:
         """Aggregate the fleet's current state into a :class:`FleetReport`."""
         with self.lock:
-            return build_report(
-                self.registry,
-                self.rounds,
-                execution_paths=dict(self.execution_paths),
-            )
+            return build_report(self.registry, self.rounds)

@@ -370,7 +370,6 @@ class FleetService:
             "design": report.design,
             "n": report.n,
             "alpha": report.alpha,
-            "execution_paths": dict(sorted(report.execution_paths.items())),
             "num_devices": report.num_devices,
             "rounds_completed": report.rounds_completed,
             "health": health,

@@ -16,7 +16,9 @@ share sub-statistics.  Every context is a row of a
 :class:`~repro.engine.context.BatchContext` (a lone sequence is a one-row
 batch), so the statistics are computed in single vectorised passes over
 the whole batch, on the packed 64-bits-per-word kernels wherever the
-geometry has one.  Only the template-matching units read raw bits.
+geometry has one.  The template-matching units count per-block hits of
+the shared window values with the helpers of the NIST template tests;
+only a periodic template reads raw bits.
 
 The functional and cycle-accurate paths are verified equivalent by
 ``tests/test_hwtests_functional.py`` (same final register-file contents for
@@ -27,6 +29,8 @@ path suits their sequence length.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
+
+import numpy as np
 
 from repro.engine.context import SequenceContext
 from repro.hwtests.approximate_entropy import ApproximateEntropyHW
@@ -39,10 +43,10 @@ from repro.hwtests.nonoverlapping import NonOverlappingTemplateHW
 from repro.hwtests.overlapping import OverlappingTemplateHW
 from repro.hwtests.runs import RunsHW
 from repro.hwtests.serial import SerialHW
-from repro.nist.common import BitsLike, chunk
+from repro.nist.common import BitsLike
 from repro.nist.longest_run import LONGEST_RUN_TABLES, category_index
-from repro.nist.nonoverlapping import count_non_overlapping
-from repro.nist.overlapping import count_overlapping
+from repro.nist.nonoverlapping import _context_counts as _non_overlapping_counts
+from repro.nist.overlapping import _block_categories as _overlapping_categories
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hwtests.block import UnifiedTestingBlock
@@ -90,27 +94,33 @@ def _load_longest_run(unit: LongestRunHW, context: SequenceContext) -> None:
 
 
 def _load_non_overlapping(unit: NonOverlappingTemplateHW, context: SequenceContext) -> None:
-    blocks = chunk(context.bits, unit.block_length)
-    for index, counter in enumerate(unit._block_counters):
-        if index < len(blocks):
-            counter.force(count_non_overlapping(blocks[index], unit.template))
+    num_blocks = min(context.n // unit.block_length, unit.num_blocks)
+    counts = _non_overlapping_counts(
+        context, tuple(unit.template), num_blocks, unit.block_length
+    )
+    for counter, count in zip(unit._block_counters, counts):
+        counter.force(count)
     unit._skip.clear()
-    unit._current_block = min(len(blocks), unit.num_blocks) - 1
+    unit._current_block = num_blocks - 1
 
 
 def _load_overlapping(unit: OverlappingTemplateHW, context: SequenceContext) -> None:
-    categories = [0] * len(unit._categories)
-    for block in chunk(context.bits, unit.block_length)[: unit.num_blocks]:
-        occurrences = count_overlapping(block, unit.template)
-        categories[min(occurrences, unit.K)] += 1
-    for counter, value in zip(unit._categories, categories):
+    template = tuple(unit.template)
+    categories = _overlapping_categories(
+        context.window_values(len(template))[np.newaxis],
+        template,
+        unit.block_length,
+        min(context.n // unit.block_length, unit.num_blocks),
+        unit.K,
+    )[0]
+    for counter, value in zip(unit._categories, categories.tolist()):
         counter.force(value)
     unit._block_matches.clear()
 
 
 def _load_serial(unit: SerialHW, context: SequenceContext) -> None:
     for length, bank in unit._banks.items():
-        counts = context.pattern_counts(length, cyclic=True)
+        counts = context.pattern_counts(length)
         for counter, value in zip(bank.counters, counts):
             counter.force(int(value))
     unit._bits_seen = context.n + unit.m - 1
@@ -121,7 +131,7 @@ def _load_approximate_entropy(unit: ApproximateEntropyHW, context: SequenceConte
     if unit.shares_serial_counters:
         return  # the serial unit's fast load already provides the counts
     for length, bank in unit._banks.items():
-        counts = context.pattern_counts(length, cyclic=True)
+        counts = context.pattern_counts(length)
         for counter, value in zip(bank.counters, counts):
             counter.force(int(value))
     unit._bits_seen = context.n + unit.m

@@ -32,6 +32,13 @@ def phi_statistic(bits: BitsLike, m: int) -> float:
     return phi_from_counts(pattern_counts(arr, m, cyclic=True), n)
 
 
+def _validate(n: int, m: int) -> None:
+    if m < 1:
+        raise ValueError("approximate entropy test requires m >= 1")
+    if n < m + 2:
+        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+
+
 def _apen_result(n: int, m: int, counts_m: np.ndarray, counts_m1: np.ndarray) -> TestResult:
     """Decision math shared by the direct and context-aware entry points."""
     phi_m = phi_from_counts(counts_m, n)
@@ -76,10 +83,7 @@ def approximate_entropy_test(bits: BitsLike, m: int = 3) -> TestResult:
     """
     arr = to_bits(bits)
     n = arr.size
-    if m < 1:
-        raise ValueError("approximate entropy test requires m >= 1")
-    if n < m + 2:
-        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
+    _validate(n, m)
     return _apen_result(
         n,
         m,
@@ -90,15 +94,9 @@ def approximate_entropy_test(bits: BitsLike, m: int = 3) -> TestResult:
 
 def approximate_entropy_test_from_context(context, m: int = 3) -> TestResult:
     """Context-aware entry point: reads the shared cyclic pattern counters
-    (the same ones the serial test uses — the paper's unified counters)."""
+    (the same ones the serial test uses — the paper's unified counters).
+    The wider count is read first, so the narrower one is its marginal."""
     n = context.n
-    if m < 1:
-        raise ValueError("approximate entropy test requires m >= 1")
-    if n < m + 2:
-        raise ValueError(f"sequence too short (n={n}) for block length m={m}")
-    return _apen_result(
-        n,
-        m,
-        context.pattern_counts(m, cyclic=True),
-        context.pattern_counts(m + 1, cyclic=True),
-    )
+    _validate(n, m)
+    counts_m1 = context.pattern_counts(m + 1)
+    return _apen_result(n, m, context.pattern_counts(m), counts_m1)

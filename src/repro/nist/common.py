@@ -29,6 +29,7 @@ __all__ = [
     "erfc",
     "normal_cdf",
     "pattern_counts",
+    "template_block_hits",
     "phi_from_counts",
     "psi_squared",
     "psi_squared_from_counts",
@@ -358,6 +359,30 @@ def pattern_counts(bits: BitsLike, m: int, *, cyclic: bool = True) -> np.ndarray
     for offset in range(m):
         values += extended[offset : offset + num_windows] * weights[offset]
     return np.bincount(values, minlength=1 << m).astype(np.int64)
+
+
+def template_block_hits(
+    values: np.ndarray, target: int, num_blocks: int, block_length: int, m: int
+) -> np.ndarray:
+    """Windows equal to ``target`` inside each block, per row.
+
+    ``values`` holds the ``(rows, n - m + 1)`` non-cyclic ``m``-bit window
+    values of each row.  Block ``i`` covers bits ``[i*M, (i+1)*M)``, so its
+    windows start at ``i*M .. i*M + M - m``: a window crossing the block's
+    end is not the block's.  Returns a ``(rows, num_blocks)`` int array,
+    the overlapping occurrence count of the template in every block (and,
+    for an aperiodic template, its non-overlapping count too).
+    """
+    rows = values.shape[0]
+    span = num_blocks * block_length
+    # The last block's windows end at span - m <= n - m, so every window a
+    # block owns exists; the tail of ``hits`` past the final window only
+    # pads the reshape and is sliced away with the crossing windows.
+    hits = np.zeros((rows, span), dtype=bool)
+    usable = min(span, values.shape[1])
+    np.equal(values[:, :usable], target, out=hits[:, :usable])
+    blocks = hits.reshape(rows, num_blocks, block_length)
+    return np.count_nonzero(blocks[:, :, : block_length - m + 1], axis=2)
 
 
 def psi_squared_from_counts(counts: np.ndarray, n: int) -> float:

@@ -7,11 +7,19 @@ and variance with a χ² statistic.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, bits_from_int, bits_to_int, igamc, to_bits
+from repro.nist.common import (
+    BitsLike,
+    TestResult,
+    bits_from_int,
+    bits_to_int,
+    igamc,
+    template_block_hits,
+    to_bits,
+)
 
 __all__ = [
     "non_overlapping_template_test",
@@ -111,33 +119,61 @@ def non_overlapping_template_test_from_context(
     template: Sequence[int] = DEFAULT_TEMPLATE_9,
     num_blocks: int = 8,
 ) -> TestResult:
-    """Context-aware entry point.
-
-    For an aperiodic template — the only kind NIST uses — no two occurrences
-    can overlap, so the greedy non-overlapping count equals the plain number
-    of matching windows; those are read off the shared ``m``-bit window
-    values (also used by the overlapping test and pattern counters).
-    Periodic templates fall back to the reference greedy scan.
-    """
+    """Context-aware entry point: per-block counts come from
+    :func:`_block_counts` over the context's row, the helper the batch
+    entry runs over a whole batch."""
     n = context.n
     template, block_length = _validate(n, template, num_blocks)
+    counts = _context_counts(context, template, num_blocks, block_length)
+    return _non_overlapping_result(n, template, num_blocks, block_length, counts)
+
+
+def _context_counts(context, template: tuple, num_blocks: int, block_length: int) -> List[int]:
+    """Per-block counts of one context's sequence (its row of :func:`_block_counts`)."""
+    return _block_counts(
+        lambda m: context.window_values(m)[np.newaxis],
+        lambda _row: context.bits,
+        1,
+        template,
+        num_blocks,
+        block_length,
+    )[0].tolist()
+
+
+def _block_counts(
+    window_values: Callable[[int], np.ndarray],
+    row_bits: Callable[[int], np.ndarray],
+    rows: int,
+    template: tuple,
+    num_blocks: int,
+    block_length: int,
+) -> np.ndarray:
+    """Non-overlapping occurrences of ``template`` per block, ``(rows, num_blocks)``.
+
+    For an aperiodic template — the only kind NIST uses — no two
+    occurrences can overlap, so the greedy non-overlapping count equals the
+    number of matching windows, read off the shared ``m``-bit window values
+    (``window_values(m)``, one row per sequence; also used by the
+    overlapping test and the pattern counters).  A periodic template runs
+    the reference greedy scan over each row's bits (``row_bits(row)``).
+    """
     m = len(template)
     if _is_aperiodic(template):
-        values = context.window_values(m)
-        target = bits_to_int(template)
-        windows_per_block = block_length - m + 1
-        counts = [
-            int(np.count_nonzero(values[i * block_length : i * block_length + windows_per_block] == target))
-            for i in range(num_blocks)
-        ]
-    else:
-        counts = [
-            count_non_overlapping(
-                context.bits[i * block_length : (i + 1) * block_length], template
-            )
-            for i in range(num_blocks)
-        ]
-    return _non_overlapping_result(n, template, num_blocks, block_length, counts)
+        return template_block_hits(
+            window_values(m), bits_to_int(template), num_blocks, block_length, m
+        )
+    return np.array(
+        [
+            [
+                count_non_overlapping(
+                    row_bits(row)[i * block_length : (i + 1) * block_length], template
+                )
+                for i in range(num_blocks)
+            ]
+            for row in range(rows)
+        ],
+        dtype=np.int64,
+    ).reshape(rows, num_blocks)
 
 
 def _validate(n: int, template: Sequence[int], num_blocks: int):

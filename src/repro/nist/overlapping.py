@@ -13,7 +13,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.nist.common import BitsLike, TestResult, bits_to_int, igamc, to_bits
+from repro.nist.common import (
+    BitsLike,
+    TestResult,
+    bits_to_int,
+    igamc,
+    template_block_hits,
+    to_bits,
+)
 
 __all__ = [
     "overlapping_template_test",
@@ -125,24 +132,34 @@ def overlapping_template_test_from_context(
     block_length: int = 1032,
     k: int = 5,
 ) -> TestResult:
-    """Context-aware entry point: per-block occurrence counts are read off
-    the shared ``m``-bit window values (also used by the non-overlapping
-    test) instead of a per-window template comparison scan."""
+    """Context-aware entry point: the block categories come from
+    :func:`_block_categories` over the context's row (the shared ``m``-bit
+    window values, also used by the non-overlapping test), the helper the
+    batch entry runs over a whole batch."""
     n = context.n
     template, num_blocks = _validate(n, template, block_length)
+    categories = _block_categories(
+        context.window_values(len(template))[np.newaxis], template, block_length, num_blocks, k
+    )
+    return _overlapping_result(n, template, block_length, num_blocks, k, categories[0])
+
+
+def _block_categories(
+    values: np.ndarray, template: tuple, block_length: int, num_blocks: int, k: int
+) -> np.ndarray:
+    """Blocks per occurrence category (0 .. k-1, and >= k), ``(rows, k + 1)``.
+
+    ``values`` are the rows' ``m``-bit window values; a block's overlapping
+    occurrences are its windows equal to the template.
+    """
     m = len(template)
-    values = context.window_values(m)
-    target = bits_to_int(template)
-    windows_per_block = block_length - m + 1
-    categories = np.zeros(k + 1, dtype=np.int64)
-    for i in range(num_blocks):
-        occurrences = int(
-            np.count_nonzero(
-                values[i * block_length : i * block_length + windows_per_block] == target
-            )
-        )
-        categories[min(occurrences, k)] += 1
-    return _overlapping_result(n, template, block_length, num_blocks, k, categories)
+    rows = values.shape[0]
+    occurrences = template_block_hits(
+        values, bits_to_int(template), num_blocks, block_length, m
+    )
+    np.minimum(occurrences, k, out=occurrences)
+    occurrences += np.arange(rows, dtype=occurrences.dtype)[:, np.newaxis] * (k + 1)
+    return np.bincount(occurrences.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
 
 
 def _validate(n: int, template: Sequence[int], block_length: int):

@@ -23,6 +23,13 @@ from repro.nist.common import (
 __all__ = ["serial_test", "serial_test_from_context"]
 
 
+def _validate(n: int, m: int) -> None:
+    if m < 2:
+        raise ValueError("serial test requires m >= 2")
+    if n < (1 << m):
+        raise ValueError(f"sequence too short (n={n}) for pattern length m={m}")
+
+
 def _serial_result(
     n: int, m: int, counts_m: np.ndarray, counts_m1: np.ndarray, counts_m2: np.ndarray
 ) -> TestResult:
@@ -78,10 +85,7 @@ def serial_test(bits: BitsLike, m: int = 4) -> TestResult:
     """
     arr = to_bits(bits)
     n = arr.size
-    if m < 2:
-        raise ValueError("serial test requires m >= 2")
-    if n < (1 << m):
-        raise ValueError(f"sequence too short (n={n}) for pattern length m={m}")
+    _validate(n, m)
     return _serial_result(
         n,
         m,
@@ -95,14 +99,11 @@ def serial_test_from_context(context, m: int = 4) -> TestResult:
     """Context-aware entry point: the cyclic pattern counters are the shared
     context's (the same counters the approximate-entropy test reads)."""
     n = context.n
-    if m < 2:
-        raise ValueError("serial test requires m >= 2")
-    if n < (1 << m):
-        raise ValueError(f"sequence too short (n={n}) for pattern length m={m}")
+    _validate(n, m)
     return _serial_result(
         n,
         m,
-        context.pattern_counts(m, cyclic=True),
-        context.pattern_counts(m - 1, cyclic=True),
-        context.pattern_counts(m - 2, cyclic=True),
+        context.pattern_counts(m),
+        context.pattern_counts(m - 1),
+        context.pattern_counts(m - 2),
     )

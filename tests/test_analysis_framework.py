@@ -201,6 +201,53 @@ class TestBaseline:
         live, baselined, errors = Baseline([self._entry()]).partition([])
         assert "no current finding matches" in errors[0]
 
+    def _finding(self, line, snippet="rng = np.random.default_rng()"):
+        return Finding(rule="DET001", severity=Severity.ERROR,
+                       path="src/repro/x.py", line=line, column=7, message="m",
+                       snippet=snippet)
+
+    def test_moved_line_still_matches(self, tmp_path, monkeypatch):
+        # An edit above the finding moved it from line 2 to line 5: the
+        # entry stays valid and still accepts it.
+        target = tmp_path / "mod.py"
+        target.write_text("import numpy as np\n\n\n\nrng = np.random.default_rng()\n")
+        monkeypatch.chdir(tmp_path)
+        entry = self._entry(path="mod.py", line=2)
+        assert Baseline([entry]).staleness_errors() == []
+        finding = Finding(rule="DET001", severity=Severity.ERROR, path="mod.py",
+                          line=5, column=7, message="m",
+                          snippet="rng = np.random.default_rng()")
+        live, baselined, errors = Baseline([entry]).partition([finding])
+        assert live == [] and baselined == [finding] and errors == []
+
+    def test_stale_when_snippet_gone_after_a_move(self, tmp_path, monkeypatch):
+        target = tmp_path / "mod.py"
+        target.write_text("import numpy as np\n\nrng = np.random.default_rng(7)\n")
+        monkeypatch.chdir(tmp_path)
+        errors = Baseline([self._entry(path="mod.py", line=2)]).staleness_errors()
+        assert "is no longer in the file" in errors[0]
+
+    def test_second_identical_finding_stays_live(self):
+        first, second = self._finding(2), self._finding(9)
+        live, baselined, errors = Baseline([self._entry()]).partition([first, second])
+        assert baselined == [first] and live == [second] and errors == []
+
+    def test_each_identical_entry_accepts_one_finding(self):
+        # Two entries with one snippet accept two findings, each preferring
+        # the entry recorded at its own line; a third finding stays live.
+        entries = [self._entry(line=9), self._entry(line=2)]
+        findings = [self._finding(2), self._finding(9), self._finding(14)]
+        live, baselined, errors = Baseline(entries).partition(findings)
+        assert baselined == findings[:2] and live == findings[2:] and errors == []
+        live, baselined, errors = Baseline(entries).partition(findings[:1])
+        assert len(errors) == 1 and ":9:" in errors[0]
+
+    def test_unjustified_entry_still_invalid_when_it_matches(self):
+        baseline = Baseline([self._entry(justification="")])
+        assert baseline.validation_errors()
+        live, baselined, _ = baseline.partition([self._finding(40)])
+        assert baselined  # matching never waives the justification check
+
     def test_from_findings_carries_justifications_across_line_moves(self):
         finding = Finding(rule="DET001", severity=Severity.ERROR,
                           path="src/repro/x.py", line=40, column=7, message="m",
@@ -277,6 +324,23 @@ class TestCliEndToEnd:
         code, text = self._run(str(bad), "--baseline", str(baseline))
         assert code == 0
         assert "1 baselined" in text
+
+    def test_baselined_entry_survives_a_line_move(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(UNSEEDED)
+        baseline = tmp_path / "baseline.json"
+        self._run(str(bad), "--baseline", str(baseline), "--update-baseline")
+        data = json.loads(baseline.read_text())
+        data["findings"][0]["justification"] = "fixture"
+        baseline.write_text(json.dumps(data))
+        bad.write_text("# a comment pushes the finding down\n\n" + UNSEEDED)
+        code, text = self._run(str(bad), "--baseline", str(baseline))
+        assert code == 0, text
+        assert "1 baselined" in text
+        # A second copy of the same line is a new finding, not baselined.
+        bad.write_text(UNSEEDED + "rng = np.random.default_rng()\n")
+        code, text = self._run(str(bad), "--baseline", str(baseline))
+        assert code == 1 and "1 baselined" in text
 
     def test_baselined_entry_goes_stale_when_fixed(self, tmp_path):
         bad = tmp_path / "bad.py"

@@ -68,7 +68,6 @@ def _check_parity(matrix, parameters=None):
     )
     assert isinstance(result, BatchResult)
     assert result.test_ids == tuple(NIST_NUMBER_TO_ID[number] for number in LIGHT_TESTS)
-    assert set(result.execution_paths.values()) == {"batched"}
     assert result.errors == {}
     references = [
         [REFERENCES[number](row, **parameters.get(number, {})) for number in LIGHT_TESTS]
@@ -229,7 +228,6 @@ class TestErrorAndVerdictSemantics:
             tests=list(LIGHT_TESTS),
             parameters={2: {"block_length": 4096}},
         )
-        assert result.execution_paths["nist.block_frequency"] == "batched"
         for row, report in enumerate(result):
             with pytest.raises(ValueError) as excinfo:
                 block_frequency_test(matrix[row], block_length=4096)
@@ -258,10 +256,6 @@ class TestErrorAndVerdictSemantics:
     def test_per_row_errors_on_mixed_lengths(self):
         short, long = _rows(10, 1, 100)[0], _rows(11, 1, 256)[0]
         result = run_batch([short, long], tests=[1, 4])
-        assert result.execution_paths == {
-            "nist.frequency": "inline",
-            "nist.longest_run": "inline",
-        }
         assert list(result.errors) == ["nist.longest_run"]
         assert list(result.errors["nist.longest_run"]) == [0]
         assert _reduce_verdicts(result, 0.01) == [
@@ -286,9 +280,6 @@ class TestErrorAndVerdictSemantics:
         ]
         assert verdicts == expected
         assert any(v.passed for v in verdicts) and not all(v.passed for v in verdicts)
-        assert scheduler.execution_paths == {
-            NIST_NUMBER_TO_ID[number]: "batched" for number in registry.tests
-        }
 
 
 class TestBatchResultSequence:

@@ -47,11 +47,14 @@ class TestRegistryLookup:
 
     def test_duplicate_registration_rejected(self):
         registry = TestRegistry()
-        test = RegisteredTest(id="x", name="x", runner=lambda ctx: None)
+        test = RegisteredTest(id="x", name="x", runner=lambda ctx: None,
+                              batch_runner=lambda batch: [])
         registry.register(test)
         with pytest.raises(ValueError):
-            registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None))
-        registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None),
+            registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None,
+                                             batch_runner=lambda batch: []))
+        registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None,
+                                         batch_runner=lambda batch: []),
                           replace=True)
 
     def test_custom_registry_usable_by_run_batch(self, batch_sequences):
@@ -61,6 +64,10 @@ class TestRegistryLookup:
                 id="custom.frequency",
                 name="Custom",
                 runner=lambda ctx: frequency_test(ctx.bits),
+                batch_runner=lambda batch: [
+                    frequency_test(batch.row_bits(row))
+                    for row in range(batch.num_sequences)
+                ],
             )
         )
         reports = run_batch(batch_sequences[:2], tests=["custom.frequency"],
@@ -105,7 +112,11 @@ class TestRunBatch:
             RegisteredTest(
                 id="count.frequency",
                 name="Counting",
-                runner=lambda ctx: calls.append(1) or frequency_test(ctx.bits),
+                runner=lambda ctx: frequency_test(ctx.bits),
+                batch_runner=lambda batch: calls.append(1) or [
+                    frequency_test(batch.row_bits(row))
+                    for row in range(batch.num_sequences)
+                ],
                 aliases=("cf",),
             )
         )
@@ -120,19 +131,17 @@ class TestRunBatch:
         reports = run_batch(batch_sequences[:1], tests=[3, 1, "nist.runs", "1", 3])
         assert list(reports[0].results) == ["nist.runs", "nist.frequency"]
 
-    @pytest.mark.parametrize(
-        "number, path", [(1, "batched"), (5, "batched"), (7, "inline")]
-    )
-    def test_non_valueerror_recorded_not_raised(self, batch_sequences, number, path):
+    @pytest.mark.parametrize("number", [1, 5, 7])
+    def test_non_valueerror_recorded_not_raised(self, batch_sequences, number):
         """Regression: a non-ValueError from a test (here a TypeError from a
         bogus parameter) used to crash the whole batch despite skip_errors.
-        Test 7 has no batch runner, so it covers the per-sequence path."""
+        Tests 1, 5 and 7 cover a P-value column, a kernel and a template
+        entry."""
         reports = run_batch(
             batch_sequences[:2], tests=[number, 3],
             parameters={number: {"bogus_kwarg": 1}},
         )
         test_id = DEFAULT_REGISTRY.resolve(number).id
-        assert reports.execution_paths[test_id] == path
         for report in reports:
             assert test_id in report.errors
             assert report.errors[test_id].startswith("TypeError: ")
@@ -140,8 +149,8 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("number", [1, 5, 7])
     def test_non_valueerror_raised_without_skip_errors(self, batch_sequences, number):
-        """skip_errors=False surfaces the original exception type on the
-        batched and the per-sequence path alike."""
+        """skip_errors=False surfaces the original exception type from
+        every kind of batch entry."""
         with pytest.raises(TypeError):
             run_batch(batch_sequences[:2], tests=[number],
                       parameters={number: {"bogus_kwarg": 1}}, skip_errors=False)

@@ -1,7 +1,7 @@
 """Golden engine/reference parity tests.
 
 The acceptance bar of the engine refactor: every test run through a
-``SequenceContext`` (solo or batch-backed, batched or inline) must produce
+``SequenceContext`` (solo or batch-backed) or ``run_batch`` must produce
 *bit-identical* ``TestResult.p_values`` to the pre-existing direct reference
 functions, on ideal, biased and correlated sources alike.
 """
@@ -141,15 +141,12 @@ class TestBatchParity:
 
     @pytest.mark.parametrize("n", [128, 1000, 4096 + 37, N])
     def test_one_sequence_is_a_one_row_batch(self, n):
-        # A single sequence takes the batch kernels, not the scalar path:
-        # every test with a batch runner reports "batched", and results and
+        # A single sequence takes the batch entries, and results and
         # errors still equal the golden model's.
         bits = IdealSource(seed=n).generate(n).bits
         report = run_batch([bits])[0]
         for number, reference in REFERENCE_TESTS.items():
             test = DEFAULT_REGISTRY.resolve(number)
-            expected_path = "batched" if test.batch_runner is not None else "inline"
-            assert report.execution_paths[test.id] == expected_path, number
             try:
                 expected = reference(bits)
             except ValueError as exc:

@@ -440,7 +440,6 @@ class TestFanOut:
             return (
                 [device.monitor.state_dict() for device in registry],
                 [list(device.monitor.history) for device in registry],
-                dict(scheduler.execution_paths),
             )
 
         before = folded()

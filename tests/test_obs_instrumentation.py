@@ -40,26 +40,19 @@ def small_fleet(num_devices=8):
 
 
 class TestBatchInstrumentation:
-    def test_bits_and_paths_accounted(self, sequences):
+    def test_bits_and_evaluations_accounted(self, sequences):
         bits = metric("repro_engine_bits_evaluated_total")
         totals = metric("repro_engine_tests_total")
         seconds = metric("repro_engine_test_seconds")
 
-        def path_sum():
-            return sum(
-                totals.value(path=path) for path in ("batched", "inline")
-            )
-
         bits_before = bits.value()
-        paths_before = path_sum()
-        batched_before = totals.value(path="batched")
+        totals_before = totals.value()
         freq_before = seconds.count(test="nist.frequency")
         run_batch(sequences, tests=["nist.frequency", "nist.runs"])
         assert bits.value() - bits_before == sequences.size
         # Two tests over four sequences: eight per-sequence evaluations, all
         # decided as P-value columns over the packed batch.
-        assert path_sum() - paths_before == 8
-        assert totals.value(path="batched") - batched_before == 8
+        assert totals.value() - totals_before == 8
         assert seconds.count(test="nist.frequency") - freq_before == 1
 
     def test_trace_covers_pack_dispatch_decision(self, sequences):
@@ -74,7 +67,7 @@ class TestBatchInstrumentation:
 
     def test_fixed_cost_folds_once_per_batch(self, sequences):
         # One dispatch span per test, but a single decision span and a
-        # single per-path counter update however many tests ran.
+        # single counter update however many tests ran.
         tests = ["nist.frequency", "nist.block_frequency", "nist.runs",
                  "nist.cumulative_sums", "fips.poker"]
         totals = metric("repro_engine_tests_total")
@@ -82,7 +75,7 @@ class TestBatchInstrumentation:
         original = totals.inc
 
         def counting_inc(amount=1.0, **labels):
-            incs.append(labels["path"])
+            incs.append(amount)
             original(amount, **labels)
 
         obs.clear_traces()
@@ -95,7 +88,7 @@ class TestBatchInstrumentation:
         stages = root.stage_names()
         assert stages.count("dispatch") == len(tests)
         assert stages.count("decision") == 1
-        assert sorted(incs) == ["batched", "inline"]
+        assert incs == [len(tests) * len(sequences)]
         obs.clear_traces()
 
     def test_disabled_batch_still_computes(self, sequences):
