@@ -141,11 +141,9 @@ class OnTheFlyPlatform:
         """
         if isinstance(sequences, BatchContext):
             batch = sequences
-        elif isinstance(sequences, PackedMatrix):
+        elif isinstance(sequences, (PackedMatrix, np.ndarray)):
+            # The constructor validates shape (2-D) and 0/1 content.
             batch = BatchContext(sequences)
-        elif isinstance(sequences, np.ndarray):
-            # as_matrix validates shape (2-D) and 0/1 content.
-            batch = BatchContext(BatchContext.as_matrix(sequences))
         else:
             arrays = [to_bits(sequence) for sequence in sequences]
             for arr in arrays:

@@ -340,16 +340,13 @@ def run_batch(
     sequences:
         Iterable of bit sequences (any ``BitsLike``), a 2-D
         ``(num_sequences, n)`` uint8 matrix straight from
-        :meth:`~repro.trng.source.EntropySource.generate_matrix` — the
-        zero-copy fast path used by the block-native source layer — or a
-        prepacked :class:`~repro.engine.packed.PackedMatrix` (e.g. from
-        ``generate_matrix(..., packed=True)`` or the fleet scheduler), in
-        which case the uint8 matrix is only materialised if a statistic
-        without a packed kernel needs it.
+        :meth:`~repro.trng.source.EntropySource.generate_matrix` — packed
+        once, with its shape and 0/1 content validated — or a prepacked
+        :class:`~repro.engine.packed.PackedMatrix` (e.g. from
+        ``generate_matrix(..., packed=True)`` or the fleet scheduler).
         A prebuilt :class:`~repro.engine.context.BatchContext` — e.g. the
-        preseeded window of a streaming context via
-        :meth:`BatchContext.from_streaming` — is used as-is, statistics
-        already cached in it included.
+        preseeded window of a streaming context's ``window_context()`` —
+        is used as-is, statistics already cached in it included.
         Equal-length sequences — a single sequence included — are stacked
         into one bit matrix and share vectorised statistics; on mixed
         lengths each distinct length is stacked into its own batch.
@@ -393,10 +390,10 @@ def _run_batch(
             # Prebuilt (possibly preseeded) context: run on it directly so
             # its cached statistics are reused, not recomputed.
             batch = sequences
-        elif isinstance(sequences, PackedMatrix):
+        elif isinstance(sequences, PackedMatrix) or (
+            isinstance(sequences, np.ndarray) and sequences.ndim == 2
+        ):
             batch = BatchContext(sequences)
-        elif isinstance(sequences, np.ndarray) and sequences.ndim == 2:
-            batch = BatchContext(BatchContext.as_matrix(sequences))
         arrays: List[np.ndarray] = []
         if batch is not None:
             num_sequences = batch.num_sequences

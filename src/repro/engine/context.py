@@ -7,9 +7,11 @@ from the same registers.  :class:`SequenceContext` reproduces that in
 software: :class:`BatchContext` lazily computes and memoizes every derived
 statistic the statistical tests draw from, for a batch of equal-length
 sequences, so a suite run touches each bit O(1) times instead of once per
-test.  The shared statistics run on the 64-bits-per-word kernels of
-:mod:`repro.engine.packed` over the packed words; a lazy uint8 view of the
-matrix serves the statistics (and block geometries) without a word kernel.
+test.  The batch holds one representation of its bits, the packed words of
+a :class:`~repro.engine.packed.PackedMatrix`, and every statistic runs on
+the 64-bits-per-word kernels of :mod:`repro.engine.packed`; the few
+consumers that need per-bit access (the run arrays, odd block-sum
+geometries) read a transient unpack that is never cached.
 
 :class:`SequenceContext` is one row of a batch: the views returned by
 :meth:`BatchContext.context` read their row out of the shared result, and a
@@ -23,7 +25,7 @@ reference implementation that re-scans the raw bits (asserted by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,65 +46,6 @@ _KERNEL_CALLS = obs.counter(
 #: ``(num_sequences, num_blocks)`` statistic array, or ``None`` to decline
 #: (the context then falls back to its own kernels).
 BlockProvider = Callable[[int], Optional[np.ndarray]]
-
-
-class SupportsWindowContext(Protocol):
-    """Anything that can serve its trailing window as a :class:`BatchContext`.
-
-    The structural type of :class:`repro.engine.streaming.StreamingContext`
-    and :class:`~repro.engine.streaming.StreamingBatchContext`; spelled as a
-    protocol so this module never imports the streaming layer it underpins.
-    """
-
-    def window_context(self, nbits: Optional[int] = None) -> "BatchContext":
-        ...
-
-
-def _window_weights(m: int) -> np.ndarray:
-    """MSB-first bit weights of an ``m``-bit window."""
-    return 1 << np.arange(m - 1, -1, -1)
-
-
-def _matrix_window_values(matrix: np.ndarray, m: int) -> np.ndarray:
-    """Integer value of every overlapping ``m``-bit window, per row.
-
-    ``matrix`` has shape ``(rows, length)``; the result has shape
-    ``(rows, length - m + 1)``.  Computed with the MSB-first Horner rule
-    ``value = value * 2 + bit`` applied in place so the hot loop touches one
-    narrow accumulator array instead of allocating a temporary per offset.
-    """
-    rows, length = matrix.shape
-    num_windows = length - m + 1
-    if num_windows <= 0:
-        raise ValueError(f"window length m={m} exceeds sequence length n={length}")
-    dtype = np.int32 if m <= 15 else np.int64
-    values = np.zeros((rows, num_windows), dtype=dtype)
-    for offset in range(m):
-        np.left_shift(values, 1, out=values)
-        values += matrix[:, offset : offset + num_windows]
-    return values
-
-
-def _matrix_block_longest_one_runs(matrix: np.ndarray, block_length: int) -> np.ndarray:
-    """Longest run of ones inside each ``block_length``-bit block, per row.
-
-    Works on the flattened zero-padded block matrix: a zero column appended
-    to every block guarantees runs of ones never cross block (or row)
-    boundaries, so one global run-length scan labels every block at once.
-    """
-    rows, length = matrix.shape
-    num_blocks = length // block_length
-    blocks = matrix[:, : num_blocks * block_length].reshape(rows * num_blocks, block_length)
-    padded = np.zeros((rows * num_blocks, block_length + 1), dtype=np.int8)
-    padded[:, :block_length] = blocks
-    flat = np.concatenate([[0], padded.ravel()])
-    edges = np.diff(flat.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    longest = np.zeros(rows * num_blocks, dtype=np.int64)
-    if starts.size:
-        np.maximum.at(longest, starts // (block_length + 1), ends - starts)
-    return longest.reshape(rows, num_blocks)
 
 
 class SequenceContext:
@@ -130,8 +73,8 @@ class SequenceContext:
             _batch = BatchContext(to_bits(bits)[np.newaxis, :])
         self._batch = _batch
         self._row = _row
-        # Resolved lazily: on a packed batch the uint8 row is only unpacked
-        # when a statistic without a packed kernel asks for raw bits.
+        # Resolved lazily: the uint8 row is only unpacked when a test
+        # without a shared statistic asks for raw bits.
         self._bits: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._rows: Dict[Tuple[object, ...], np.ndarray] = {}
@@ -149,7 +92,7 @@ class SequenceContext:
     def bits(self) -> np.ndarray:
         """The raw uint8 0/1 array (for tests without a shared statistic).
 
-        On a packed-only batch this unpacks just this context's row, so one
+        Unpacks just this context's row of the batch's words, so one
         scalar-path test cannot force the whole batch matrix into memory.
         """
         if self._bits is None:
@@ -244,60 +187,25 @@ class SequenceContext:
 class BatchContext:
     """Shared statistics of a batch of equal-length sequences.
 
-    Every statistic is computed lazily with one vectorised pass over the
-    ``(num_sequences, n)`` bit matrix and cached; per-sequence contexts
-    created with :meth:`context` read their row from the shared arrays.
+    The batch holds exactly one representation of its bits: a
+    :class:`~repro.engine.packed.PackedMatrix`.  A ``(num_sequences, n)``
+    bit matrix (or a sequence of equal-length bit arrays) is packed once
+    by :func:`~repro.engine.packed.pack_matrix`, which rejects anything
+    that is not 2-D or holds a value other than 0 and 1; a prepacked
+    matrix is used as is.
 
-    The cheap shared statistics (ones, block ones, runs, longest run per
-    block, walk extremes) run on the 64-bits-per-word
-    :mod:`repro.engine.packed` kernels over a memoized packed view of the
-    matrix.  Block lengths those kernels do not cover
-    (:func:`~repro.engine.packed.supports_block_ones`,
-    :func:`~repro.engine.packed.supports_block_longest_one_runs`), the
-    pattern and window counters, the per-row run arrays and the
-    block-value histogram read the lazy uint8 :attr:`matrix` view instead.
-    The constructor also accepts a prepacked
-    :class:`~repro.engine.packed.PackedMatrix` directly, in which case the
-    uint8 matrix is only materialised if a statistic needs it.
+    Every statistic is computed lazily with one vectorised pass over the
+    packed words and cached; per-sequence contexts created with
+    :meth:`context` read their row from the shared arrays.  Window values,
+    pattern counts and block-value histograms come from
+    :func:`~repro.engine.packed.window_values`.  The per-row run arrays and
+    block sums of geometries without a word kernel
+    (:func:`~repro.engine.packed.supports_block_ones`) read a transient
+    unpack that is not kept.
     """
 
-    @staticmethod
-    def as_matrix(sequences: Union[np.ndarray, Sequence[BitsLike]]) -> np.ndarray:
-        """Normalise ``sequences`` to a validated 2-D uint8 bit matrix.
-
-        A uint8 array that already has the right shape — e.g. one produced
-        by :meth:`~repro.trng.source.EntropySource.generate_matrix` — is
-        passed through without copying, so source blocks flow into the
-        engine with no intermediate :class:`BitSequence` materialisation.
-        """
-        matrix = np.ascontiguousarray(sequences, dtype=np.uint8)
-        if matrix.ndim != 2:
-            raise ValueError("expected a 2-D (num_sequences, n) bit matrix")
-        if matrix.size and int(matrix.max()) > 1:
-            raise ValueError("bit matrix must contain only 0 and 1 values")
-        return matrix
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[np.ndarray]) -> "BatchContext":
-        """Batch context over equal-length source blocks (1-D uint8 arrays)."""
-        return cls(np.vstack([np.atleast_1d(block) for block in blocks]))
-
     def __init__(self, matrix: Union[np.ndarray, PackedMatrix, Sequence[BitsLike]]):
-        if isinstance(matrix, PackedMatrix):
-            # Prepacked input (e.g. the fleet scheduler's round matrix):
-            # the uint8 view is only materialised if a non-packed statistic
-            # asks for it (or the packer retained its source matrix).
-            self._packed: Optional[PackedMatrix] = matrix
-            self._matrix: Optional[np.ndarray] = matrix.source
-            self._n = matrix.n
-            self._num_sequences = matrix.num_rows
-        else:
-            matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-            if matrix.ndim != 2:
-                raise ValueError("BatchContext expects a 2-D (num_sequences, n) bit matrix")
-            self._matrix = matrix
-            self._packed = None
-            self._num_sequences, self._n = matrix.shape
+        self._packed = matrix if isinstance(matrix, PackedMatrix) else pack_matrix(matrix)
         self._ones: Optional[np.ndarray] = None
         self._last_bits: Optional[np.ndarray] = None
         self._walk_extremes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -310,21 +218,6 @@ class BatchContext:
         self._block_value_counts: Dict[int, np.ndarray] = {}
         self._block_sums_provider: Optional[BlockProvider] = None
         self._block_longest_provider: Optional[BlockProvider] = None
-
-    @classmethod
-    def from_streaming(
-        cls, stream: SupportsWindowContext, nbits: Optional[int] = None
-    ) -> "BatchContext":
-        """The trailing window of a streaming context, as a batch context.
-
-        The bridge the tentpole names: ``run_batch`` and the cheap-test
-        registry run unchanged on the rolled window, because the streaming
-        side hands back a regular :class:`BatchContext` preseeded with its
-        incrementally maintained statistics.  Accepts anything exposing
-        ``window_context()`` — a ``StreamingContext`` or a
-        ``StreamingBatchContext``.
-        """
-        return stream.window_context(nbits)
 
     def preseed(
         self,
@@ -366,44 +259,21 @@ class BatchContext:
             self._block_longest_provider = block_longest_provider
         return self
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The ``(num_sequences, n)`` uint8 bit matrix (unpacked on demand)."""
-        if self._matrix is None:
-            self._matrix = self._packed.unpack()
-        return self._matrix
-
     def packed(self) -> PackedMatrix:
-        """The memoized packed-word view of the matrix (packed on demand)."""
-        if self._packed is None:
-            self._packed = pack_matrix(self._matrix, keep_source=True)
+        """The packed words of the batch."""
         return self._packed
 
-    def packed_only(self) -> Optional[PackedMatrix]:
-        """The packed view when the uint8 matrix is *not* materialised.
-
-        Chunked consumers (the batched heavy kernels) use this to unpack
-        row windows on the fly instead of forcing the full matrix; returns
-        ``None`` when the uint8 matrix already exists (then slicing it is
-        free).
-        """
-        if self._matrix is None:
-            return self._packed
-        return None
-
     def row_bits(self, row: int) -> np.ndarray:
-        """One sequence's uint8 bits, unpacking only that row when packed."""
-        if self._matrix is not None:
-            return self._matrix[row]
+        """One sequence's uint8 bits, unpacking only that row."""
         return self._packed.row(row)
 
     @property
     def num_sequences(self) -> int:
-        return int(self._num_sequences)
+        return self._packed.num_rows
 
     @property
     def n(self) -> int:
-        return int(self._n)
+        return self._packed.n
 
     def context(self, row: int) -> SequenceContext:
         """A per-sequence context backed by this batch's shared statistics."""
@@ -419,7 +289,7 @@ class BatchContext:
     def ones(self) -> np.ndarray:
         if self._ones is None:
             _KERNEL_CALLS.inc(kernel="ones_count")
-            self._ones = _packed.ones_count(self.packed())
+            self._ones = _packed.ones_count(self._packed)
         return self._ones
 
     def last_bits(self) -> np.ndarray:
@@ -429,7 +299,7 @@ class BatchContext:
         """
         if self._last_bits is None:
             _KERNEL_CALLS.inc(kernel="last_bits")
-            self._last_bits = _packed.last_bits(self.packed())
+            self._last_bits = _packed.last_bits(self._packed)
         return self._last_bits
 
     def walk_extremes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -440,7 +310,7 @@ class BatchContext:
                 self._walk_extremes = (zeros, zeros.copy(), zeros.copy())
             else:
                 _KERNEL_CALLS.inc(kernel="walk_extremes")
-                self._walk_extremes = _packed.walk_extremes(self.packed())
+                self._walk_extremes = _packed.walk_extremes(self._packed)
         return self._walk_extremes
 
     def num_runs(self) -> np.ndarray:
@@ -450,7 +320,7 @@ class BatchContext:
                 self._num_runs = np.zeros(self.num_sequences, dtype=np.int64)
             else:
                 _KERNEL_CALLS.inc(kernel="transition_counts")
-                self._num_runs = _packed.transition_counts(self.packed()) + 1
+                self._num_runs = _packed.transition_counts(self._packed) + 1
         return self._num_runs
 
     def runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,7 +330,7 @@ class BatchContext:
         its predecessor, so no run crosses rows of the flattened matrix.
         """
         if self._runs is None:
-            matrix = self.matrix
+            matrix = self._packed.unpack()
             rows, n = matrix.shape
             starts = np.ones((rows, n), dtype=bool)
             np.not_equal(matrix[:, 1:], matrix[:, :-1], out=starts[:, 1:])
@@ -479,11 +349,11 @@ class BatchContext:
             if _packed.supports_block_ones(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_ones")
                 self._block_sums[block_length] = _packed.block_ones(
-                    self.packed(), block_length
+                    self._packed, block_length
                 )
             else:
                 num_blocks = self.n // block_length
-                trimmed = self.matrix[:, : num_blocks * block_length]
+                trimmed = self._packed.unpack()[:, : num_blocks * block_length]
                 self._block_sums[block_length] = trimmed.reshape(
                     self.num_sequences, num_blocks, block_length
                 ).sum(axis=2, dtype=np.int64)
@@ -496,24 +366,20 @@ class BatchContext:
                 if provided is not None:
                     self._block_longest[block_length] = provided
                     return provided
-            if _packed.supports_block_longest_one_runs(block_length, self.n):
-                _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
-                self._block_longest[block_length] = _packed.block_longest_one_runs(
-                    self.packed(), block_length
-                )
-            else:
-                self._block_longest[block_length] = _matrix_block_longest_one_runs(
-                    self.matrix, block_length
-                )
+            _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
+            self._block_longest[block_length] = _packed.block_longest_one_runs(
+                self._packed, block_length
+            )
         return self._block_longest[block_length]
 
     def block_value_counts(self, block_length: int) -> np.ndarray:
+        """Histogram of the non-overlapping ``block_length``-bit block values
+        (FIPS poker): block ``i``'s value is window ``i * block_length``."""
         if block_length not in self._block_value_counts:
-            num_blocks = self.n // block_length
-            trimmed = self.matrix[:, : num_blocks * block_length].astype(np.int64)
-            values = trimmed.reshape(
-                self.num_sequences, num_blocks, block_length
-            ) @ _window_weights(block_length)
+            if self.n // block_length:
+                values = self._windows(block_length)[:, ::block_length]
+            else:
+                values = np.zeros((self.num_sequences, 0), dtype=np.int64)
             self._block_value_counts[block_length] = self._bincount_rows(
                 values, 1 << block_length
             )
@@ -559,26 +425,29 @@ class BatchContext:
         counts = self._bincount_rows(self.window_values(m), 1 << m)
         if m > 1:
             # The cyclic convention adds the m-1 windows wrapping from the
-            # tail into the head; their values come from the narrow
-            # (rows, 2(m-1)) seam matrix instead of a full extended copy.
-            seam = np.concatenate(
-                [self.matrix[:, -(m - 1) :], self.matrix[:, : m - 1]], axis=1
-            )
-            counts = counts + self._bincount_rows(_matrix_window_values(seam, m), 1 << m)
+            # tail into the head: the windows of the narrow 2(m-1)-bit seam,
+            # not of a full extended copy.
+            seam = _packed.wrap_seam(self._packed, m - 1)
+            counts += self._bincount_rows(_packed.window_values(seam, m), 1 << m)
         return counts
 
     def window_values(self, m: int) -> np.ndarray:
+        """MSB-first value of every (non-cyclic) ``m``-bit window, per row."""
         if m not in self._window_values:
-            self._window_values[m] = _matrix_window_values(self.matrix, m)
+            self._window_values[m] = self._windows(m)
         return self._window_values[m]
 
+    def _windows(self, m: int) -> np.ndarray:
+        _KERNEL_CALLS.inc(kernel="window_values")
+        return _packed.window_values(self._packed, m)
+
     def _bincount_rows(self, values: np.ndarray, num_bins: int) -> np.ndarray:
-        """Per-row bincount via one flat bincount with row offsets."""
-        rows = values.shape[0]
-        dtype = np.int32 if rows * num_bins < (1 << 31) else np.int64
-        offsets = np.arange(rows, dtype=dtype)[:, np.newaxis] * num_bins
-        flat = np.bincount(
-            (values.astype(dtype, copy=False) + offsets).ravel(),
-            minlength=rows * num_bins,
-        )
-        return flat.reshape(rows, num_bins).astype(np.int64)
+        """Per-row bincount: one flat bincount with row offsets per row tile,
+        so each tile's index cast stays in cache."""
+        counts = np.empty((values.shape[0], num_bins), dtype=np.int64)
+        for tile in _packed._row_tiles(values.shape[0], values.shape[1]):
+            block = values[tile]
+            offsets = np.arange(block.shape[0], dtype=np.intp)[:, np.newaxis] * num_bins
+            flat = np.bincount((block + offsets).ravel(), minlength=block.shape[0] * num_bins)
+            counts[tile] = flat.reshape(-1, num_bins)
+        return counts

@@ -77,18 +77,15 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _row_windows(batch: "BatchContext", max_rows: int):
-    """Yield ``(start, uint8 block)`` row windows of the batch matrix.
+    """Yield ``(start, uint8 block)`` row windows of the batch's bits.
 
-    Packed-only batches unpack one window at a time, so chunked kernels
-    never force the full ``rows x n`` uint8 matrix into memory.
+    Each window is a transient unpack of its rows' words, so chunked
+    kernels never force the full ``rows x n`` uint8 matrix into memory.
     """
-    packed = batch.packed_only()
+    packed = batch.packed()
     for start in range(0, batch.num_sequences, max_rows):
         stop = min(start + max_rows, batch.num_sequences)
-        if packed is not None:
-            yield start, _packed.unpack_rows(packed, start, stop)
-        else:
-            yield start, batch.matrix[start:stop]
+        yield start, _packed.unpack_rows(packed, start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +194,7 @@ def _each_row(
     decide: Callable[[int], TestResult], rows: int
 ) -> List[Union[TestResult, Exception]]:
     """``decide(row)`` for every row; a row whose decision raises keeps its
-    exception and errors alone, as its reference does on that sequence
-    (e.g. a serial ∇²ψ² that rounds below zero)."""
+    exception and errors alone, as its reference does on that sequence."""
     outcomes: List[Union[TestResult, Exception]] = []
     for row in range(rows):
         try:

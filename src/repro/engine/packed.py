@@ -68,6 +68,8 @@ __all__ = [
     "bit_tile_rows",
     "unpack_matrix",
     "unpack_rows",
+    "window_values",
+    "wrap_seam",
     "pack_bits",
     "unpack_bits",
     "popcount",
@@ -115,16 +117,14 @@ class PackedMatrix:
     n:
         Bits per row.  Tail bits of the last word (``n % 64`` onwards) are
         zero and are never interpreted by the kernels.
-    source:
-        Optional reference to the original ``uint8`` matrix (kept by
-        ``pack_matrix(..., keep_source=True)``) so consumers that still need
-        per-bit access — template tests, pattern counters — read it back
-        without an unpack pass.
+
+    The words are the only copy of the bits: a per-bit consumer reads a
+    transient unpack (:meth:`row`, :func:`unpack_rows`) and drops it.
     """
 
-    __slots__ = ("words", "n", "source")
+    __slots__ = ("words", "n")
 
-    def __init__(self, words: np.ndarray, n: int, source: Optional[np.ndarray] = None):
+    def __init__(self, words: np.ndarray, n: int):
         words = np.ascontiguousarray(words, dtype=WORD_DTYPE)
         if words.ndim != 2:
             raise ValueError("PackedMatrix expects a 2-D (rows, words) array")
@@ -143,7 +143,6 @@ class PackedMatrix:
             )
         self.words = words
         self.n = int(n)
-        self.source = source
 
     @property
     def num_rows(self) -> int:
@@ -159,18 +158,15 @@ class PackedMatrix:
         return int(self.words.nbytes)
 
     def unpack(self) -> np.ndarray:
-        """The ``(rows, n)`` uint8 bit matrix (the retained source if any)."""
-        if self.source is not None:
-            return self.source
+        """The ``(rows, n)`` uint8 bit matrix (a fresh unpack)."""
         return unpack_matrix(self)
 
     def row(self, index: int) -> np.ndarray:
         """One row as a 1-D uint8 bit array, without unpacking the rest.
 
-        The lazy per-row escape hatch of the batch entries that call a
-        scalar reference per row: a packed-only batch hands a single
-        sequence to a per-bit consumer at ``n`` bytes instead of
-        ``rows * n``.
+        The per-row escape hatch of the batch entries that call a scalar
+        reference per row: a batch hands a single sequence to a per-bit
+        consumer at ``n`` bytes instead of ``rows * n``.
         """
         return unpack_rows(self, index, index + 1)[0]
 
@@ -178,13 +174,12 @@ class PackedMatrix:
         return f"PackedMatrix(rows={self.num_rows}, n={self.n}, words={self.num_words})"
 
 
-def pack_matrix(matrix: np.ndarray, *, keep_source: bool = False) -> PackedMatrix:
-    """Pack a validated ``(rows, n)`` uint8 bit matrix into 64-bit words.
+def pack_matrix(matrix: np.ndarray) -> PackedMatrix:
+    """Pack a ``(rows, n)`` bit matrix into 64-bit words.
 
-    Rows are packed independently (``np.packbits`` along axis 1, little bit
-    order) and right-padded with zero bytes up to a whole number of words;
-    ``keep_source=True`` retains a reference to the input matrix so later
-    per-bit consumers skip the unpack pass.
+    Validates that the input is 2-D and holds only 0 and 1.  Rows are packed
+    independently (``np.packbits`` along axis 1, little bit order) and
+    right-padded with zero bytes up to a whole number of words.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
     if matrix.ndim != 2:
@@ -198,8 +193,7 @@ def pack_matrix(matrix: np.ndarray, *, keep_source: bool = False) -> PackedMatri
         padded = np.zeros((rows, num_words * 8), dtype=np.uint8)
         padded[:, : packed_bytes.shape[1]] = packed_bytes
         packed_bytes = padded
-    words = packed_bytes.view(WORD_DTYPE)
-    return PackedMatrix(words, n, source=matrix if keep_source else None)
+    return PackedMatrix(packed_bytes.view(WORD_DTYPE), n)
 
 
 def pack_rows_into(
@@ -213,7 +207,7 @@ def pack_rows_into(
     :func:`bit_tile_rows` tile at a time, so only a cache-sized uint8 tile
     ever exists, never the ``(count, n)`` matrix.  Tiles are validated and
     packed exactly as :func:`pack_matrix` packs a matrix, and the pad bytes
-    past ``n`` are zeroed.  The result keeps no uint8 source.
+    past ``n`` are zeroed.
     """
     count = words.shape[0]
     num_bytes = (n + 7) // 8
@@ -236,24 +230,18 @@ def pack_rows_into(
 def unpack_matrix(packed: PackedMatrix) -> np.ndarray:
     """Expand a :class:`PackedMatrix` back to its ``(rows, n)`` uint8 form.
 
-    Exact inverse of :func:`pack_matrix` for every ``n`` (tail pad bytes are
-    dropped by unpacking with an explicit bit count).
+    Exact inverse of :func:`pack_matrix` for every ``n``.
     """
-    if packed.n == 0:
-        return np.zeros((packed.num_rows, 0), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(packed.words).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=packed.n, bitorder="little")
+    return unpack_rows(packed, 0, packed.num_rows)
 
 
 def unpack_rows(packed: PackedMatrix, start: int, stop: int) -> np.ndarray:
     """Expand rows ``start:stop`` of a :class:`PackedMatrix` to uint8 bits.
 
-    Slices the retained source when one exists; otherwise only the requested
-    rows' words are unpacked, so chunked consumers (the batched heavy-test
-    kernels) never materialise the full matrix.
+    The one unpack home: only the requested rows' words are unpacked (tail
+    pad bits are dropped by an explicit bit count), so chunked consumers
+    (the batched heavy-test kernels) never materialise the full matrix.
     """
-    if packed.source is not None:
-        return packed.source[start:stop]
     if packed.n == 0:
         return np.zeros((packed.words[start:stop].shape[0], 0), dtype=np.uint8)
     as_bytes = np.ascontiguousarray(packed.words[start:stop]).view(np.uint8)
@@ -372,7 +360,7 @@ def block_ones(packed: PackedMatrix, block_length: int) -> np.ndarray:
     a word reshape + popcount; 8/16/32-bit blocks are popcounted on the
     byte/uint16/uint32 sub-views of the words (stream order is preserved by
     the little bit order).  Other block lengths raise ``ValueError`` — the
-    caller falls back to the uint8 path.
+    caller sums a transient unpack instead.
     """
     n = packed.n
     if not supports_block_ones(block_length, n):
@@ -526,7 +514,8 @@ def _chunk_view(packed: PackedMatrix, bits: int) -> np.ndarray:  # repro: ignore
 
 
 def supports_block_longest_one_runs(block_length: int, n: int) -> bool:
-    """True when :func:`block_longest_one_runs` has a packed kernel."""
+    """True when :func:`block_longest_one_runs` reads the blocks straight
+    off the words (full blocks whose length is a multiple of 8)."""
     if block_length <= 0 or block_length > n:
         return False
     return block_length % 8 == 0
@@ -540,19 +529,29 @@ def block_longest_one_runs(packed: PackedMatrix, block_length: int) -> np.ndarra
     to right one chunk column at a time: a run crossing a chunk seam is the
     left chunk's suffix plus the right chunk's prefix, and an all-ones chunk
     extends the carried run whole.  Each merge step touches one chunk per
-    block, so rows are tiled by their block count.  Covers every
-    NIST-tabulated block length (8 / 128 / 512 / 1000 / 10000).
+    block, so rows are tiled by their block count.  Every NIST-tabulated
+    block length (8 / 128 / 512 / 1000 / 10000) is a multiple of 8 and read
+    off the words; any other length re-packs each block from a transient
+    unpack, zero-padded to a byte (a trailing zero ends a run and starts
+    none).  With no full block the result is ``(rows, 0)``.
     """
-    n = packed.n
-    if not supports_block_longest_one_runs(block_length, n):
-        raise ValueError(f"no packed kernel for block_length={block_length} at n={n}")
-    chunk_bits = 16 if block_length % 16 == 0 else 8
-    triples = _run_pack_lut(chunk_bits)
+    if block_length <= 0:
+        raise ValueError("block_length must be positive")
     rows = packed.num_rows
-    num_blocks = n // block_length
-    chunks_per_block = block_length // chunk_bits
-    chunks = _chunk_view(packed, chunk_bits)[:, : num_blocks * chunks_per_block]
-    blocks = chunks.reshape(rows, num_blocks, chunks_per_block)
+    num_blocks = packed.n // block_length
+    if block_length % 8:
+        chunk_bits = 8
+        bits = unpack_rows(packed, 0, rows)[:, : num_blocks * block_length]
+        blocks = np.packbits(
+            bits.reshape(rows, num_blocks, block_length), axis=2, bitorder="little"
+        )
+    else:
+        chunk_bits = 16 if block_length % 16 == 0 else 8
+        per_block = block_length // chunk_bits
+        chunks = _chunk_view(packed, chunk_bits)[:, : num_blocks * per_block]
+        blocks = chunks.reshape(rows, num_blocks, per_block)
+    triples = _run_pack_lut(chunk_bits)
+    chunks_per_block = blocks.shape[2]
     chunk_width = np.int16(chunk_bits)
     result = np.empty((rows, num_blocks), dtype=np.int64)
     for tile in _row_tiles(rows, num_blocks):
@@ -571,6 +570,83 @@ def block_longest_one_runs(packed: PackedMatrix, block_length: int) -> np.ndarra
             trailing += triple & np.int16(31)
         result[tile] = longest
     return result
+
+
+# ---------------------------------------------------------------------------
+# Window values (the template shift register)
+# ---------------------------------------------------------------------------
+
+#: Byte ``b`` with its bit order reversed: a little-order byte of stream bits
+#: becomes MSB-first, the order window values are read in.
+_BIT_REVERSE = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1),
+    axis=1,
+    bitorder="little",
+).ravel()
+
+#: Widest window one 32-bit funnel holds at all 8 bit offsets of a byte.
+_FUNNEL_WINDOW = 25
+
+
+def window_values(packed: PackedMatrix, m: int) -> np.ndarray:
+    """MSB-first value of every overlapping ``m``-bit window, per row.
+
+    The software form of the paper's template shift register: window ``p``
+    of a row is the integer whose bits, most significant first, are stream
+    bits ``p .. p + m - 1``; the result has shape ``(rows, n - m + 1)``.
+    Row bytes are bit-reversed to MSB-first, every 4 consecutive bytes are
+    funnelled into one big-endian uint32 ``big[k]``, and window ``8k + o``
+    is ``(big[k] >> (32 - o - m)) & mask`` — 8 strided writes, one per bit
+    offset, over cache-sized row tiles.  Values are uint16 for ``m <= 16``
+    and uint32 up to ``m = 25``; a wider window is the int64 composition of
+    an ``(m - 16)``-bit window and the 16-bit window ``m - 16`` bits later.
+    """
+    n = packed.n
+    num_windows = n - m + 1
+    if m < 1:
+        raise ValueError("window length m must be positive")
+    if num_windows <= 0:
+        raise ValueError(f"window length m={m} exceeds sequence length n={n}")
+    if m > _FUNNEL_WINDOW:
+        values = window_values(packed, m - 16)[:, :num_windows].astype(np.int64)
+        values <<= 16
+        values |= window_values(packed, 16)[:, m - 16 :]
+        return values
+    rows = packed.num_rows
+    groups = -(-num_windows // 8)
+    row_bytes = np.ascontiguousarray(packed.words).view(np.uint8)
+    usable = min(groups + 3, row_bytes.shape[1])
+    values = np.empty((rows, 8 * groups), dtype=np.uint16 if m <= 16 else np.uint32)
+    mask = np.uint32((1 << m) - 1)
+    for tile in _row_tiles(rows, groups):
+        # Three zero bytes past the last group keep every funnel inside the
+        # tile; the windows they reach start past n - m and are sliced off.
+        msb = np.zeros((tile.stop - tile.start, groups + 3), dtype=np.uint8)
+        np.take(_BIT_REVERSE, row_bytes[tile, :usable], out=msb[:, :usable])
+        big = np.ndarray(
+            (msb.shape[0], groups), dtype=">u4", buffer=msb, strides=(msb.strides[0], 1)
+        ).astype(np.uint32)
+        shifted = np.empty_like(big)
+        out = values[tile]
+        for offset in range(8):
+            np.right_shift(big, np.uint32(32 - offset - m), out=shifted)
+            np.bitwise_and(shifted, mask, out=out[:, offset::8], casting="unsafe")
+    return values[:, :num_windows]
+
+
+def wrap_seam(packed: PackedMatrix, width: int) -> PackedMatrix:
+    """Each row's last ``width`` bits followed by its first ``width`` bits.
+
+    The cyclic convention of the pattern counters extends a row by its own
+    head; the ``m - 1`` windows that wrap from the tail into the head are the
+    windows of this ``2 * width``-bit seam (``width = m - 1 <= n``), read off
+    the row's first and last words.
+    """
+    n = packed.n
+    positions = np.concatenate([np.arange(n - width, n), np.arange(width)])
+    shifts = (positions % BITS_PER_WORD).astype(np.uint64)
+    bits = (packed.words[:, positions // BITS_PER_WORD] >> shifts) & np.uint64(1)
+    return pack_matrix(bits.astype(np.uint8))
 
 
 def word_summaries(words: np.ndarray, *, track_runs: bool = True) -> Dict[str, np.ndarray]:

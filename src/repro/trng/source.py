@@ -135,8 +135,8 @@ class EntropySource(abc.ABC):
         consume directly, without intermediate :class:`BitSequence` copies.
 
         With ``packed=True`` the matrix is returned as a
-        :class:`~repro.engine.packed.PackedMatrix` (64 bits per word, the
-        uint8 source retained) ready for the engine's packed kernels — the
+        :class:`~repro.engine.packed.PackedMatrix` (64 bits per word)
+        ready for the engine's packed kernels — the
         emitted *stream* is identical either way, only the container
         changes, so seeded runs stay reproducible across containers.
         """
@@ -148,7 +148,7 @@ class EntropySource(abc.ABC):
             # pulling in the engine package for plain matrix generation.
             from repro.engine.packed import pack_matrix
 
-            return pack_matrix(matrix, keep_source=True)
+            return pack_matrix(matrix)
         return matrix
 
     # ---------------------------------------------------------- bit-serial API

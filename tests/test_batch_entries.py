@@ -28,6 +28,7 @@ from repro.nist.approximate_entropy import approximate_entropy_test
 from repro.nist.common import pattern_counts
 from repro.nist.nonoverlapping import _is_aperiodic, non_overlapping_template_test
 from repro.nist.overlapping import overlapping_template_test
+from repro.nist import serial as serial_module
 from repro.nist.serial import serial_test
 from repro.trng import IdealSource
 
@@ -123,11 +124,36 @@ class TestHypothesisParity:
 
 
 class TestPerRowErrors:
-    #: Two rows on which serial m = 2 raises for the first row alone: its
-    #: ∇²ψ² rounds below zero and igamc rejects it.
+    #: Two rows; on the first, serial m = 2's ∇²ψ² rounds to -1.4e-14.
     MATRIX = _rows(9373, 2, 120)
 
-    def test_a_row_errors_alone_as_its_reference_does(self):
+    def test_rounding_below_zero_is_clamped_like_apen(self):
+        # Both sequences used to raise "x must be non-negative" in igamc;
+        # ∇²ψ² is now clamped at 0, as ApEn clamps its χ².
+        ordinary = np.random.default_rng(25).integers(0, 2, 120, dtype=np.uint8)
+        for bits in (self.MATRIX[0], ordinary):
+            reference = serial_test(bits, m=2)
+            assert reference.details["del2"] == 0.0
+            assert reference.p_values[1] == 1.0
+            result = _check(bits[np.newaxis], {11: {"m": 2}}, tests=(11,))
+            assert result.errors == {}
+
+    @staticmethod
+    def _plant_first_row_error(monkeypatch, first_row):
+        """Make the decision helper the reference and the batch entry share
+        raise on ``first_row``'s counts alone."""
+        shared = serial_module._serial_result
+        first_counts = pattern_counts(first_row, 2, cyclic=True)
+
+        def planted(n, m, counts_m, *rest):
+            if np.array_equal(counts_m, first_counts):
+                raise ValueError("planted row error")
+            return shared(n, m, counts_m, *rest)
+
+        monkeypatch.setattr(serial_module, "_serial_result", planted)
+
+    def test_a_row_errors_alone_as_its_reference_does(self, monkeypatch):
+        self._plant_first_row_error(monkeypatch, self.MATRIX[0])
         with pytest.raises(ValueError) as excinfo:
             serial_test(self.MATRIX[0], m=2)
         serial_test(self.MATRIX[1], m=2)
@@ -135,8 +161,9 @@ class TestPerRowErrors:
         assert result.errors == {"nist.serial": {0: str(excinfo.value)}}
         assert not result.failing()[0, 0]
 
-    def test_skip_errors_false_raises_the_row_error(self):
-        with pytest.raises(ValueError, match="x must be non-negative"):
+    def test_skip_errors_false_raises_the_row_error(self, monkeypatch):
+        self._plant_first_row_error(monkeypatch, self.MATRIX[0])
+        with pytest.raises(ValueError, match="planted row error"):
             run_batch(self.MATRIX, tests=[11], parameters={11: {"m": 2}},
                       skip_errors=False)
 

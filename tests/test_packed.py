@@ -88,11 +88,6 @@ class TestRoundTrip:
         matrix = random_matrix(16, 4096)
         assert P.pack_matrix(matrix).nbytes == matrix.nbytes // 8
 
-    def test_keep_source_skips_unpack(self):
-        matrix = random_matrix(2, 100)
-        packed = P.pack_matrix(matrix, keep_source=True)
-        assert packed.unpack() is matrix
-
     def test_rejects_non_bits_and_bad_tail(self):
         with pytest.raises(ValueError, match="only 0 and 1"):
             P.pack_matrix(np.full((2, 8), 2, dtype=np.uint8))
@@ -366,7 +361,6 @@ class TestPackRowsInto:
             words = np.full((rows + 2, (n + 63) // 64), ~np.uint64(0), dtype=P.WORD_DTYPE)
             packed = P.pack_rows_into(words[1:-1], n, iter(matrix))
             assert np.array_equal(packed.words, P.pack_matrix(matrix).words)
-            assert packed.source is None
             assert np.shares_memory(packed.words, words)
             assert np.all(words[[0, -1]] == ~np.uint64(0))
 
@@ -409,16 +403,24 @@ class TestBatchContextParity:
             ctx.block_longest_one_runs(20), block_longest_reference(matrix, 20)
         )
 
-    def test_prepacked_input_defers_unpack(self):
+    def test_context_keeps_only_packed_words(self):
         matrix = random_matrix(4, 4096, seed=9)
-        packed = P.pack_matrix(matrix)  # no retained source
+        packed = P.pack_matrix(matrix)
         ctx = BatchContext(packed)
-        assert ctx._matrix is None
+        assert ctx.packed() is packed
         ctx.ones()
         ctx.walk_extremes()
         ctx.num_runs()
-        assert ctx._matrix is None  # packed kernels never touched the bytes
-        assert np.array_equal(ctx.matrix, matrix)  # ...but unpack on demand
+        ctx.runs()
+        ctx.block_sums(100)
+        ctx.window_values(9)
+        ctx.pattern_counts(4)
+        ctx.block_value_counts(4)
+        # The per-bit consumers read a transient unpack: no uint8 bit
+        # matrix is ever stored on the context.
+        stored = [value for value in vars(ctx).values() if isinstance(value, np.ndarray)]
+        assert not any(value.dtype == np.uint8 and value.shape == matrix.shape for value in stored)
+        assert np.array_equal(ctx.packed().unpack(), matrix)
 
 
 class TestEngineParity:

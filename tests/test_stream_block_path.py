@@ -112,13 +112,18 @@ class TestEngineMatrixInput:
 
     def test_batch_context_from_blocks(self):
         blocks = [IdealSource(seed=89 + i).generate_block(256) for i in range(3)]
-        context = BatchContext.from_blocks(blocks)
+        context = BatchContext(np.vstack(blocks))
         assert context.num_sequences == 3 and context.n == 256
         assert int(context.ones()[0]) == int(blocks[0].sum())
 
-    def test_as_matrix_rejects_non_bits(self):
+    def test_constructor_rejects_non_bits(self):
         with pytest.raises(ValueError, match="0 and 1"):
-            BatchContext.as_matrix(np.full((2, 8), 3, dtype=np.uint8))
+            BatchContext(np.full((2, 8), 3, dtype=np.uint8))
+        # A 2 at every third bit used to give 9-bit windows above 511.
+        row = np.zeros(300, dtype=np.uint8)
+        row[::3] = 2
+        with pytest.raises(ValueError, match="bit matrix must contain only 0 and 1 values"):
+            BatchContext(row[np.newaxis])
 
 
 class TestCampaignMatrixBuilders:
