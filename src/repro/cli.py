@@ -533,23 +533,28 @@ def _cmd_batch(args, out) -> int:
         f"{source.name} ({len(tests)} tests, alpha = {args.alpha})",
         file=out,
     )
-    # A healthy source still fails each test with probability ~alpha, so the
-    # exit code flags only gross deviations from the expected pass rate.
+    # A healthy source passes a test whose rows carry k P-values with
+    # probability (1 - alpha)^k, so the exit code flags only a pass rate
+    # whose failures exceed ten times that expectation.  A test that
+    # evaluated no row (too short for it) is reported n/a.
     healthy = True
-    minimum_rate = max(0.0, 1.0 - 10.0 * args.alpha)
     failing = reports.failing(args.alpha)
     errors_by_test = reports.errors
     for number in tests:
         test_id = NIST_NUMBER_TO_ID[number]
-        errors = len(errors_by_test.get(test_id, {}))
-        evaluated = len(reports) - errors
-        passes = evaluated - int(failing[:, reports.test_ids.index(test_id)].sum())
-        rate = passes / evaluated if evaluated else float("nan")
-        healthy = healthy and evaluated > 0 and rate >= minimum_rate
-        suffix = f"  ({errors} skipped)" if errors else ""
+        column = reports.test_ids.index(test_id)
+        errors = errors_by_test.get(test_id, {})
+        evaluated = [row for row in range(len(reports)) if row not in errors]
+        suffix = f"  ({len(errors)} skipped)" if errors else ""
+        if evaluated:
+            rate = 1.0 - failing[evaluated, column].mean()
+            k = len(reports[evaluated[0]].results[test_id].p_values)
+            healthy = healthy and rate >= 1.0 - 10.0 * (1.0 - (1.0 - args.alpha) ** k)
+            shown = f"{rate:6.1%}"
+        else:
+            shown = f"{'n/a':>6}"
         print(
-            f"  test {number:>2}: {NIST_TEST_NAMES[number]:<44} "
-            f"pass rate {rate:6.1%}{suffix}",
+            f"  test {number:>2}: {NIST_TEST_NAMES[number]:<44} pass rate {shown}{suffix}",
             file=out,
         )
     throughput = args.sequences / elapsed if elapsed > 0 else float("inf")

@@ -9,13 +9,13 @@ for a whole batch, and the :class:`TestRegistry` puts the NIST, FIPS and
 hardware-model tests behind one interface: a ``run(context) -> TestResult``
 runner and a batch entry per test.  :func:`run_batch` executes any test
 selection over many sequences through those batch entries alone — the five
-light tests decide P-value columns from the shared integer statistics
-(:mod:`repro.engine.decisions`), the other NIST tests run the batch kernels
-of :mod:`repro.engine.heavy` on packed 64-bits-per-word statistics and the
-shared pattern and window counters, one sequence included (a lone
-:class:`SequenceContext` is a one-row batch).  Its columnar
-:class:`BatchResult` doubles as a sequence of per-row :class:`EngineReport`
-views.
+light tests decide by comparing the shared integer statistics with
+precomputed critical values (:mod:`repro.engine.decisions`), the other
+NIST tests run the batch kernels of :mod:`repro.engine.heavy` on packed
+64-bits-per-word statistics and the shared pattern and window counters,
+one sequence included (a lone :class:`SequenceContext` is a one-row
+batch).  Its columnar :class:`BatchResult` doubles as a sequence of per-row
+:class:`EngineReport` views.
 
 Quickstart::
 

@@ -7,23 +7,24 @@ same bitstream), a batch of equal-length sequences shares a
 with single vectorised 2-D passes over the whole bit matrix.  Every
 registered test has a batch entry, and ``run_batch`` has one dispatch
 loop: one call per test over the whole batch.  The five light tests
-(frequency, block frequency, runs, longest run, cusum) decide one P-value
-column from the shared integer statistics
-(:mod:`repro.engine.decisions`), the other NIST tests run their batch
-kernels (:mod:`repro.engine.heavy`), and the FIPS and hardware-model
-entries read the same batch.  A single sequence is a one-row batch; on
-mixed lengths each distinct length is its own batch, and its rows go back
-into the columns.
+(frequency, block frequency, runs, longest run, cusum) return their
+statistic columns from the shared integer statistics, decided against
+precomputed critical values (:mod:`repro.engine.decisions`); the other
+NIST tests run their batch kernels (:mod:`repro.engine.heavy`), and the
+FIPS and hardware-model entries read the same batch.  A single sequence is
+a one-row batch; on mixed lengths each distinct length is its own batch,
+and its rows go back into the columns.
 
-The result is columnar.  A :class:`BatchResult` holds one column per test —
-the P-values, the error strings and the ``failing(alpha)`` mask a fleet
-verdict reduces from — and is a sequence of per-row :class:`EngineReport`
-views whose ``results`` build the scalar references'
-:class:`~repro.nist.common.TestResult` objects only when read.  Results
-are bit-identical to running each test directly on each sequence —
-asserted by ``tests/test_engine_parity.py``,
-``tests/test_heavy_batch_parity.py``, ``tests/test_batch_entries.py`` and
-``tests/test_columnar_decisions.py``.
+The result is columnar.  A :class:`BatchResult` holds one column per test:
+the error strings, the ``failing(alpha)`` mask a fleet verdict reduces
+from — comparisons alone for the light tests — and the P-values, which
+are computed only when read.  It is also a sequence of per-row
+:class:`EngineReport` views whose ``results`` build the scalar references'
+:class:`~repro.nist.common.TestResult` objects only when read.  Verdicts
+and results are identical to running each test directly on each sequence
+— asserted by ``tests/test_engine_parity.py``,
+``tests/test_heavy_batch_parity.py``, ``tests/test_batch_entries.py``,
+``tests/test_columnar_decisions.py`` and ``tests/test_verdict_tables.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine.context import BatchContext, SequenceContext
+from repro.engine.decisions import StatisticColumn
 from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
@@ -77,69 +79,65 @@ _BITS_EVALUATED = obs.counter(
 class _Column:
     """One test's outcome over the whole batch.
 
-    ``p_values`` holds each row's primary P-value (NaN where the test
-    raised) and ``errors`` the error string of each row that raised.  A
-    decided row (from a batch runner's P-value column) builds its
-    :class:`TestResult` with ``build`` only when it is read; rows of a
-    runner that returns one result per sequence arrive built.
+    A light test's length group arrives as a
+    :class:`~repro.engine.decisions.StatisticColumn`: its rows are decided
+    against critical values, and their P-values and :class:`TestResult`
+    objects (``build``) are computed only when read.  Rows of a runner
+    that returns one result per sequence arrive built; ``errors`` holds
+    the error string of each row that raised.
     """
 
     def __init__(
         self,
-        p_values: np.ndarray,
-        decided: Optional[np.ndarray],
-        build: Callable[[int], TestResult],
-    ) -> None:
-        self.p_values = p_values
-        #: Mask of the decided rows (``None``: every row is decided).
-        self.decided = decided
-        self.errors: Dict[int, str] = {}
-        self._build = build
-        self._results: Dict[int, TestResult] = {}
-
-    @classmethod
-    def of_outcomes(
-        cls,
         rows: int,
         outcomes: List[Tuple[np.ndarray, Union[BatchOutcome, Exception]]],
         build: Callable[[int], TestResult],
-    ) -> "_Column":
-        """Scatter each length group's outcome back into the batch's rows."""
-        if len(outcomes) == 1 and isinstance(outcomes[0][1], np.ndarray):
-            # One batch decided every row: its P-value column is the column.
-            return cls(outcomes[0][1], None, build)
-        column = cls(np.full(rows, np.nan), np.zeros(rows, dtype=bool), build)
+    ) -> None:
+        self._rows = rows
+        self._build = build
+        self._decided: List[Tuple[np.ndarray, StatisticColumn]] = []
+        self._results: Dict[int, TestResult] = {}
+        self._p_values: Optional[np.ndarray] = None
+        self.errors: Dict[int, str] = {}
         for group_rows, outcome in outcomes:
             if isinstance(outcome, Exception):
-                column.errors.update(
-                    dict.fromkeys(group_rows.tolist(), _describe_error(outcome))
-                )
-            elif isinstance(outcome, np.ndarray):
-                column.p_values[group_rows] = outcome
-                column.decided[group_rows] = True
+                self.errors.update(dict.fromkeys(group_rows.tolist(), _describe_error(outcome)))
+            elif isinstance(outcome, StatisticColumn):
+                self._decided.append((group_rows, outcome))
             else:
                 for row, result in zip(group_rows.tolist(), outcome):
                     if isinstance(result, Exception):
-                        column.errors[row] = _describe_error(result)
+                        self.errors[row] = _describe_error(result)
                     else:
-                        column._results[row] = result
-                        column.p_values[row] = result.p_value
-        return column
+                        self._results[row] = result
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """Each row's primary P-value (NaN where the test raised), computed once."""
+        if self._p_values is None:
+            column = np.full(self._rows, np.nan)
+            for group_rows, decided in self._decided:
+                column[group_rows] = decided.p_values()
+            for row, result in self._results.items():
+                column[row] = result.p_value
+            self._p_values = column
+        return self._p_values
 
     def result(self, row: int) -> Optional[TestResult]:
-        if self.decided is None or self.decided[row]:
-            return self._build(row)
-        return self._results.get(row)
+        if row in self.errors:
+            return None
+        result = self._results.get(row)
+        return self._build(row) if result is None else result
 
     def failing(self, alpha: float) -> np.ndarray:
         """Rows whose result rejects randomness at ``alpha`` (never errored rows)."""
-        # A decided row has one P-value, so TestResult.passed reduces to
-        # p >= alpha (NaN fails).
-        failing = ~(self.p_values >= alpha)
-        if self.decided is not None:
-            failing &= self.decided
-            for row, result in self._results.items():
-                failing[row] = not result.passed(alpha)
+        if len(self._decided) == 1 and not self._results and not self.errors:
+            return self._decided[0][1].failing(alpha)  # one group decided every row
+        failing = np.zeros(self._rows, dtype=bool)
+        for group_rows, decided in self._decided:
+            failing[group_rows] = decided.failing(alpha)
+        for row, result in self._results.items():
+            failing[row] = not result.passed(alpha)
         return failing
 
 
@@ -217,14 +215,15 @@ class EngineReport:
 class BatchResult(Sequence[EngineReport]):
     """Columnar outcome of :func:`run_batch`: one column per test over the batch.
 
+    :meth:`failing` is the mask of rejections at a significance level and
+    :attr:`errors` the error strings per test and row — everything a verdict
+    needs, without a P-value or a :class:`~repro.nist.common.TestResult`.
     :attr:`p_values` is the ``(rows, tests)`` matrix of primary P-values in
-    :attr:`test_ids` order, :attr:`errors` the error strings per test and
-    row, and :meth:`failing` the mask of rejections at a significance level
-    — everything a verdict needs, without building a single
-    :class:`~repro.nist.common.TestResult`.  As a ``Sequence`` it serves
-    one lazy :class:`EngineReport` per row (indexing, slicing, iteration,
-    ``len``).  Decided columns keep the batch's statistics alive until the
-    result is dropped, so a row's results can still be built on demand.
+    :attr:`test_ids` order, computed when first read.  As a ``Sequence`` it
+    serves one lazy :class:`EngineReport` per row (indexing, slicing,
+    iteration, ``len``).  Decided columns keep the batch's statistics alive
+    until the result is dropped, so P-values and a row's results can still
+    be computed on demand.
     """
 
     def __init__(self, lengths: Sequence[int], columns: Dict[str, _Column]) -> None:
@@ -241,7 +240,8 @@ class BatchResult(Sequence[EngineReport]):
 
     @property
     def p_values(self) -> np.ndarray:
-        """``(rows, tests)`` primary P-values in :attr:`test_ids` order (NaN: error)."""
+        """``(rows, tests)`` primary P-values in :attr:`test_ids` order (NaN: error),
+        each column computed when first read."""
         if not self._columns:
             return np.empty((len(self), 0))
         return np.column_stack([column.p_values for column in self._columns.values()])
@@ -265,7 +265,7 @@ class BatchResult(Sequence[EngineReport]):
             raise ValueError("alpha must lie strictly between 0 and 1")
         mask = self._failing.get(alpha)
         if mask is None:
-            mask = np.zeros((len(self), len(self._columns)), dtype=bool)
+            mask = np.empty((len(self), len(self._columns)), dtype=bool)
             for index, column in enumerate(self._columns.values()):
                 mask[:, index] = column.failing(alpha)
             self._failing[alpha] = mask
@@ -478,7 +478,7 @@ def _run_batch(
 
     with obs.span("decision", tests=len(resolved)):
         columns = {
-            test.id: _Column.of_outcomes(
+            test.id: _Column(
                 num_sequences,
                 outcomes[test.id],
                 partial(_row_result, test, params.get(test.id, {}), context),

@@ -422,7 +422,10 @@ class BatchContext:
             return np.zeros((rows, 1 << m), dtype=np.int64)
         if m > self.n:
             raise ValueError(f"pattern length m={m} exceeds sequence length n={self.n}")
-        counts = self._bincount_rows(self.window_values(m), 1 << m)
+        # Only the template tests read a width's windows twice; a pattern
+        # count reuses cached windows but does not keep its own.
+        windows = self._window_values.get(m)
+        counts = self._bincount_rows(self._windows(m) if windows is None else windows, 1 << m)
         if m > 1:
             # The cyclic convention adds the m-1 windows wrapping from the
             # tail into the head: the windows of the narrow 2(m-1)-bit seam,

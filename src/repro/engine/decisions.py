@@ -1,55 +1,50 @@
-"""Columnar decisions for the five light NIST tests (1, 2, 3, 4 and 13).
+"""Verdicts of the five light NIST tests (1, 2, 3, 4 and 13) from critical values.
 
-The paper's 16-bit software never evaluates ``erfc``/``igamc`` per sequence
-at runtime: it compares the small integer statistics read off the shared
-hardware counters against precomputed critical values
-(:mod:`repro.sw.critical_values`).  This module is the engine's counterpart
-of that split.  Each ``batch_*`` runner reads the integer statistics a
-:class:`~repro.engine.context.BatchContext` already holds and returns one
-P-value column for the whole batch:
+The paper's 16-bit software never evaluates ``erfc``/``igamc`` at runtime:
+it compares the integer statistics read off the shared hardware counters
+against critical values prepared at design time
+(:mod:`repro.sw.critical_values`).  The engine decides the same way.  Each
+``batch_*`` runner reads a :class:`~repro.engine.context.BatchContext`'s
+statistics and returns a :class:`StatisticColumn`, whose ``failing(alpha)``
+compares the statistic against a table built once per (test, n, α,
+parameters), and whose ``p_values()`` evaluates the scalar reference's
+formula elementwise, operation for operation, only when called.
 
-* frequency (|S_n|), runs ((ones, V_n)), block frequency (block sums) and
-  longest run (class-count rows from one offset ``bincount``) evaluate their
-  scalar reference's formula elementwise, operation for operation, with the
-  same ``scipy.special`` ufuncs, so every P-value is bit-identical;
-* cusum costs O(n/z) Φ terms per row, so it goes through a bounded memo
-  keyed on ``(n, z)`` that calls the unchanged scalar
-  :func:`~repro.nist.cusum.cusum_p_value`.  The memo is bit-identical by
-  construction and plays the role of the paper's precomputed tables: a
-  fleet of healthy devices of one design revisits the same few hundred
-  excursions every round.  It covers cusum alone because the other four
-  formulas cost a handful of ufunc calls per batch, less than the lookups.
-
-:func:`repro.engine.batch.run_batch` turns a column into per-row
-:class:`~repro.nist.common.TestResult` objects only when a caller reads
-them, through the test's scalar context runner.  Parity with the
-``repro.nist`` references is asserted by ``tests/test_columnar_decisions.py``.
+Each table is derived from the P-value function the reference uses, so a
+verdict is ``p < alpha`` by construction: a failing flag per |S_n|
+(frequency), an accepted V_n interval per ones count that passes the
+pretest (runs), the largest accepted excursion z (cusum) and the χ²
+critical value (block frequency on the exact integer Σ(2ε − M)², longest
+run on the reference's float χ²).  Cusum's series and ``igamc`` are not
+provably monotone at ulp level, so a row whose statistic lies in a narrow
+guard band around its critical value takes its exact P-value.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import special as _special
 
-import repro.obs as obs
+from repro.engine.packed import _row_tiles
 from repro.nist.block_frequency import _validate as _validate_block_frequency
-from repro.nist.cusum import cusum_p_value
+from repro.nist.common import igamc
+from repro.nist.cusum import cusum_p_value, largest_accepted_excursion
 from repro.nist.longest_run import (
     LONGEST_RUN_TABLES,
     _validate_block_length,
     recommended_block_length,
 )
+from repro.sw.critical_values import chi_squared_critical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.context import BatchContext
 
 __all__ = [
-    "CUSUM_MEMO",
-    "DecisionMemo",
+    "StatisticColumn",
     "batch_block_frequency",
     "batch_cumulative_sums",
     "batch_frequency",
@@ -57,142 +52,231 @@ __all__ = [
     "batch_runs",
 ]
 
-_MEMO_TOTAL = obs.counter(
-    "repro_engine_decision_memo_total",
-    "Decision-memo lookups of distinct statistics per batch, by test and outcome.",
-    labels=("test", "outcome"),
-)
-
-_ZERO = np.int64(0)
-
-#: Entries the cusum memo keeps.  A 1024-device ``n65536_light`` round has
-#: ~430 distinct excursions, so this holds several designs' working sets.
-_CUSUM_MEMO_CAPACITY = 8192
+#: Tables kept per kind, one per (n, α, parameters) in use.
+_TABLES = 64
 
 
-class DecisionMemo:
-    """Bounded, thread-safe memo of P-values keyed on ``(n, statistic)``.
+class StatisticColumn(NamedTuple):
+    """One light test's statistic over a batch.
 
-    The lock is held only around dict reads and writes, never across the
-    P-value computation: two threads missing the same key both compute it
-    and store the same double, so the writes are idempotent.  When the memo
-    is full the oldest entries are evicted first.
+    ``failing(alpha)`` is True where a row's P-value is below ``alpha``;
+    ``p_values()`` is every row's P-value, bit-identical to the reference.
     """
 
-    def __init__(
-        self, test_id: str, compute: Callable[[int, int], float], capacity: int
-    ) -> None:
-        self.test_id = test_id
-        self.capacity = capacity
-        self._compute = compute
-        self._values: Dict[Tuple[int, int], float] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._values)
-
-    def p_values(self, statistics: np.ndarray, n: int) -> np.ndarray:
-        """P-value of every entry of ``statistics`` at sequence length ``n``."""
-        distinct, inverse = np.unique(statistics, return_inverse=True)
-        keys = [(n, value) for value in distinct.tolist()]
-        with self._lock:
-            found = [self._values.get(key) for key in keys]
-        missing = {
-            key: self._compute(key[1], n)
-            for key, value in zip(keys, found)
-            if value is None
-        }
-        if missing:
-            with self._lock:
-                self._values.update(missing)
-                while len(self._values) > self.capacity:
-                    del self._values[next(iter(self._values))]
-            _MEMO_TOTAL.inc(len(missing), test=self.test_id, outcome="miss")
-        if len(missing) < len(keys):
-            _MEMO_TOTAL.inc(len(keys) - len(missing), test=self.test_id, outcome="hit")
-        column = np.array(
-            [missing[key] if value is None else value for key, value in zip(keys, found)],
-            dtype=np.float64,
-        )
-        return column[inverse.reshape(-1)]
+    statistic: np.ndarray
+    failing: Callable[[float], np.ndarray]
+    p_values: Callable[[], np.ndarray]
 
 
-#: The process-wide cusum memo.  The mode only selects which excursion z a
-#: row has; the P-value is a function of ``(n, z)`` alone, so both modes
-#: share entries.
-CUSUM_MEMO = DecisionMemo("nist.cumulative_sums", cusum_p_value, _CUSUM_MEMO_CAPACITY)
+def _banded_failing(
+    statistic: np.ndarray,
+    low: float,
+    high: float,
+    alpha: float,
+    exact_p_values: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Pass at or below ``low``, fail at or above ``high``; rows strictly
+    between take ``exact_p_values(rows) < alpha``."""
+    failing = statistic >= high
+    near = ((statistic > low) ^ failing).nonzero()[0]
+    if near.size:
+        failing[near] = exact_p_values(near) < alpha
+    return failing
 
 
-def batch_frequency(batch: "BatchContext") -> np.ndarray:
-    """Test 1 from |S_n|: ``erfc(|2·ones − n| / √n / √2)`` per row."""
+@lru_cache(maxsize=_TABLES)
+def _chi_squared_band(
+    degrees_of_freedom: int, alpha: float, error: float = 0.0
+) -> Tuple[float, float]:
+    """χ² bounds a relative 1e-9 (or more) around the critical value: every
+    χ² within a relative ``error`` of a value at or below the first has
+    ``igamc(df / 2, χ² / 2) >= alpha``, and at or above the second below it."""
+    critical = chi_squared_critical(alpha, degrees_of_freedom)
+    width = 1e-9 * critical
+    shape = degrees_of_freedom / 2.0
+    while not (
+        igamc(shape, max(critical - width, 0.0) * (1.0 + error) / 2.0)
+        >= alpha
+        > igamc(shape, (critical + width) * (1.0 - error) / 2.0)
+    ):
+        width *= 2.0
+    return critical - width, critical + width
+
+
+# ------------------------------------------------------------- test 1
+def _frequency_p_values(n: int, excess: np.ndarray) -> np.ndarray:
+    return _special.erfc(excess / math.sqrt(n) / math.sqrt(2.0))
+
+
+@lru_cache(maxsize=_TABLES)
+def _frequency_table(n: int, alpha: float) -> np.ndarray:
+    """Failing flag of every |S_n| in [0, n]."""
+    return _frequency_p_values(n, np.arange(n + 1)) < alpha
+
+
+def batch_frequency(batch: "BatchContext") -> StatisticColumn:
+    """Test 1 from |S_n| = |2·ones − n|."""
     n = batch.n
     if n == 0:
         raise ValueError("frequency test requires a non-empty sequence")
-    s_obs = np.abs(2 * batch.ones() - n) / math.sqrt(n)
-    return _special.erfc(s_obs / math.sqrt(2.0))
+    excess = np.abs(2 * batch.ones() - n)
+    return StatisticColumn(
+        excess,
+        lambda alpha: _frequency_table(n, alpha).take(excess),
+        lambda: _frequency_p_values(n, excess),
+    )
 
 
-def batch_block_frequency(batch: "BatchContext", block_length: int = 128) -> np.ndarray:
-    """Test 2 from the block sums: χ² = 4M·Σ(π_i − ½)², then ``igamc``."""
-    n = batch.n
-    _validate_block_frequency(n, block_length)
-    ones_per_block = batch.block_sums(block_length)
-    num_blocks = ones_per_block.shape[1]
+# ------------------------------------------------------------- test 2
+def _block_frequency_p_values(ones_per_block: np.ndarray, block_length: int) -> np.ndarray:
     # (π_i − ½)² in one float slab, updated in place: the reference's
-    # operations in the reference's order.
+    # operations in the reference's order.  Row sums over the C-contiguous
+    # last axis run the same pairwise summation the reference runs on a row.
     deviations = np.divide(ones_per_block, block_length)
     deviations -= 0.5
     np.square(deviations, out=deviations)
-    # Row sums over the C-contiguous last axis run the same pairwise
-    # summation the scalar reference runs on one row.
     chi_squared = 4.0 * block_length * np.sum(deviations, axis=1)
-    return _special.gammaincc(num_blocks / 2.0, chi_squared / 2.0)
+    return _special.gammaincc(ones_per_block.shape[1] / 2.0, chi_squared / 2.0)
 
 
-def batch_runs(batch: "BatchContext") -> np.ndarray:
+def batch_block_frequency(batch: "BatchContext", block_length: int = 128) -> StatisticColumn:
+    """Test 2 from Σ(2ε_i − M)², exact in integers."""
+    _validate_block_frequency(batch.n, block_length)
+    ones_per_block = batch.block_sums(block_length)
+    num_blocks = ones_per_block.shape[1]
+    # Σ(2ε − M)² = 4·(Σε² − M·Σε) + N·M², both sums over cache-sized row tiles.
+    statistic = np.empty(ones_per_block.shape[0], dtype=np.int64)
+    for tile in _row_tiles(*ones_per_block.shape):
+        blocks = ones_per_block[tile]
+        squares = np.einsum("ij,ij->i", blocks, blocks, dtype=np.int64)
+        statistic[tile] = squares - block_length * blocks.sum(axis=1, dtype=np.int64)
+    statistic *= 4
+    statistic += num_blocks * block_length * block_length
+    # The reference's float χ² strays from Σ(2ε − M)² / M by a relative
+    # (4M + N + 16)·2⁻⁵² at most.
+    error = (4 * block_length + num_blocks + 16) * 2.0**-52
+
+    def failing(alpha: float) -> np.ndarray:
+        low, high = _chi_squared_band(num_blocks, alpha, error)
+        return _banded_failing(
+            statistic,
+            low * block_length,
+            high * block_length,
+            alpha,
+            lambda rows: _block_frequency_p_values(ones_per_block[rows], block_length),
+        )
+
+    return StatisticColumn(
+        statistic, failing, lambda: _block_frequency_p_values(ones_per_block, block_length)
+    )
+
+
+# ------------------------------------------------------------- test 3
+def _runs_p_values(n: int, ones: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    pi = ones / n
+    center = 2.0 * n * pi * (1.0 - pi)
+    denominator = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = np.where(denominator > 0, np.abs(runs - center) / denominator, np.inf)
+    # erfc(inf) is exactly the 0.0 the scalar reference reports.
+    return np.where(np.abs(pi - 0.5) < 2.0 / math.sqrt(n), _special.erfc(statistic), 0.0)
+
+
+@lru_cache(maxsize=_TABLES)
+def _runs_table(n: int, alpha: float) -> Tuple[int, np.ndarray, np.ndarray]:
+    """``(offset, low, high)``: ones count ``offset + i`` accepts V_n in
+    ``[low[i], high[i]]``.
+
+    The entries cover the ones counts that pass the pretest, between two
+    empty intervals that every other ones count is clipped onto.  For one
+    ones count the P-value falls with the distance of V_n from its center,
+    by far more than an ulp per step, so both ends of the interval lie
+    among a few integers around ``center ± erfcinv(α)·denominator``.
+    """
+    reach = 2.0 * math.sqrt(n) + 1  # the pretest window, in ones, with a margin
+    counts = np.arange(max(math.floor(n / 2 - reach), 0), min(math.ceil(n / 2 + reach), n) + 1)
+    ones = counts[np.abs(counts / n - 0.5) < 2.0 / math.sqrt(n)][:, np.newaxis]
+    pi = ones / n
+    center = 2.0 * n * pi * (1.0 - pi)
+    half = _special.erfcinv(alpha) * (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
+    edges = np.floor(np.hstack([center - half, center + half]))
+    grid = (edges[:, :, np.newaxis] + np.arange(-3, 4)).reshape(len(ones), -1)
+    accepted = _runs_p_values(n, ones, grid) >= alpha
+    low = np.where(accepted, grid, n + 1).min(axis=1).astype(np.int64)
+    high = np.where(accepted, grid, 0).max(axis=1).astype(np.int64)
+    return int(ones[0, 0]) - 1, np.pad(low, 1, constant_values=n + 1), np.pad(high, 1)
+
+
+def batch_runs(batch: "BatchContext") -> StatisticColumn:
     """Test 3 from (ones, V_n), with the frequency pretest folded in."""
     n = batch.n
     if n == 0:
         raise ValueError("runs test requires a non-empty sequence")
-    pi = batch.ones() / n
-    tau = 2.0 / math.sqrt(n)
-    pretest_passed = np.abs(pi - 0.5) < tau
-    numerator = np.abs(batch.num_runs() - 2.0 * n * pi * (1.0 - pi))
-    denominator = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = np.where(denominator > 0, numerator / denominator, np.inf)
-    # erfc(inf) is exactly the 0.0 the scalar reference reports.
-    return np.where(pretest_passed, _special.erfc(statistic), 0.0)
+    ones, runs = batch.ones(), batch.num_runs()
+
+    def failing(alpha: float) -> np.ndarray:
+        offset, low, high = _runs_table(n, alpha)
+        index = ones - offset
+        return (runs < low.take(index, mode="clip")) | (runs > high.take(index, mode="clip"))
+
+    return StatisticColumn(runs, failing, lambda: _runs_p_values(n, ones, runs))
+
+
+# ------------------------------------------------------------- test 4
+@lru_cache(maxsize=_TABLES)
+def _longest_run_codes(
+    block_length: int, num_blocks: int
+) -> Tuple[List[np.ndarray], np.ndarray, int, np.ndarray]:
+    """``(codes, shifts, mask, expected)``: each class count is a bit field
+    of an int64 word, and ``codes[w][v]`` is word ``w``'s one-hot field for a
+    block whose longest run is ``v``, so the sum of a row's codes holds all
+    its counts; ``expected`` is the reference's N·π."""
+    k, v_values, pi = LONGEST_RUN_TABLES[block_length]
+    width = num_blocks.bit_length()
+    classes = np.clip(np.arange(block_length + 1) - v_values[0], 0, k)
+    word, field = np.divmod(classes, 63 // width)
+    codes = [np.where(word == w, np.left_shift(1, width * field), 0) for w in range(word[-1] + 1)]
+    return codes, width * np.arange(63 // width), (1 << width) - 1, num_blocks * np.array(pi)
 
 
 def batch_longest_run(
     batch: "BatchContext", block_length: Optional[int] = None
-) -> np.ndarray:
-    """Test 4 from the per-block longest runs, classed with one ``bincount``."""
+) -> StatisticColumn:
+    """Test 4 from the per-block longest runs: the reference's float χ²."""
     n = batch.n
     if block_length is None:
         block_length = recommended_block_length(n)
     _validate_block_length(n, block_length)
-    k, v_values, pi = LONGEST_RUN_TABLES[block_length]
+    k = LONGEST_RUN_TABLES[block_length][0]
     per_block = batch.block_longest_one_runs(block_length)
-    rows, num_blocks = per_block.shape
-    # Class index of every block, offset by its row's bincount range, in
-    # one int64 slab.  Numpy-scalar bounds keep np.clip off its Python-int
-    # range check (two np.iinfo constructions per call).
-    indices = per_block - v_values[0]
-    np.clip(indices, _ZERO, np.int64(k), out=indices)
-    indices += np.arange(rows, dtype=np.int64)[:, np.newaxis] * (k + 1)
-    categories = np.bincount(indices.ravel(), minlength=rows * (k + 1)).reshape(
-        rows, k + 1
+    codes, shifts, mask, expected = _longest_run_codes(block_length, per_block.shape[1])
+    counts = np.empty((per_block.shape[0], len(codes), shifts.size), dtype=np.int64)
+    for tile in _row_tiles(*per_block.shape):
+        for index, word in enumerate(codes):
+            totals = word.take(per_block[tile]).sum(axis=1)
+            counts[tile, index] = (totals[:, np.newaxis] >> shifts) & mask
+    categories = counts.reshape(len(counts), -1)[:, : k + 1]
+    chi_squared = ((categories - expected) ** 2 / expected).sum(axis=1)
+
+    def p_values(rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        return _special.gammaincc(k / 2.0, chi_squared[rows] / 2.0)
+
+    return StatisticColumn(
+        chi_squared,
+        lambda alpha: _banded_failing(chi_squared, *_chi_squared_band(k, alpha), alpha, p_values),
+        p_values,
     )
-    expected = num_blocks * np.array(pi)
-    chi_squared = np.sum((categories - expected) ** 2 / expected, axis=1)
-    return _special.gammaincc(k / 2.0, chi_squared / 2.0)
 
 
-def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> np.ndarray:
-    """Test 13 from the excursion z, through :data:`CUSUM_MEMO`."""
+# ------------------------------------------------------------- test 13
+def _cusum_p_values(n: int, z: np.ndarray) -> np.ndarray:
+    distinct, inverse = np.unique(z, return_inverse=True)
+    column = np.array([cusum_p_value(value, n) for value in distinct.tolist()])
+    return column[inverse.reshape(-1)]
+
+
+def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> StatisticColumn:
+    """Test 13 from the excursion z of the forward (0) or backward (1) walk."""
     n = batch.n
     if n == 0:
         raise ValueError("cumulative sums test requires a non-empty sequence")
@@ -203,4 +287,15 @@ def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> np.ndarray:
         z = np.maximum(np.abs(s_max), np.abs(s_min))
     else:
         z = np.maximum(s_final - s_min, s_max - s_final)
-    return CUSUM_MEMO.p_values(z, n)
+    # The guard band is the three excursions around the largest accepted z.
+    return StatisticColumn(
+        z,
+        lambda alpha: _banded_failing(
+            z,
+            largest_accepted_excursion(n, alpha) - 2,
+            largest_accepted_excursion(n, alpha) + 2,
+            alpha,
+            lambda rows: _cusum_p_values(n, z[rows]),
+        ),
+        lambda: _cusum_p_values(n, z),
+    )

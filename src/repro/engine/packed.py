@@ -49,6 +49,7 @@ more than the arithmetic around it.  Three rules hold throughout:
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -424,44 +425,61 @@ def last_bits(packed: PackedMatrix) -> np.ndarray:
 # version of the hardware's carry chains.  Tables are built lazily once.
 
 _CHUNK_LUTS: Dict[int, Dict[str, np.ndarray]] = {}
-
-
-def _chunk_bit_matrix(bits: int) -> np.ndarray:
-    """``(2**bits, bits)`` matrix: row v = stream-ordered bits of chunk v."""
-    values = np.arange(1 << bits, dtype="<u2" if bits == 16 else np.uint8)
-    as_bytes = values[:, np.newaxis].view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=bits, bitorder="little")
+_CHUNK_LUTS_LOCK = threading.Lock()
 
 
 def _chunk_luts(bits: int) -> Dict[str, np.ndarray]:
-    """Per-chunk tables: longest/prefix/suffix one-runs and walk summary."""
-    luts = _CHUNK_LUTS.get(bits)
-    if luts is None:
-        matrix = _chunk_bit_matrix(bits)
-        # Longest run of ones per chunk: append a zero column so runs end
-        # inside each row, then take the max gap between run edges.
-        padded = np.zeros((matrix.shape[0], bits + 1), dtype=np.int8)
-        padded[:, :bits] = matrix
-        flat = np.concatenate([[0], padded.ravel()])
-        edges = np.diff(flat)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        longest = np.zeros(matrix.shape[0], dtype=np.int16)
-        np.maximum.at(longest, starts // (bits + 1), (ends - starts).astype(np.int16))
-        # Run of ones touching the chunk's start (prefix) and end (suffix).
-        prefix = np.cumprod(matrix, axis=1).sum(axis=1, dtype=np.int16)
-        suffix = np.cumprod(matrix[:, ::-1], axis=1).sum(axis=1, dtype=np.int16)
-        # ±1 walk extremes of the chunk: max/min prefix sum.
-        walk = np.cumsum(2 * matrix.astype(np.int16) - 1, axis=1)
-        luts = {
-            "longest": longest,
-            "prefix": prefix,
-            "suffix": suffix,
-            "walk_max": walk.max(axis=1).astype(np.int16),
-            "walk_min": walk.min(axis=1).astype(np.int16),
-        }
-        _CHUNK_LUTS[bits] = luts
-    return luts
+    """Per-chunk int16 tables of 8- or 16-bit chunks: longest, prefix and
+    suffix one-runs, and the ±1 walk's max, min and final sum.
+
+    Both sizes are built once, under a lock: the byte tables from the
+    bits of every byte, the 16-bit tables by composing their two bytes.
+    """
+    if not _CHUNK_LUTS:
+        with _CHUNK_LUTS_LOCK:
+            if not _CHUNK_LUTS:
+                byte = _byte_luts()
+                _CHUNK_LUTS.update({8: byte, 16: _byte_pair_luts(byte)})
+    return _CHUNK_LUTS[bits]
+
+
+def _byte_luts() -> Dict[str, np.ndarray]:
+    """The chunk tables of every byte, from its 8 stream-ordered bits."""
+    bits = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1, bitorder="little"
+    ).astype(np.int16)
+    run = np.zeros(256, dtype=np.int16)
+    longest = np.zeros(256, dtype=np.int16)
+    for column in bits.T:
+        run = (run + 1) * column
+        np.maximum(longest, run, out=longest)
+    walk = np.cumsum(2 * bits - 1, axis=1, dtype=np.int16)
+    return {
+        "longest": longest,
+        "prefix": np.cumprod(bits, axis=1).sum(axis=1, dtype=np.int16),
+        "suffix": np.cumprod(bits[:, ::-1], axis=1).sum(axis=1, dtype=np.int16),
+        "walk_max": walk.max(axis=1),
+        "walk_min": walk.min(axis=1),
+        "walk_sum": walk[:, -1],
+    }
+
+
+def _byte_pair_luts(byte: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The 16-bit chunk tables: chunk v is byte ``v & 255`` then ``v >> 8``."""
+    first = {key: np.tile(table, 256) for key, table in byte.items()}
+    second = {key: np.repeat(table, 256) for key, table in byte.items()}
+    full = np.int16(8)
+    return {
+        "longest": np.maximum(
+            np.maximum(first["longest"], second["longest"]),
+            first["suffix"] + second["prefix"],
+        ),
+        "prefix": first["prefix"] + (first["prefix"] == full) * second["prefix"],
+        "suffix": second["suffix"] + (second["suffix"] == full) * first["suffix"],
+        "walk_max": np.maximum(first["walk_max"], first["walk_sum"] + second["walk_max"]),
+        "walk_min": np.minimum(first["walk_min"], first["walk_sum"] + second["walk_min"]),
+        "walk_sum": first["walk_sum"] + second["walk_sum"],
+    }
 
 
 _WALK_PACK_LUT: Optional[np.ndarray] = None

@@ -27,8 +27,6 @@ from typing import (
     runtime_checkable,
 )
 
-import numpy as np
-
 from repro.engine import decisions as _decisions
 from repro.engine import heavy as _heavy
 from repro.engine.context import BatchContext, SequenceContext
@@ -65,9 +63,10 @@ __all__ = [
 #: id or alias string, or a NIST test number.
 TestSpec = Union["RegisteredTest", str, int]
 
-#: What a batch runner returns: one P-value column, or one result per
-#: sequence (the exception instead, for a row on which its reference raises).
-BatchOutcome = Union[np.ndarray, List[Union[TestResult, Exception]]]
+#: What a batch runner returns: a light test's statistic column, or one
+#: result per sequence (the exception instead, for a row on which its
+#: reference raises).
+BatchOutcome = Union[_decisions.StatisticColumn, List[Union[TestResult, Exception]]]
 
 
 @runtime_checkable
@@ -98,13 +97,13 @@ class RegisteredTest:
     batch_runner:
         Batch entry point ``batch_runner(batch, **params)`` evaluating the
         whole :class:`~repro.engine.context.BatchContext` at once.  It
-        returns either one P-value column (a float array with one entry per
-        sequence, for tests whose result carries a single P-value;
-        ``run_batch`` builds a row's :class:`TestResult` with ``runner``
-        only when it is read) or one result per sequence; either way
-        bit-identical to ``runner``.  Errors that depend only on the
-        parameters and ``n`` are raised once for the batch; a row whose own
-        bits make its reference raise carries that exception in its slot.
+        returns either a :class:`~repro.engine.decisions.StatisticColumn`
+        (the light tests: verdicts from critical values, P-values and —
+        through ``runner`` — a row's :class:`TestResult` only when read) or
+        one result per sequence; either way bit-identical to ``runner``.
+        Errors that depend only on the parameters and ``n`` are raised once
+        for the batch; a row whose own bits make its reference raise carries
+        that exception in its slot.
     aliases:
         Alternative lookup keys (the NIST number, its string form, ...).
     """
@@ -307,8 +306,8 @@ def build_default_registry() -> TestRegistry:
         15: _reference_runner(random_excursions_variant_test),
     }
     # Batch entry points evaluate a whole packed batch at once: the five
-    # light tests decide one P-value column from the shared integer
-    # statistics, the others run the kernels of repro.engine.heavy.  The
+    # light tests return their statistic columns, decided against critical
+    # values, the others run the kernels of repro.engine.heavy.  The
     # context runner stays the per-sequence reference.
     batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
         1: _decisions.batch_frequency,

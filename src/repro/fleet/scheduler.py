@@ -35,6 +35,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -165,6 +166,17 @@ class FleetVerdict:
 _PASSED = FleetVerdict(passed=True, failing_tests=())
 
 
+@lru_cache(maxsize=64)
+def _nist_order(test_ids: Tuple[str, ...]) -> Tuple[np.ndarray, Union[np.ndarray, slice]]:
+    """``(numbers, order)``: the NIST numbers of ``test_ids`` ascending
+    (-1 for a non-NIST test) and the column order that sorts them."""
+    numbers = np.array([_ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in test_ids])
+    order = np.argsort(numbers, kind="stable")
+    if np.array_equal(order, np.arange(order.size)):
+        return numbers, slice(None)  # already ascending: no column gather
+    return numbers[order], order
+
+
 def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
     """Per-sequence verdicts straight from the batch's failing mask.
 
@@ -172,19 +184,14 @@ def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
     ascending order) or any test raised on it (its sorted error strings);
     no per-row :class:`~repro.nist.common.TestResult` is ever built.
     """
-    numbers = np.array(
-        [_ID_TO_NIST_NUMBER.get(test_id, -1) for test_id in result.test_ids],
-        dtype=np.int64,
-    )
-    order = np.argsort(numbers, kind="stable")
-    numbers = numbers[order]
+    numbers, order = _nist_order(result.test_ids)
     failing = result.failing(alpha)[:, order]
     row_errors: Dict[int, List[str]] = {}
     for test_errors in result.errors.values():
         for row, message in test_errors.items():
             row_errors.setdefault(row, []).append(message)
     verdicts = [_PASSED] * len(result)
-    for row in set(np.flatnonzero(failing.any(axis=1)).tolist()) | set(row_errors):
+    for row in set(failing.any(axis=1).nonzero()[0].tolist()) | set(row_errors):
         failing_tests = tuple(numbers[failing[row]].tolist())
         errors = tuple(sorted(row_errors.get(row, ())))
         verdicts[row] = FleetVerdict(

@@ -9,6 +9,7 @@ sequence.  The test is run in two modes: forward (mode 0) and backward
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _special
@@ -19,6 +20,7 @@ __all__ = [
     "cumulative_sums_test",
     "cumulative_sums_test_from_context",
     "cusum_p_value",
+    "largest_accepted_excursion",
     "random_walk_extremes",
 ]
 
@@ -73,6 +75,26 @@ def cusum_p_value(z: int, n: int) -> float:
     ):
         total += float(term)
     return min(max(total, 0.0), 1.0)
+
+
+@lru_cache(maxsize=64)
+def largest_accepted_excursion(n: int, alpha: float) -> int:
+    """Largest integer excursion z whose P-value is still >= ``alpha``.
+
+    The P-value is the survival probability of the maximal excursion, so it
+    falls with z; the acceptance boundary is found by bisection over
+    [1, n] with :func:`cusum_p_value` itself.
+    """
+    low, high = 1, n
+    if cusum_p_value(high, n) >= alpha:
+        return high
+    while low < high:
+        mid = (low + high + 1) // 2
+        if cusum_p_value(mid, n) >= alpha:
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def _normal_cdf_values(x: np.ndarray) -> np.ndarray:

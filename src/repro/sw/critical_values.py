@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from scipy import special as _special
 
 from repro.hwtests.parameters import DesignParameters
-from repro.nist.cusum import cusum_p_value
+from repro.nist.cusum import largest_accepted_excursion
 from repro.nist.longest_run import LONGEST_RUN_TABLES
 from repro.nist.overlapping import overlapping_probabilities
 
@@ -162,7 +161,7 @@ class CriticalValues:
 
         # Test 13: largest z whose P-value is still >= alpha (per mode the
         # formula is identical — it only depends on z and n).
-        cusum_max_z = _largest_accepted_excursion(n, alpha)
+        cusum_max_z = largest_accepted_excursion(n, alpha)
 
         return cls(
             alpha=alpha,
@@ -242,20 +241,3 @@ def approximate_entropy_guard_band(n: int, m: int, segments: int = 32) -> float:
         per_term = min(0.5 * curvature * sigma * 0.8 * h, curvature * h * h / 8.0)
         total_expected_error += (1 << length) * per_term
     return safety * 2.0 * n * total_expected_error
-
-
-@lru_cache(maxsize=64)
-def _largest_accepted_excursion(n: int, alpha: float) -> int:
-    """Largest integer excursion z with cusum P-value still >= alpha."""
-    low, high = 1, n
-    # The cusum P-value is the survival probability of the maximal excursion,
-    # i.e. monotonically decreasing in z; binary-search the acceptance boundary.
-    if cusum_p_value(high, n) >= alpha:
-        return high
-    while low < high:
-        mid = (low + high + 1) // 2
-        if cusum_p_value(mid, n) >= alpha:
-            low = mid
-        else:
-            high = mid - 1
-    return low

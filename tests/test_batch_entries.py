@@ -219,15 +219,26 @@ class TestPatternCountMarginals:
                 assert counts[row].dtype == expected.dtype
                 assert np.array_equal(counts[row], expected), m
 
-    def test_narrower_widths_scan_no_windows(self):
+    def test_narrower_widths_scan_no_windows(self, monkeypatch):
         # Serial m = 4 and ApEn m = 3 share one counter set: after the 4-bit
         # count, the 3- and 2-bit counts are marginals, with no window scan.
+        # The count keeps no windows (only the template tests reread them).
         batch = BatchContext(_rows(41, 2, 512))
         widest = batch.pattern_counts(4)
+        scans = []
+        monkeypatch.setattr(batch, "_windows", lambda m: scans.append(m))
         narrower = batch.pattern_counts(3)
         batch.pattern_counts(2)
-        assert sorted(batch._window_values) == [4]
+        assert scans == []
+        assert batch._window_values == {}
         assert np.array_equal(narrower, widest.reshape(2, 8, 2).sum(axis=2))
+
+    def test_pattern_count_reuses_cached_template_windows(self):
+        batch = BatchContext(_rows(42, 2, 512))
+        windows = batch.window_values(9)
+        expected = BatchContext(_rows(42, 2, 512)).pattern_counts(9)
+        assert np.array_equal(batch.pattern_counts(9), expected)
+        assert batch._window_values[9] is windows
 
     def test_empty_sequence(self):
         batch = BatchContext(np.zeros((2, 0), dtype=np.uint8))

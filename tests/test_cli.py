@@ -348,6 +348,35 @@ class TestCampaignCommand:
         assert "error" in text
 
 
+class TestBatchCommand:
+    def test_test_without_evaluated_rows_is_not_applicable(self):
+        # Test 9 needs 387,840 bits: every row is skipped, reported n/a,
+        # and the run still passes.
+        code, text = run_cli(
+            ["batch", "--tests", "1,9", "--sequences", "4", "--length", "4096", "--seed", "3"]
+        )
+        assert code == 0
+        line = next(line for line in text.splitlines() if "test  9" in line)
+        assert "n/a" in line and "(4 skipped)" in line
+
+    def test_floor_follows_p_values_per_row(self):
+        # Tests 14/15 pass a row only when all 8/18 P-values pass; at this
+        # seed test 15 passes 68.8% of the rows, within its expectation.
+        code, text = run_cli(
+            ["batch", "--tests", "14,15", "--sequences", "16", "--length", "65539",
+             "--seed", "3"]
+        )
+        assert code == 0
+        assert "68.8%" in text
+
+    def test_gross_deviation_fails(self):
+        code, _ = run_cli(
+            ["batch", "--tests", "1,2", "--sequences", "8", "--length", "4096",
+             "--source", "correlated", "--parameter", "0.9"]
+        )
+        assert code == 1
+
+
 class TestSuiteCommand:
     def test_reference_suite_on_capture(self, tmp_path):
         capture = CaptureSource(IdealSource(seed=12))

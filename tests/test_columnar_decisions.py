@@ -2,33 +2,30 @@
 
 Tests 1, 2, 3, 4 and 13 decide a whole packed batch at once from its shared
 integer statistics (:mod:`repro.engine.decisions`): ``run_batch`` returns
-their P-value columns and builds a row's ``TestResult`` only when it is
-read.  These tests pin both halves to the ``repro.nist`` references bit for
-bit — the column itself and every materialised field — on hypothesis-drawn
-batches and edge rows, and pin the cusum memo (eviction at the cap, eight
-concurrent threads) and the error and verdict semantics the fleet tier now
-reduces from the failing mask.
+their statistic columns, decided against critical values, and computes
+P-values and a row's ``TestResult`` only when they are read.  These tests
+pin the verdicts and both lazy halves to the ``repro.nist`` references bit
+for bit — the P-value column and every materialised field — on
+hypothesis-drawn batches and edge rows, check that a verdict computes no
+P-value, and pin the error and verdict semantics the fleet tier reduces
+from the failing mask.
 """
 
-import sys
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.obs as obs
-from repro.engine import run_batch
+from repro.engine import decisions, run_batch
 from repro.engine.batch import BatchResult
-from repro.engine.context import BatchContext
-from repro.engine.decisions import DecisionMemo
 from repro.engine.packed import pack_matrix
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.fleet import DeviceRegistry, FleetScheduler
 from repro.fleet.scheduler import FleetVerdict, _reduce_verdicts
 from repro.nist.block_frequency import block_frequency_test
-from repro.nist.cusum import cumulative_sums_test, cusum_p_value
+from repro.nist.cusum import cumulative_sums_test
 from repro.nist.frequency import frequency_test
 from repro.nist.longest_run import longest_run_test
 from repro.nist.runs import runs_test
@@ -154,70 +151,34 @@ class TestEdgeRows:
         _check_parity(matrix, {13: {"mode": 1}})
 
 
-class TestCusumMemo:
-    def test_eviction_at_the_cap_drops_the_oldest_entries(self):
-        computed = []
-
-        def compute(z, n):
-            computed.append(z)
-            return cusum_p_value(z, n)
-
-        memo = DecisionMemo("nist.cumulative_sums", compute, capacity=4)
-        memo.p_values(np.array([1, 2, 3, 4]), 128)
-        memo.p_values(np.array([5, 6, 5]), 128)  # evicts z = 1 and z = 2
-        assert len(memo) == 4
-        computed.clear()
-        z = (6, 3, 1, 5, 4, 3)
-        column = memo.p_values(np.array(z), 128)
-        assert computed == [1]
-        assert len(memo) == 4
-        assert column.tolist() == [cusum_p_value(value, 128) for value in z]
-
-    def test_lookups_counted_once_per_batch(self, monkeypatch):
-        counter = obs.registry().get("repro_engine_decision_memo_total")
-        # A length no other test uses, so every key starts out missing.
-        matrix = _rows(6, 64, 3001)
-        s_max, s_min, _ = BatchContext(pack_matrix(matrix)).walk_extremes()
-        distinct = np.unique(np.maximum(np.abs(s_max), np.abs(s_min))).size
-        calls = []
-        monkeypatch.setattr(
-            counter, "inc", lambda amount=1.0, **labels: calls.append((amount, labels))
+class TestLazyPValues:
+    def test_verdicts_compute_no_p_value(self, monkeypatch):
+        # Stuck, alternating and fair rows, none near a critical value.
+        # Once the tables are built a verdict is comparisons alone; P-values
+        # are computed when they are read.
+        matrix = np.vstack(
+            [
+                np.zeros((1, 4096), np.uint8),
+                np.tile(np.array([0, 1], np.uint8), (1, 2048)),
+                _rows(16, 4, 4096),
+            ]
         )
-        run_batch(pack_matrix(matrix), tests=[13])
-        assert calls == [(distinct, {"test": "nist.cumulative_sums", "outcome": "miss"})]
-        calls.clear()
-        run_batch(pack_matrix(matrix), tests=[13], parameters={13: {"mode": 0}})
-        assert calls == [(distinct, {"test": "nist.cumulative_sums", "outcome": "hit"})]
+        expected = run_batch(matrix, tests=list(LIGHT_TESTS)).failing(0.01)
 
-    def test_eight_threads_get_identical_p_values(self):
-        # A small cap keeps the threads evicting each other's entries.
-        memo = DecisionMemo("nist.cumulative_sums", cusum_p_value, capacity=32)
-        z = np.random.default_rng(7).integers(1, 300, size=200)
-        expected = np.array([cusum_p_value(int(value), 4096) for value in z])
-        barrier = threading.Barrier(8)
-        outputs = [[] for _ in range(8)]
+        def p_value_computed(*args, **kwargs):
+            raise AssertionError("a verdict computed a P-value")
 
-        def worker(index):
-            barrier.wait(timeout=60)
-            for _ in range(4):
-                outputs[index].append(memo.p_values(z, 4096))
-
-        threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for columns in outputs:
-            assert len(columns) == 4
-            for column in columns:
-                assert column.tobytes() == expected.tobytes()
-        assert len(memo) <= 32
+        special = SimpleNamespace(erfc=p_value_computed, gammaincc=p_value_computed)
+        with monkeypatch.context() as patched:
+            patched.setattr(decisions, "_special", special)
+            patched.setattr(decisions, "cusum_p_value", p_value_computed)
+            result = run_batch(matrix, tests=list(LIGHT_TESTS))
+            assert np.array_equal(result.failing(0.01), expected)
+        assert expected[0].all() and not expected[1, 0]
+        references = [
+            [REFERENCES[number](row).p_value for number in LIGHT_TESTS] for row in matrix
+        ]
+        assert result.p_values.tolist() == references
 
 
 class TestErrorAndVerdictSemantics:

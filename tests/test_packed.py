@@ -9,6 +9,9 @@ tail, all-zeros and all-ones rows.  These tests sweep those shapes with
 seeded random matrices and hypothesis-generated sequences.
 """
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,48 @@ def assert_kernel_matches_numpy(kernel, matrix, block_length):
             P.block_longest_one_runs(packed, block_length),
             block_longest_reference(matrix, block_length),
         )
+
+
+def _chunk_summary(value, bits):
+    """Brute force: one-run and ±1-walk summary of a chunk's stream bits."""
+    stream = format(value, f"0{bits}b")[::-1]  # bit j of the value is stream bit j
+    walk = list(itertools.accumulate(1 if bit == "1" else -1 for bit in stream))
+    return {
+        "longest": max(len(run) for run in stream.split("0")),
+        "prefix": len(stream) - len(stream.lstrip("1")),
+        "suffix": len(stream) - len(stream.rstrip("1")),
+        "walk_max": max(walk),
+        "walk_min": min(walk),
+        "walk_sum": walk[-1],
+    }
+
+
+class TestChunkTables:
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_every_entry_matches_brute_force(self, bits):
+        tables = P._chunk_luts(bits)
+        expected = [_chunk_summary(value, bits) for value in range(1 << bits)]
+        for key, table in tables.items():
+            assert table.dtype == np.int16
+            assert table.tolist() == [summary[key] for summary in expected], key
+
+    def test_threads_share_one_build(self, monkeypatch):
+        monkeypatch.setattr(P, "_CHUNK_LUTS", {})
+        builds = []
+        build = P._byte_luts
+        monkeypatch.setattr(P, "_byte_luts", lambda: builds.append(1) or build())
+        barrier = threading.Barrier(4)
+
+        def worker():
+            barrier.wait(timeout=60)
+            P._chunk_luts(16)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert builds == [1]
 
 
 class TestTileSeams:
