@@ -55,6 +55,8 @@ import logging
 import sys
 from typing import List, Optional
 
+from scipy import special
+
 import repro.obs as obs
 from repro.campaign import (
     CampaignConfig,
@@ -84,6 +86,10 @@ __all__ = ["main", "build_parser"]
 #: registered campaign scenario is additionally reachable as
 #: ``scenario:<label>`` — one source model, CLI and campaigns alike.
 _SIMULATED_SOURCES = ("ideal", "biased", "correlated", "oscillator", "stuck", "alternating")
+
+#: ``batch`` exits 1 when a test shows so many failing rows that a healthy
+#: source would show that many or more with a probability below this.
+_IMPROBABLE_TAIL = 1e-4
 
 #: Which knobs each built-in source honours (surfaced in ``--help`` so a
 #: ``--seed``/``--parameter`` that silently does nothing is documented, not a
@@ -534,8 +540,9 @@ def _cmd_batch(args, out) -> int:
         file=out,
     )
     # A healthy source passes a test whose rows carry k P-values with
-    # probability (1 - alpha)^k, so the exit code flags only a pass rate
-    # whose failures exceed ten times that expectation.  A test that
+    # probability (1 - alpha)^k, so its failing rows are binomial over the
+    # rows evaluated; the exit code flags a test only when that binomial's
+    # tail at the observed failures is below _IMPROBABLE_TAIL.  A test that
     # evaluated no row (too short for it) is reported n/a.
     healthy = True
     failing = reports.failing(args.alpha)
@@ -547,10 +554,13 @@ def _cmd_batch(args, out) -> int:
         evaluated = [row for row in range(len(reports)) if row not in errors]
         suffix = f"  ({len(errors)} skipped)" if errors else ""
         if evaluated:
-            rate = 1.0 - failing[evaluated, column].mean()
+            failures = int(failing[evaluated, column].sum())
             k = len(reports[evaluated[0]].results[test_id].p_values)
-            healthy = healthy and rate >= 1.0 - 10.0 * (1.0 - (1.0 - args.alpha) ** k)
-            shown = f"{rate:6.1%}"
+            if failures:
+                # bdtrc(f - 1, rows, p) is P(at least f of rows fail).
+                tail = special.bdtrc(failures - 1, len(evaluated), 1.0 - (1.0 - args.alpha) ** k)
+                healthy = healthy and tail >= _IMPROBABLE_TAIL
+            shown = f"{1.0 - failures / len(evaluated):6.1%}"
         else:
             shown = f"{'n/a':>6}"
         print(

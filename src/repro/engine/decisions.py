@@ -11,13 +11,16 @@ parameters), and whose ``p_values()`` evaluates the scalar reference's
 formula elementwise, operation for operation, only when called.
 
 Each table is derived from the P-value function the reference uses, so a
-verdict is ``p < alpha`` by construction: a failing flag per |S_n|
+verdict is ``p < alpha`` by construction: the largest accepted |S_n|
 (frequency), an accepted V_n interval per ones count that passes the
 pretest (runs), the largest accepted excursion z (cusum) and the χ²
 critical value (block frequency on the exact integer Σ(2ε − M)², longest
 run on the reference's float χ²).  Cusum's series and ``igamc`` are not
 provably monotone at ulp level, so a row whose statistic lies in a narrow
-guard band around its critical value takes its exact P-value.
+guard band around its critical value takes its exact P-value.  Frequency
+needs no band: consecutive |S_n| move ``erfc``'s argument by
+1/sqrt(2n), far more than its rounding error, so the bisection over the
+column's own formula finds the exact threshold.
 """
 
 from __future__ import annotations
@@ -109,9 +112,17 @@ def _frequency_p_values(n: int, excess: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_TABLES)
-def _frequency_table(n: int, alpha: float) -> np.ndarray:
-    """Failing flag of every |S_n| in [0, n]."""
-    return _frequency_p_values(n, np.arange(n + 1)) < alpha
+def _frequency_critical(n: int, alpha: float) -> int:
+    """Largest |S_n| in [0, n] whose P-value is still >= ``alpha`` (-1 when
+    none is), by bisection with the column's own P-value formula."""
+    low, high = -1, n
+    while low < high:
+        mid = (low + high + 1) // 2
+        if _frequency_p_values(n, np.array([mid]))[0] >= alpha:
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def batch_frequency(batch: "BatchContext") -> StatisticColumn:
@@ -122,7 +133,7 @@ def batch_frequency(batch: "BatchContext") -> StatisticColumn:
     excess = np.abs(2 * batch.ones() - n)
     return StatisticColumn(
         excess,
-        lambda alpha: _frequency_table(n, alpha).take(excess),
+        lambda alpha: excess > _frequency_critical(n, alpha),
         lambda: _frequency_p_values(n, excess),
     )
 

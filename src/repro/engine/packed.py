@@ -50,7 +50,7 @@ more than the arithmetic around it.  Three rules hold throughout:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ __all__ = [
     "BITS_PER_WORD",
     "PackedMatrix",
     "pack_matrix",
-    "pack_rows_into",
     "bit_tile_rows",
     "unpack_matrix",
     "unpack_rows",
@@ -197,37 +196,6 @@ def pack_matrix(matrix: np.ndarray) -> PackedMatrix:
     return PackedMatrix(packed_bytes.view(WORD_DTYPE), n)
 
 
-def pack_rows_into(
-    words: np.ndarray, n: int, rows: Iterable[np.ndarray]
-) -> PackedMatrix:
-    """Pack ``n``-bit uint8 rows straight into preallocated word rows.
-
-    ``words`` is a ``(count, ceil(n / 64))`` little-endian uint64 array,
-    typically one worker's row slice of a round's word array.  It is filled
-    from ``rows`` (``count`` 1-D bit arrays, consumed lazily) one
-    :func:`bit_tile_rows` tile at a time, so only a cache-sized uint8 tile
-    ever exists, never the ``(count, n)`` matrix.  Tiles are validated and
-    packed exactly as :func:`pack_matrix` packs a matrix, and the pad bytes
-    past ``n`` are zeroed.
-    """
-    count = words.shape[0]
-    num_bytes = (n + 7) // 8
-    as_bytes = words.view(np.uint8)
-    as_bytes[:, num_bytes:] = 0
-    step = bit_tile_rows(n)
-    tile = np.empty((min(step, count), n), dtype=np.uint8)
-    rows = iter(rows)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        bits = tile[: stop - start]
-        for index, row in zip(range(stop - start), rows):
-            bits[index] = row
-        if bits.size and int(bits.max()) > 1:
-            raise ValueError("bit matrix must contain only 0 and 1 values")
-        as_bytes[start:stop, :num_bytes] = np.packbits(bits, axis=1, bitorder="little")
-    return PackedMatrix(words, n)
-
-
 def unpack_matrix(packed: PackedMatrix) -> np.ndarray:
     """Expand a :class:`PackedMatrix` back to its ``(rows, n)`` uint8 form.
 
@@ -321,9 +289,8 @@ def bit_tile_rows(n: int) -> int:
     """Rows of ``n`` bits per cache-sized tile, by the walk kernel's rule.
 
     A row puts ``n // 16`` chunks through the walk, so a tile of
-    65536-bit rows is 16 rows: 1 MiB of uint8 bits.  Producers that build
-    packed rows tile by tile (:func:`pack_rows_into`, the fleet round's
-    fan-out) size their work by it.
+    65536-bit rows is 16 rows: 1 MiB of uint8 bits.  The fleet round's
+    fan-out sizes its worker slices by it.
     """
     return _tile_rows(n // 16)
 

@@ -13,12 +13,13 @@ health-state machine exactly as per-device monitoring would.
 
 Rows are independent from generation to decision, so a matrix round fans
 out in-process over one thread per core, each with a contiguous device
-slice: it generates cache-sized row tiles, packs them straight into its
-rows of one preallocated ``(devices, words)`` uint64 array (no uint8 round
-matrix) and runs ``run_batch`` on them; numpy releases the GIL in the raw
-draws and the kernels.  Verdict reduction and every fold stay on the
-calling thread.  Only rounds that give every worker a full row tile fan
-out; smaller ones run the same code inline.  There is no knob.
+slice: each device writes its sequence as packed words
+(:meth:`~repro.trng.source.EntropySource.generate_words`) straight into its
+row of one preallocated ``(devices, words)`` uint64 array (no uint8 round
+matrix), and the slice runs ``run_batch`` on its rows; numpy releases the
+GIL in the raw draws and the kernels.  Verdict reduction and every fold
+stay on the calling thread.  Only rounds that give every worker a full row
+tile fan out; smaller ones run the same code inline.  There is no knob.
 
 Ingest takes chunks of any size.  As in the paper's platform, whose input
 buffer holds only the unfinished sequence, each device keeps a tail of
@@ -43,7 +44,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
-from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows, pack_rows_into
+from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows
 from repro.engine.registry import NIST_NUMBER_TO_ID
 from repro.engine.streaming import StreamingContext
 from repro.fleet.registry import Device, DeviceRegistry
@@ -255,15 +256,16 @@ def _evaluate_slice(
     tests: Sequence[int],
     words: np.ndarray,
 ) -> BatchResult:
-    """Generate, pack and evaluate one device slice into its ``words`` rows.
+    """Generate one device slice into its ``words`` rows and evaluate it.
 
     Touches only its own sources and rows, and never the fleet lock: the
     round's caller holds that lock while it waits, and folds the result
     itself.
     """
     with obs.span("generate"):
-        blocks = (device.source.generate_block(n) for device in devices)
-        matrix = pack_rows_into(words, n, blocks)
+        for row, device in enumerate(devices):
+            words[row] = device.source.generate_words(n)
+        matrix = PackedMatrix(words, n)
     with obs.span("evaluate"):
         return run_batch(matrix, tests=list(tests))
 

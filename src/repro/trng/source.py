@@ -21,6 +21,11 @@ Two invariants make the two interfaces interchangeable:
   seed, regardless of the buffer refill granularity
   (:attr:`EntropySource.block_bits`).
 
+The packed entry :meth:`EntropySource.generate_words` serves the same
+stream as 64-bit words in the engine's layout; by default it packs
+:meth:`EntropySource.generate_block`, and a source whose generator already
+yields words in that layout returns them without the pack.
+
 Sources whose *observable* state tracks the stream position (an aging
 source's ``age_bits``, an attack's ``active`` flag, a replay's
 ``remaining_bits``) keep ``block_bits = 1`` so the shim never reads ahead of
@@ -115,8 +120,9 @@ class EntropySource(abc.ABC):
                 (self.next_bit() for _ in range(n)), dtype=np.uint8, count=n
             )
         buffered: Optional[np.ndarray] = None
-        if self._buffer is not None and self._cursor < self._buffer.size:
-            take = min(n, self._buffer.size - self._cursor)
+        held = self._buffered_bits()
+        if held:
+            take = min(n, held)
             buffered = self._buffer[self._cursor : self._cursor + take].copy()
             self._cursor += take
         remaining = n - (buffered.size if buffered is not None else 0)
@@ -127,6 +133,24 @@ class EntropySource(abc.ABC):
             return fresh
         return np.concatenate([buffered, fresh])
 
+    def generate_words(self, n: int) -> np.ndarray:
+        """The next ``n`` stream bits packed into ``ceil(n / 64)`` ``<u8``
+        words, in the engine's layout (:mod:`repro.engine.packed`): stream
+        bit ``j`` is bit ``j % 64`` of word ``j // 64``, and the pad bits of
+        the last word are zero.
+
+        The packed entry the fleet round fills its word array from.  It
+        emits the same stream as :meth:`generate_block`; this base version
+        packs that block (validating that it holds only 0 and 1), and a
+        source whose generator already yields words in this layout
+        overrides it to skip the pack.
+        """
+        # Imported here: the source layer stays importable without pulling
+        # in the engine package.
+        from repro.engine.packed import pack_matrix
+
+        return pack_matrix(self.generate_block(n)[np.newaxis]).words[0]
+
     def generate_matrix(self, num_sequences: int, n: int, packed: bool = False):
         """The next ``num_sequences * n`` stream bits as a ``(num_sequences,
         n)`` uint8 matrix (row ``i`` is the ``i``-th consecutive sequence).
@@ -136,20 +160,24 @@ class EntropySource(abc.ABC):
 
         With ``packed=True`` the matrix is returned as a
         :class:`~repro.engine.packed.PackedMatrix` (64 bits per word)
-        ready for the engine's packed kernels — the
+        ready for the engine's packed kernels (built from
+        :meth:`generate_words` when ``n`` is a multiple of 64) — the
         emitted *stream* is identical either way, only the container
         changes, so seeded runs stay reproducible across containers.
         """
         if num_sequences < 0:
             raise ValueError("num_sequences must be non-negative")
-        matrix = self.generate_block(num_sequences * n).reshape(num_sequences, n)
-        if packed:
-            # Imported here: the source layer stays importable without
-            # pulling in the engine package for plain matrix generation.
-            from repro.engine.packed import pack_matrix
+        if not packed:
+            return self.generate_block(num_sequences * n).reshape(num_sequences, n)
+        # Imported here: the source layer stays importable without pulling
+        # in the engine package for plain matrix generation.
+        from repro.engine.packed import PackedMatrix, pack_matrix
 
-            return pack_matrix(matrix)
-        return matrix
+        if n % 64:
+            return pack_matrix(self.generate_block(num_sequences * n).reshape(num_sequences, n))
+        # Word-aligned rows: the packed stream is the packed matrix.
+        words = self.generate_words(num_sequences * n)
+        return PackedMatrix(words.reshape(num_sequences, n // 64), n)
 
     # ---------------------------------------------------------- bit-serial API
     def next_bit(self) -> int:
@@ -190,6 +218,12 @@ class EntropySource(abc.ABC):
                 yield self.next_bit()
 
     # ------------------------------------------------------------------ state
+    def _buffered_bits(self) -> int:
+        """Bits the ``next_bit`` shim has buffered but not yet served."""
+        if self._buffer is None:
+            return 0
+        return self._buffer.size - self._cursor
+
     def _drop_buffer(self) -> None:
         """Discard bits buffered by the ``next_bit`` shim.
 

@@ -447,10 +447,10 @@ class TestFanOut:
         source = registry.simulated_devices()[where].source
 
         def broken(n):
-            del source.generate_block  # fail once only
+            del source.generate_words  # fail once only
             raise RuntimeError("source fault")
 
-        source.generate_block = broken
+        source.generate_words = broken
         with pytest.raises(RuntimeError, match="source fault"):
             scheduler.run_round()
         assert len(scheduler.rounds) == 1

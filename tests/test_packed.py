@@ -392,29 +392,6 @@ class TestSmallBatchGathers:
         assert np.array_equal(total, values.sum(axis=2, dtype=np.int64))
 
 
-class TestPackRowsInto:
-    """Tile-by-tile packing into a word slice equals pack_matrix."""
-
-    @pytest.mark.parametrize("n", [128, 100, 65536 + 11])
-    def test_matches_pack_matrix_across_tiles(self, n, monkeypatch):
-        monkeypatch.setattr(P, "_TILE_CHUNKS", 5 * max(1, n // 16))
-        assert P.bit_tile_rows(n) == 5
-        for rows in seam_row_counts(5):
-            matrix = random_matrix(rows, n, seed=rows + n)
-            # A row slice of a larger, garbage-filled array: the rows
-            # around it stay untouched and the pad bits come out zero.
-            words = np.full((rows + 2, (n + 63) // 64), ~np.uint64(0), dtype=P.WORD_DTYPE)
-            packed = P.pack_rows_into(words[1:-1], n, iter(matrix))
-            assert np.array_equal(packed.words, P.pack_matrix(matrix).words)
-            assert np.shares_memory(packed.words, words)
-            assert np.all(words[[0, -1]] == ~np.uint64(0))
-
-    def test_rejects_non_bits(self):
-        rows = [np.array([0, 1, 2, 0], dtype=np.uint8)]
-        with pytest.raises(ValueError, match="only 0 and 1"):
-            P.pack_rows_into(np.empty((1, 1), dtype=P.WORD_DTYPE), 4, rows)
-
-
 class TestBatchContextParity:
     """The context's statistics equal plain numpy over the unpacked bits."""
 

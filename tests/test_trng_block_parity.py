@@ -14,8 +14,10 @@ bit-serial semantics fails here immediately.
 """
 
 import copy
+import hashlib
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +41,14 @@ from repro.trng import (
     StuckAtSource,
 )
 from repro.trng.source import EntropySource, SeededSource
+from test_trng_stream_pins import ideal_stream_1
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 #: label -> factory(seed) covering every source class and wrapper chain.
 SOURCE_FACTORIES = {
     "ideal": lambda s: IdealSource(seed=s),
+    "ideal-v1": ideal_stream_1,
     "biased": lambda s: BiasedSource(0.6, seed=s),
     "correlated": lambda s: CorrelatedSource(0.7, seed=s),
     "oscillating-bias": lambda s: OscillatingBiasSource(0.3, period=97, seed=s),
@@ -273,7 +279,7 @@ class TestPositionObservables:
 
 
 class TestIdealStreamPinning:
-    """IdealSource reads PCG64 raw words directly; its stream must still be
+    """IdealSource reads PCG64 raw words directly; its stream 1 must still be
     ``Generator.integers(0, 2)`` bit for bit, however it is consumed."""
 
     @staticmethod
@@ -283,7 +289,7 @@ class TestIdealStreamPinning:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_splits_and_next_bit_match_integers(self, seed):
         plan = np.random.default_rng(1000 + seed)
-        source = IdealSource(seed=seed)
+        source = ideal_stream_1(seed)
         parts = []
         for _ in range(12):
             if plan.random() < 0.25:
@@ -295,14 +301,14 @@ class TestIdealStreamPinning:
         assert np.array_equal(got, self.reference(seed, got.size))
 
     def test_reset_after_odd_block_restarts_stream(self):
-        source = IdealSource(seed=8)
+        source = ideal_stream_1(8)
         source.generate_block(7)
         source.reset()
         assert np.array_equal(source.generate_block(101), self.reference(8, 101))
 
     @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
     def test_clone_with_pending_half_word_continues_stream(self, clone):
-        source = IdealSource(seed=21)
+        source = ideal_stream_1(21)
         head = source.generate_block(37)
         assert source._rng.bit_generator.state["has_uint32"] == 1
         if clone == "deepcopy":
@@ -317,7 +323,7 @@ class TestIdealStreamPinning:
     def test_state_without_pending_flag_recovers_it_from_generator(self):
         # An instance dict that predates the pending-half flag (as an older
         # pickle would restore) takes it from the generator's own state.
-        source = IdealSource(seed=4)
+        source = ideal_stream_1(4)
         source.generate_block(5)
         state = dict(source.__dict__)
         state.pop("_half_pending", None)
@@ -325,12 +331,61 @@ class TestIdealStreamPinning:
         restored.__setstate__(state)
         assert np.array_equal(restored.generate_block(64), self.reference(4, 69)[5:])
 
+    def test_pickle_from_before_stream_versions_resumes_stream_1(self):
+        # Recorded by tests/fixtures/record_v1_ideal.py on a build whose
+        # IdealSource had only stream 1, at an odd offset (half-word pending).
+        fixture = json.loads((FIXTURES / "v1_ideal_source.json").read_text())
+        restored = pickle.loads((FIXTURES / "v1_ideal_source.pickle").read_bytes())
+        assert "stream_version" not in vars(restored)
+        assert restored.stream_version == 1
+        following = restored.generate_block(fixture["next_bits"])
+        assert hashlib.sha256(following.tobytes()).hexdigest() == fixture["next_sha256"]
+        offset = fixture["offset"]
+        expected = self.reference(fixture["seed"], offset + fixture["next_bits"])
+        assert np.array_equal(following, expected[offset:])
+
+
+class TestIdealStreamTwo:
+    """Stream 2 is PCG64's raw words in the engine's packed layout: stream
+    bit ``j`` is bit ``j % 64`` of raw word ``j // 64``."""
+
+    @staticmethod
+    def reference(seed, total):
+        raw = np.random.default_rng(seed).bit_generator.random_raw(-(-total // 64))
+        return np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")[:total]
+
+    def test_new_sources_use_stream_2(self):
+        assert IdealSource(seed=1).stream_version == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_splits_and_next_bit_match_raw_words(self, seed):
+        plan = np.random.default_rng(2000 + seed)
+        source = IdealSource(seed=seed)
+        parts = []
+        for _ in range(12):
+            if plan.random() < 0.25:
+                parts.append(np.array([source.next_bit()], dtype=np.uint8))
+            else:
+                size = int(plan.choice([0, 1, 63, 64, 65, 128, 1023, plan.integers(0, 3000)]))
+                parts.append(source.generate_block(size))
+        got = np.concatenate(parts)
+        assert np.array_equal(got, self.reference(seed, got.size))
+
+    def test_aligned_words_are_the_raw_words(self):
+        raw = np.random.default_rng(6).bit_generator.random_raw(32)
+        source = IdealSource(seed=6)
+        words = source.generate_words(1024)
+        assert words.dtype == np.dtype("<u8")
+        assert np.array_equal(words, raw[:16])
+        assert np.array_equal(source.generate_words(1024), raw[16:])
+
     def test_registry_snapshot_at_odd_offset_resumes_stream(self):
         registry = DeviceRegistry("n128_light")
         device = registry.register("dev-odd", scenario="healthy-ideal", seed=77)
         head = device.source.generate_block(129)
         state = decode_state(json.loads(json.dumps(encode_state(registry.state_dict()))))
         restored = DeviceRegistry.from_state(state).get("dev-odd").source
+        assert restored.stream_version == 2
         expected = self.reference(77, 129 + 1000)
         assert np.array_equal(head, expected[:129])
         assert np.array_equal(restored.generate_block(1000), expected[129:])

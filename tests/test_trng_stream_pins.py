@@ -29,13 +29,26 @@ from repro.trng import (
 )
 
 TOTAL_BITS = 1 << 17
+
+
+def ideal_stream_1(seed):
+    """An ``IdealSource`` on stream 1 (``Generator.integers(0, 2)``), the
+    stream a pickle from before stream versions restores onto."""
+    source = IdealSource(seed=seed)
+    source.stream_version = 1
+    return source
+
 SPLITS = (1, 63, 1000, 65536)
 
 #: label -> (factory, SHA-256 of the 2**17 emitted bits as uint8 bytes).
 PINNED_STREAMS = {
     "ideal": (
-        lambda: IdealSource(seed=41),
+        lambda: ideal_stream_1(41),
         "927959547b6b7f25718d3ef1c9744ffa436df5a9067acd9d990f2e11a6fea71a",
+    ),
+    "ideal-v2": (
+        lambda: IdealSource(seed=41),
+        "bc34c2e32738c3a03ec1b3b51a521176c3d89622c320ce554e9ae7a4ba4dd812",
     ),
     "ring-oscillator-free": (
         lambda: RingOscillatorTRNG(seed=42),
