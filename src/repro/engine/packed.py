@@ -449,26 +449,63 @@ def _byte_pair_luts(byte: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     }
 
 
-_WALK_PACK_LUT: Optional[np.ndarray] = None
+_WALK_FIELDS: Optional[np.ndarray] = None
 _RUN_PACK_LUTS: Dict[int, np.ndarray] = {}
 
 
-def _walk_pack_lut() -> np.ndarray:
-    """Chunk walk extremes bias-packed into one int16 table.
+def _walk_field_lut() -> np.ndarray:
+    """The walk table: each 16-bit chunk's ±1-walk summary in one int16.
 
-    Entry v is ``((walk_max + 16) << 6) | (walk_min + 16)`` — both extremes
-    of a 16-bit chunk lie in [-16, 16], so one gather per chunk column
-    replaces two, and unpacking is a shift and a mask (flat ops, far
-    cheaper than table gathers at streaming-push sizes).
+    Entry v is ``((walk_max + 1) << 10) | ((walk_min + 16) << 5) | ones``:
+    a chunk's walk max lies in [-1, 16], its min in [-16, 1] and its ones
+    count in [0, 16], so each field fits 5 bits and one gather per chunk
+    yields all three.  Unpacking is a shift and a mask (flat ops, far
+    cheaper than a second gather or a uint16 popcount).  Built once from
+    the 16-bit chunk tables, under their lock.
     """
-    global _WALK_PACK_LUT
-    if _WALK_PACK_LUT is None:
+    global _WALK_FIELDS
+    if _WALK_FIELDS is None:
         luts = _chunk_luts(16)
-        pair = ((luts["walk_max"].astype(np.int32) + 16) << 6) | (
-            luts["walk_min"].astype(np.int32) + 16
-        )
-        _WALK_PACK_LUT = pair.astype(np.int16)
-    return _WALK_PACK_LUT
+        with _CHUNK_LUTS_LOCK:
+            if _WALK_FIELDS is None:
+                ones = (luts["walk_sum"].astype(np.int32) + 16) >> 1
+                fields = (
+                    ((luts["walk_max"].astype(np.int32) + 1) << 10)
+                    | ((luts["walk_min"].astype(np.int32) + 16) << 5)
+                    | ones
+                )
+                _WALK_FIELDS = fields.astype(np.int16)
+    return _WALK_FIELDS
+
+
+def _word_walks(chunks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """±1-walk summary of full words given as ``(rows, words, 4)`` chunks.
+
+    Returns int16 ``(rows, words)`` arrays ``(high + 1, low + 16, delta)``:
+    each word's walk max and min relative to its start, still carrying the
+    table's field biases, and its total delta.  One gather through the walk
+    table, indexed through a transposed view, lays the chunks out as four
+    contiguous planes (one per chunk position); the planes are merged right
+    to left, ``high = max(high_c, delta_c + high)``, in place.  The biases
+    ride through the merge unchanged because the deltas are unbiased.
+    """
+    fields = np.take(_walk_field_lut(), chunks.transpose(2, 0, 1))
+    highs = fields >> np.int16(10)
+    lows = fields >> np.int16(5)
+    lows &= np.int16(31)
+    # The chunk deltas, in place of the fields: 2 * ones - 16.
+    fields &= np.int16(31)
+    fields <<= np.int16(1)
+    fields -= np.int16(16)
+    high, low, delta = highs[3], lows[3], fields[3]
+    for index in (2, 1, 0):
+        chunk_delta = fields[index]
+        high += chunk_delta
+        np.maximum(high, highs[index], out=high)
+        low += chunk_delta
+        np.minimum(low, lows[index], out=low)
+        delta += chunk_delta
+    return high, low, delta
 
 
 def _run_pack_lut(bits: int = 16) -> np.ndarray:
@@ -535,24 +572,26 @@ def block_longest_one_runs(packed: PackedMatrix, block_length: int) -> np.ndarra
         per_block = block_length // chunk_bits
         chunks = _chunk_view(packed, chunk_bits)[:, : num_blocks * per_block]
         blocks = chunks.reshape(rows, num_blocks, per_block)
-    triples = _run_pack_lut(chunk_bits)
+    # The merge runs in int16 while a run (at most block_length) fits it.
+    merge = np.int16 if block_length < 1 << 15 else np.int32
+    triples = _run_pack_lut(chunk_bits).astype(merge, copy=False)
     chunks_per_block = blocks.shape[2]
-    chunk_width = np.int16(chunk_bits)
+    chunk_width = merge(chunk_bits)
     result = np.empty((rows, num_blocks), dtype=np.int64)
     for tile in _row_tiles(rows, num_blocks):
         tile_blocks = blocks[tile]
         triple = np.take(triples, tile_blocks[:, :, 0])
-        longest = triple >> np.int16(10)
-        trailing = triple & np.int16(31)
+        longest = triple >> merge(10)
+        trailing = triple & merge(31)
         for index in range(1, chunks_per_block):
             triple = np.take(triples, tile_blocks[:, :, index])
-            np.maximum(longest, triple >> np.int16(10), out=longest)
-            prefix = (triple >> np.int16(5)) & np.int16(31)
+            np.maximum(longest, triple >> merge(10), out=longest)
+            prefix = (triple >> merge(5)) & merge(31)
             np.maximum(longest, trailing + prefix, out=longest)
             # An all-ones chunk (prefix == width) carries the run on; any
             # other chunk restarts it at its own suffix.
             trailing *= prefix == chunk_width
-            trailing += triple & np.int16(31)
+            trailing += triple & merge(31)
         result[tile] = longest
     return result
 
@@ -664,34 +703,15 @@ def word_summaries(words: np.ndarray, *, track_runs: bool = True) -> Dict[str, n
         raise ValueError("word_summaries expects a 2-D (rows, count) word array")
     rows, count = words.shape
     chunks = words.view("<u2").reshape(rows, count, 4)
-    # Chunk ±1 deltas come straight from popcount (delta = 2*pop - 16) and
-    # the in-chunk walk extremes from one bias-packed gather: push-sized
-    # inputs are bound by gather traffic, so fewer/narrower tables win.
-    deltas = (popcount(chunks).astype(np.int16) << np.int16(1)) - np.int16(16)
-    walk_pair = np.take(_walk_pack_lut(), chunks)
-    highs = walk_pair >> np.int16(6)
-    lows = walk_pair & np.int16(63)
-    # Merge the four chunks Horner-style from the right:
-    #   max(m0, d0 + max(m1, d1 + max(m2, d2 + m3)))
-    # — numpy reductions over a length-4 axis cost far more than three
-    # unrolled adds/maxima on the column slices.  The +16 table bias rides
-    # through unchanged (the d terms are unbiased) and cancels at the end.
-    s_max = highs[:, :, 3]
-    s_min = lows[:, :, 3]
-    total = deltas[:, :, 3].copy()
-    for index in (2, 1, 0):
-        d = deltas[:, :, index]
-        s_max = np.maximum(highs[:, :, index], d + s_max)
-        s_min = np.minimum(lows[:, :, index], d + s_min)
-        total += d
+    high, low, delta = _word_walks(chunks)
     summaries: Dict[str, np.ndarray] = {
         "pop": popcount(words),
         "inner": popcount((words ^ (words >> np.uint64(1))) & _INNER_PAIR_MASK),
         "first": (words & np.uint64(1)).astype(np.uint8),
         "last": (words >> np.uint64(63)).astype(np.uint8),
-        "delta": total,
-        "walk_max": s_max - np.int16(16),
-        "walk_min": s_min - np.int16(16),
+        "delta": delta,
+        "walk_max": high - np.int16(1),
+        "walk_min": low - np.int16(16),
     }
     if track_runs:
         run_triple = np.take(_run_pack_lut(), chunks)
@@ -724,40 +744,38 @@ def word_summaries(words: np.ndarray, *, track_runs: bool = True) -> Dict[str, n
 def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(S_max, S_min, S_final)`` of the ±1 walk, per row (cusum test).
 
-    The walk is reduced 16 bits at a time: each chunk contributes its total
-    ±1 delta (``2 * popcount - 16``) plus its internal max/min excursion
-    from the bias-packed table, so the expensive per-bit cumulative sum
-    becomes a 16x narrower cumulative sum over chunk deltas, run over
-    cache-sized row tiles.  Tail bits short of a chunk are finished per bit
-    on the (at most 15-column) remainder.
+    The walk is reduced 64 bits at a time: each full word contributes its
+    total delta and its internal max/min excursion (:func:`_word_walks`,
+    one table gather per chunk), so the per-bit cumulative sum becomes a
+    64x narrower int32 cumulative sum over word deltas, run over
+    cache-sized row tiles.  Tail bits past the last full word are finished
+    per bit on the (at most 63-column) remainder.
     """
     n = packed.n
     if n == 0:
         raise ValueError("walk extremes need at least one bit")
     rows = packed.num_rows
-    full = n // 16
-    tail = n % 16
+    full = n // BITS_PER_WORD
+    tail = n % BITS_PER_WORD
     s_max = np.full(rows, _INT32_MIN, dtype=np.int64)
     s_min = np.full(rows, -_INT32_MIN, dtype=np.int64)
     s_final = np.zeros(rows, dtype=np.int64)
-    chunks = _chunk_view(packed, 16)
     if full:
-        walk_pair = _walk_pack_lut()
-        for tile in _row_tiles(rows, full):
-            body = chunks[tile, :full]
-            doubled = popcount(body).astype(np.int16) << np.int16(1)
-            deltas = doubled - np.int16(16)
-            before = np.cumsum(deltas, axis=1, dtype=np.int32)
+        chunks = _chunk_view(packed, 16)
+        for tile in _row_tiles(rows, n // 16):
+            body = chunks[tile, : 4 * full]
+            high, low, delta = _word_walks(body.reshape(body.shape[0], full, 4))
+            before = np.cumsum(delta, axis=1, dtype=np.int32)
             s_final[tile] = before[:, -1]
-            # Walk height before each chunk, less the table's +16 bias on
-            # both extremes: cumsum - delta - 16 = cumsum - 2 * popcount.
-            before -= doubled
-            pair = np.take(walk_pair, body)
-            s_max[tile] = (before + (pair >> np.int16(6))).max(axis=1)
-            s_min[tile] = (before + (pair & np.int16(63))).min(axis=1)
+            # Walk height before each word; the extremes drop the table's
+            # field biases (+1 on the max, +16 on the min) once per row.
+            before -= delta
+            s_max[tile] = (before + high).max(axis=1) - 1
+            s_min[tile] = (before + low).min(axis=1) - 16
     if tail:
-        tail_chunk = chunks[:, full].astype(np.int64)
-        tail_bits = (tail_chunk[:, np.newaxis] >> np.arange(tail)) & 1
+        tail_word = packed.words[:, full, np.newaxis]
+        shifts = np.arange(tail, dtype=np.uint64)
+        tail_bits = ((tail_word >> shifts) & np.uint64(1)).astype(np.int64)
         tail_walk = np.cumsum(2 * tail_bits - 1, axis=1) + s_final[:, np.newaxis]
         np.maximum(s_max, tail_walk.max(axis=1), out=s_max)
         np.minimum(s_min, tail_walk.min(axis=1), out=s_min)

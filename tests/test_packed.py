@@ -187,6 +187,14 @@ class TestKernelParity:
                     )
                     assert result[row, block] == longest
 
+    @pytest.mark.parametrize("block_length", [40000, 65536])
+    def test_block_longest_runs_past_int16(self, block_length):
+        # A run of 2**15 or more ones must not wrap in the cross-chunk merge.
+        packed = P.pack_matrix(np.ones((1, 65536), dtype=np.uint8))
+        result = P.block_longest_one_runs(packed, block_length)
+        assert result.dtype == np.int64
+        assert result.tolist() == [[block_length]]
+
     def test_walk_extremes_rejects_empty(self):
         with pytest.raises(ValueError):
             P.walk_extremes(P.pack_matrix(np.zeros((2, 0), dtype=np.uint8)))
@@ -269,6 +277,18 @@ class TestChunkTables:
             assert table.dtype == np.int16
             assert table.tolist() == [summary[key] for summary in expected], key
 
+    def test_walk_fields_match_brute_force(self):
+        fields = P._walk_field_lut().astype(np.int32)
+        assert fields.dtype == np.int32 and fields.shape == (1 << 16,)
+        walk_max = ((fields >> 10) - 1).tolist()
+        walk_min = (((fields >> 5) & 31) - 16).tolist()
+        ones = (fields & 31).tolist()
+        for value in range(1 << 16):
+            summary = _chunk_summary(value, 16)
+            assert walk_max[value] == summary["walk_max"], value
+            assert walk_min[value] == summary["walk_min"], value
+            assert ones[value] == bin(value).count("1"), value
+
     def test_threads_share_one_build(self, monkeypatch):
         monkeypatch.setattr(P, "_CHUNK_LUTS", {})
         builds = []
@@ -330,6 +350,69 @@ class TestTileSeams:
         for rows, n, block_length in ((8, 128, 8), (48, 4096, 128)):
             for width in KERNEL_WIDTHS.values():
                 assert P._tile_rows(width(n, block_length)) >= rows
+
+
+def peaked_row(n, position, sign):
+    """Alternating bits whose walk max (``sign=1``) or min (``sign=-1``) is
+    reached first right after stream bit ``position``: a 5-bit run of the
+    extreme's bit ends there and a 5-bit run of the other bit follows."""
+    row = (np.arange(n) % 2).astype(np.uint8)
+    peak = 1 if sign > 0 else 0
+    row[max(0, position - 4) : position + 1] = peak
+    row[position + 1 : position + 6] = 1 - peak
+    return row
+
+
+def peak_positions(n):
+    """Positions in each of a word's four chunks, and on its seams, for the
+    first, a middle and the last word a row of ``n`` bits reaches."""
+    words = sorted({0, (n // 64) // 2, (n - 1) // 64})
+    offsets = [16 * chunk + at for chunk in range(4) for at in (0, 7, 15)]
+    positions = {64 * word + offset for word in words for offset in offsets}
+    positions |= {64 * word - 1 for word in words if word} | {n - 1}
+    return sorted(position for position in positions if position < n)
+
+
+class TestWordWalk:
+    """walk_extremes at word resolution equals the scalar reference."""
+
+    @given(
+        n=st.integers(1, 300),
+        rows=st.integers(1, 40),
+        skew=st.sampled_from(["none", "ones", "zeros"]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_random_walk_extremes(self, n, rows, skew, data):
+        size = rows * -(-n // 8)
+
+        def draw():
+            return np.frombuffer(
+                data.draw(st.binary(min_size=size, max_size=size)), dtype=np.uint8
+            )
+
+        raw = draw()
+        if skew == "ones":
+            raw = raw | draw()
+        elif skew == "zeros":
+            raw = raw & draw()
+        matrix = np.unpackbits(raw).reshape(rows, -1)[:, :n]
+        s_max, s_min, s_final = P.walk_extremes(P.pack_matrix(matrix))
+        for row in range(rows):
+            expected = nist.cusum.random_walk_extremes(matrix[row])
+            assert (s_max[row], s_min[row], s_final[row]) == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 65535, 65536, 65539])
+    def test_extreme_in_every_chunk_and_seam(self, n):
+        cases = [(position, sign) for position in peak_positions(n) for sign in (1, -1)]
+        matrix = np.stack([peaked_row(n, position, sign) for position, sign in cases])
+        walk = np.cumsum(2 * matrix.astype(np.int64) - 1, axis=1)
+        for row, (position, sign) in enumerate(cases):
+            assert np.argmax(sign * walk[row]) == position
+        s_max, s_min, s_final = P.walk_extremes(P.pack_matrix(matrix))
+        for row in range(len(cases)):
+            expected = nist.cusum.random_walk_extremes(matrix[row])
+            assert (s_max[row], s_min[row], s_final[row]) == expected
 
 
 def word_summaries_reference(matrix):
