@@ -209,6 +209,7 @@ class BatchContext:
         self._ones: Optional[np.ndarray] = None
         self._last_bits: Optional[np.ndarray] = None
         self._walk_extremes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._walk_brackets: Optional[Tuple[np.ndarray, ...]] = None
         self._num_runs: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._block_sums: Dict[int, np.ndarray] = {}
@@ -302,8 +303,19 @@ class BatchContext:
             self._last_bits = _packed.last_bits(self._packed)
         return self._last_bits
 
-    def walk_extremes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(S_max, S_min, S_final)`` per row; all zero for empty sequences."""
+    def walk_extremes(
+        self, rows: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(S_max, S_min, S_final)`` per row; all zero for empty sequences.
+
+        With ``rows`` (indices), the extremes of just those rows: walked on
+        those rows' words alone and not kept while they are fewer than the
+        batch's rows, else read off the whole batch's walk, which is kept.
+        """
+        some_rows = rows is not None and len(rows) < self.num_sequences
+        if some_rows and self._walk_extremes is None and self.n:
+            _KERNEL_CALLS.inc(kernel="walk_extremes")
+            return _packed.walk_extremes(PackedMatrix(self._packed.words[rows], self.n))
         if self._walk_extremes is None:
             if self.n == 0:
                 zeros = np.zeros(self.num_sequences, dtype=np.int64)
@@ -311,7 +323,27 @@ class BatchContext:
             else:
                 _KERNEL_CALLS.inc(kernel="walk_extremes")
                 self._walk_extremes = _packed.walk_extremes(self._packed)
-        return self._walk_extremes
+        if rows is None:
+            return self._walk_extremes
+        s_max, s_min, s_final = self._walk_extremes
+        return s_max[rows], s_min[rows], s_final[rows]
+
+    def walk_brackets(self) -> Tuple[np.ndarray, ...]:
+        """``(max_low, max_high, min_low, min_high, S_final)`` per row.
+
+        Brackets ``max_low <= S_max <= max_high`` and ``min_low <= S_min <=
+        min_high`` from the walk's word-boundary heights
+        (:func:`~repro.engine.packed.walk_bounds`), at most 64 wide, with
+        ``S_final`` exact.  Once the exact extremes are known (walked or
+        preseeded) the brackets are those extremes, zero wide.
+        """
+        if self._walk_extremes is not None or self.n == 0:
+            s_max, s_min, s_final = self.walk_extremes()
+            return s_max, s_max, s_min, s_min, s_final
+        if self._walk_brackets is None:
+            _KERNEL_CALLS.inc(kernel="walk_bounds")
+            self._walk_brackets = _packed.walk_bounds(self._packed)
+        return self._walk_brackets
 
     def num_runs(self) -> np.ndarray:
         """Runs per row (transitions + 1); an empty sequence has no runs."""

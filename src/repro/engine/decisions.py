@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy import special as _special
 
-from repro.engine.packed import _row_tiles
+from repro.engine.packed import BITS_PER_WORD, _row_tiles
 from repro.nist.block_frequency import _validate as _validate_block_frequency
 from repro.nist.common import igamc
 from repro.nist.cusum import cusum_p_value, largest_accepted_excursion
@@ -60,13 +60,12 @@ _TABLES = 64
 
 
 class StatisticColumn(NamedTuple):
-    """One light test's statistic over a batch.
+    """One light test's verdicts over a batch.
 
     ``failing(alpha)`` is True where a row's P-value is below ``alpha``;
     ``p_values()`` is every row's P-value, bit-identical to the reference.
     """
 
-    statistic: np.ndarray
     failing: Callable[[float], np.ndarray]
     p_values: Callable[[], np.ndarray]
 
@@ -132,7 +131,6 @@ def batch_frequency(batch: "BatchContext") -> StatisticColumn:
         raise ValueError("frequency test requires a non-empty sequence")
     excess = np.abs(2 * batch.ones() - n)
     return StatisticColumn(
-        excess,
         lambda alpha: excess > _frequency_critical(n, alpha),
         lambda: _frequency_p_values(n, excess),
     )
@@ -177,9 +175,7 @@ def batch_block_frequency(batch: "BatchContext", block_length: int = 128) -> Sta
             lambda rows: _block_frequency_p_values(ones_per_block[rows], block_length),
         )
 
-    return StatisticColumn(
-        statistic, failing, lambda: _block_frequency_p_values(ones_per_block, block_length)
-    )
+    return StatisticColumn(failing, lambda: _block_frequency_p_values(ones_per_block, block_length))
 
 
 # ------------------------------------------------------------- test 3
@@ -230,7 +226,7 @@ def batch_runs(batch: "BatchContext") -> StatisticColumn:
         index = ones - offset
         return (runs < low.take(index, mode="clip")) | (runs > high.take(index, mode="clip"))
 
-    return StatisticColumn(runs, failing, lambda: _runs_p_values(n, ones, runs))
+    return StatisticColumn(failing, lambda: _runs_p_values(n, ones, runs))
 
 
 # ------------------------------------------------------------- test 4
@@ -273,7 +269,6 @@ def batch_longest_run(
         return _special.gammaincc(k / 2.0, chi_squared[rows] / 2.0)
 
     return StatisticColumn(
-        chi_squared,
         lambda alpha: _banded_failing(chi_squared, *_chi_squared_band(k, alpha), alpha, p_values),
         p_values,
     )
@@ -287,26 +282,45 @@ def _cusum_p_values(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> StatisticColumn:
-    """Test 13 from the excursion z of the forward (0) or backward (1) walk."""
+    """Test 13 from the excursion z of the forward (0) or backward (1) walk.
+
+    ``failing`` screens every row with the walk brackets
+    (:meth:`~repro.engine.context.BatchContext.walk_brackets`).  z grows
+    with S_max and falls with S_min, so the brackets bound it: a row whose
+    upper bound is at or below the guard band passes, one whose lower bound
+    is at or above it fails, and only the rows in between take their exact
+    extremes (walked on those rows alone) and, inside the band, their exact
+    P-value.  ``p_values`` walks every row exactly.
+    """
     n = batch.n
     if n == 0:
         raise ValueError("cumulative sums test requires a non-empty sequence")
     if mode not in (0, 1):
         raise ValueError("mode must be 0 (forward) or 1 (backward)")
-    s_max, s_min, s_final = batch.walk_extremes()
-    if mode == 0:
-        z = np.maximum(np.abs(s_max), np.abs(s_min))
-    else:
-        z = np.maximum(s_final - s_min, s_max - s_final)
-    # The guard band is the three excursions around the largest accepted z.
-    return StatisticColumn(
-        z,
-        lambda alpha: _banded_failing(
-            z,
-            largest_accepted_excursion(n, alpha) - 2,
-            largest_accepted_excursion(n, alpha) + 2,
-            alpha,
-            lambda rows: _cusum_p_values(n, z[rows]),
-        ),
-        lambda: _cusum_p_values(n, z),
-    )
+
+    def excursion(s_max: np.ndarray, s_min: np.ndarray, s_final: np.ndarray) -> np.ndarray:
+        # max(|S_max|, |S_min|) equals max(S_max, -S_min) since S_max >= S_min.
+        if mode == 0:
+            return np.maximum(s_max, -s_min)
+        return np.maximum(s_final - s_min, s_max - s_final)
+
+    def failing(alpha: float) -> np.ndarray:
+        # The guard band is the three excursions around the largest accepted z.
+        critical = largest_accepted_excursion(n, alpha)
+        low, high = critical - 2, critical + 2
+
+        def banded(z: np.ndarray) -> np.ndarray:
+            return _banded_failing(z, low, high, alpha, lambda rows: _cusum_p_values(n, z[rows]))
+
+        if critical <= BITS_PER_WORD:
+            # A bracket (up to a word wide) spans the whole accepted range,
+            # so nearly every row would be refined: walk them all.
+            return banded(excursion(*batch.walk_extremes()))
+        max_low, max_high, min_low, min_high, s_final = batch.walk_brackets()
+        rejected = excursion(max_low, min_high, s_final) >= high
+        band = ((excursion(max_high, min_low, s_final) > low) ^ rejected).nonzero()[0]
+        if band.size:
+            rejected[band] = banded(excursion(*batch.walk_extremes(band)))
+        return rejected
+
+    return StatisticColumn(failing, lambda: _cusum_p_values(n, excursion(*batch.walk_extremes())))

@@ -81,6 +81,7 @@ __all__ = [
     "block_longest_one_runs",
     "supports_block_longest_one_runs",
     "walk_extremes",
+    "walk_bounds",
     "last_bits",
     "word_summaries",
 ]
@@ -781,3 +782,78 @@ def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
         np.minimum(s_min, tail_walk.min(axis=1), out=s_min)
         s_final = tail_walk[:, -1]
     return s_max, s_min, s_final
+
+
+#: Words per group of :func:`walk_bounds`: the walk's heights are summed in
+#: int16 inside a group and in int32 over group totals.
+_BOUNDS_GROUP = 16
+
+
+def walk_bounds(
+    packed: PackedMatrix,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets of the ±1 walk's extremes from its word-boundary heights.
+
+    Returns int64 ``(max_low, max_high, min_low, min_high, s_final)`` per
+    row, with ``max_low <= S_max <= max_high``, ``min_low <= S_min <=
+    min_high`` and ``s_final`` exact.  The heights after each word are
+    points of the walk, so their max and min are the inner bounds.  Inside
+    word ``w`` the walk stays within ``[before_w - zeros_w, before_w +
+    ones_w]``, so the outer bounds are the max and min of those ends over
+    the words, and each bracket is at most 64 wide.  The pass is a popcount
+    and a prefix sum over words, without the table gathers of
+    :func:`walk_extremes`.
+
+    Heights are kept halved, ``c_w = sum(ones - 32)`` over the words up to
+    ``w``, so that ``before_w + ones_w = c_{w-1} + c_w + 32``.  Full words
+    are taken in groups of 16: one int16 plane per position in the group
+    holds the halved heights relative to the group's start, summed plane by
+    plane, and the int32 cumulative sum runs over the group totals only (a
+    sixteenth of the words).  Words past the last full group, and the tail
+    word with its own length, are stepped one column at a time.
+    """
+    n = packed.n
+    if n == 0:
+        raise ValueError("walk bounds need at least one bit")
+    rows = packed.num_rows
+    groups = n // (BITS_PER_WORD * _BOUNDS_GROUP)
+    grouped = groups * _BOUNDS_GROUP
+    half = BITS_PER_WORD // 2
+    max_low = np.full(rows, _INT32_MIN, dtype=np.int64)
+    max_high = np.full(rows, _INT32_MIN, dtype=np.int64)
+    min_low = np.full(rows, -_INT32_MIN, dtype=np.int64)
+    min_high = np.full(rows, -_INT32_MIN, dtype=np.int64)
+    s_final = np.zeros(rows, dtype=np.int64)
+    # A tile's int16 planes take 32 bytes per group, 512 KiB at 2^14 groups
+    # (256 rows of 65,536 bits); each tile makes ~100 numpy calls.
+    for tile in _row_tiles(rows, 4 * groups) if groups else ():
+        words = packed.words[tile, :grouped].reshape(-1, groups, _BOUNDS_GROUP)
+        planes = popcount(words.transpose(2, 0, 1)).astype(np.int16, order="C")
+        planes -= np.int16(half)
+        high, low = planes[0].copy(), planes[0].copy()
+        reach_high, reach_low = planes[0].copy(), planes[0].copy()
+        pair = np.empty_like(high)
+        for index in range(1, _BOUNDS_GROUP):
+            np.add(planes[index - 1], planes[index], out=planes[index])
+            np.maximum(high, planes[index], out=high)
+            np.minimum(low, planes[index], out=low)
+            np.add(planes[index - 1], planes[index], out=pair)
+            np.maximum(reach_high, pair, out=reach_high)
+            np.minimum(reach_low, pair, out=reach_low)
+        totals = np.cumsum(planes[-1], axis=1, dtype=np.int32)
+        starts = totals - planes[-1]
+        s_final[tile] = 2 * totals[:, -1]
+        max_low[tile] = 2 * (starts + high).max(axis=1)
+        min_high[tile] = 2 * (starts + low).min(axis=1)
+        starts *= 2
+        max_high[tile] = (starts + reach_high).max(axis=1) + half
+        min_low[tile] = (starts + reach_low).min(axis=1) - half
+    for word in range(grouped, packed.num_words):
+        length = min(BITS_PER_WORD, n - word * BITS_PER_WORD)
+        ones = popcount(packed.words[:, word]).astype(np.int64)
+        np.maximum(max_high, s_final + ones, out=max_high)
+        np.minimum(min_low, s_final + ones - length, out=min_low)
+        s_final += 2 * ones - length
+        np.maximum(max_low, s_final, out=max_low)
+        np.minimum(min_high, s_final, out=min_high)
+    return max_low, max_high, min_low, min_high, s_final

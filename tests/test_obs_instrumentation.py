@@ -15,7 +15,10 @@ from repro.engine import run_batch
 from repro.engine.context import BatchContext
 from repro.engine.streaming import StreamingBatchContext
 from repro.fleet import DeviceRegistry, FleetMix, FleetScheduler
+from repro.fleet.scheduler import _round_slices
+from repro.nist.cusum import largest_accepted_excursion
 from repro.trng import IdealSource
+from repro.trng.source import EntropySource
 
 
 def metric(name):
@@ -128,6 +131,39 @@ class TestKernelInstrumentation:
         ctx.block_longest_one_runs(block_length)
         for kernel in kernels:
             assert calls.value(kernel=kernel) - before[kernel] == 1
+
+
+class _FixedRow(EntropySource):
+    """Emits the same row for every sequence (one sequence per call)."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def _generate_block(self, n):
+        return self.row[:n]
+
+
+class TestRoundWalkInstrumentation:
+    def test_exact_walk_runs_only_on_slices_with_band_rows(self):
+        # Every row alternates (z = 1, decided by its brackets) except the
+        # last device's, whose excursion is the largest accepted z: it lies
+        # in the guard band, so only the slice holding it walks exactly.
+        registry = DeviceRegistry("n65536_light", alpha=0.01)
+        registry.populate(32, FleetMix.parse("healthy-ideal:1.0"), seed=7)
+        n = registry.n
+        critical = largest_accepted_excursion(n, registry.alpha)
+        band_row = np.concatenate([np.ones(critical), np.arange(n - critical) % 2])
+        devices = registry.simulated_devices()
+        for device in devices:
+            device.source = _FixedRow((np.arange(n) % 2).astype(np.uint8))
+        devices[-1].source = _FixedRow(band_row.astype(np.uint8))
+        slices = _round_slices(len(devices), n)
+        calls = metric("repro_packed_kernel_invocations_total")
+        kernels = ("walk_bounds", "walk_extremes")
+        before = {kernel: calls.value(kernel=kernel) for kernel in kernels}
+        FleetScheduler(registry).run_round()
+        assert calls.value(kernel="walk_bounds") - before["walk_bounds"] == len(slices)
+        assert calls.value(kernel="walk_extremes") - before["walk_extremes"] == 1
 
 
 class TestStreamingInstrumentation:

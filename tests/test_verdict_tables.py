@@ -83,8 +83,17 @@ def test_runs_every_pair(n, alpha):
 
 def _cusum_column(n, z):
     zeros = np.zeros_like(z)
+
+    def walk_extremes(rows=slice(None)):
+        return z[rows], zeros[rows], zeros[rows]
+
+    # Exact extremes are known, so the brackets are those extremes, zero wide.
     return decisions.batch_cumulative_sums(
-        SimpleNamespace(n=n, walk_extremes=lambda: (z, zeros, zeros))
+        SimpleNamespace(
+            n=n,
+            walk_extremes=walk_extremes,
+            walk_brackets=lambda: (z, z, zeros, zeros, zeros),
+        )
     )
 
 
