@@ -21,9 +21,10 @@ from repro.analysis.findings import Severity
 __all__ = ["PackedKernelChecker"]
 
 #: Identifier fragments that mark an expression as a packed word array.
-#: "ring" covers the streaming contexts' word rings (engine.streaming);
-#: names containing "string" are excluded below — "ring" is a substring of
-#: "string", and e.g. a bit-string formatter is not a word array.
+#: "ring" covers packed word rings, such as the version-1 streaming rings
+#: that fleet restore decodes; names containing "string" are excluded below
+#: — "ring" is a substring of "string", and e.g. a bit-string formatter is
+#: not a word array.
 _WORDY = ("word", "packed", "ring")
 
 #: Fragments that veto a _WORDY match for the whole identifier.

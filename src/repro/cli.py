@@ -199,16 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drive the cycle-accurate bit-serial hardware model "
                               "bit by bit instead of the vectorized block path "
                               "(slow; for RTL-fidelity runs)")
-    monitor.add_argument("--streaming", action="store_true",
-                         help="feed windows from a streaming packed ring with O(1) "
-                              "window rolls instead of re-packing each sequence; "
-                              "--sequences counts evaluated windows")
-    monitor.add_argument("--stride", type=int, default=None,
-                         help="streaming only: new bits between window evaluations "
-                              "(default n; < n slides overlapping windows)")
-    monitor.add_argument("--history-bits", type=int, default=None,
-                         help="streaming only: ring capacity in bits (default n; "
-                              "bounds per-stream memory regardless of stream length)")
     _add_trace_argument(monitor)
 
     suite = sub.add_parser("suite", help="run the full reference NIST suite on a capture")
@@ -439,38 +429,17 @@ def _cmd_monitor(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    if args.streaming and args.rtl_fidelity:
-        print("error: --streaming evaluates windows from the packed ring; "
-              "it cannot drive the bit-serial --rtl-fidelity model", file=out)
-        return 2
-    if not args.streaming and (args.stride is not None or args.history_bits is not None):
-        print("error: --stride/--history-bits require --streaming", file=out)
-        return 2
     if args.rtl_fidelity:
         path = "bit-serial RTL model (--rtl-fidelity)"
-    elif args.streaming:
-        path = "streaming packed-ring window roll (--streaming)"
     else:
         path = "vectorized block streaming (default)"
     print(f"hardware path: {path}", file=out)
-    if args.streaming:
-        try:
-            events = monitor.monitor_stream(
-                source,
-                num_windows=args.sequences,
-                stride=args.stride,
-                history_bits=args.history_bits,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    else:
-        events = monitor.monitor(
-            source,
-            num_sequences=args.sequences,
-            batch_size=args.batch_size,
-            accelerated=not args.rtl_fidelity,
-        )
+    events = monitor.monitor(
+        source,
+        num_sequences=args.sequences,
+        batch_size=args.batch_size,
+        accelerated=not args.rtl_fidelity,
+    )
     for event in events:
         verdict = "pass" if event.report.passed else f"fail {event.report.failing_tests}"
         print(

@@ -7,15 +7,6 @@ results sequence after sequence.  :class:`OnTheFlyMonitor` models that
 operation, including a simple health policy (how many consecutive failing
 sequences demote the source to SUSPECT / FAILED) of the kind an AIS-31-style
 integrator would wrap around the raw test outcomes.
-
-:class:`MonitorStream` is the push-driven streaming variant: instead of the
-monitor pulling whole n-bit sequences from a source, the producer pushes
-bits in arbitrary-size chunks into a
-:class:`~repro.engine.streaming.StreamingContext` ring, and every ``stride``
-new bits the trailing n-bit window is evaluated from the ring's running
-statistics — no history slicing, no re-packing, O(window) memory however
-long the stream runs.  With ``stride == n`` the health-state trajectory is
-bit-identical to the classic pull loop.
 """
 
 from __future__ import annotations
@@ -23,16 +14,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.platform import OnTheFlyPlatform
 from repro.core.results import PlatformReport
-from repro.engine.packed import PackedMatrix
-from repro.engine.streaming import StreamingContext
-from repro.nist.common import BitsLike, to_bits
 from repro.trng.source import EntropySource
 
-__all__ = ["HealthState", "MonitorEvent", "MonitorStream", "OnTheFlyMonitor"]
+__all__ = ["HealthState", "MonitorEvent", "OnTheFlyMonitor"]
 
 
 class HealthState(enum.Enum):
@@ -287,51 +275,6 @@ class OnTheFlyMonitor:
             remaining -= take
         return list(events)
 
-    def open_stream(
-        self,
-        stride: Optional[int] = None,
-        history_bits: Optional[int] = None,
-    ) -> "MonitorStream":
-        """Open a push-driven streaming session against this monitor.
-
-        The returned :class:`MonitorStream` accepts the producer's bits in
-        arbitrary-size chunks and evaluates the trailing n-bit window every
-        ``stride`` new bits (default: ``n``, i.e. non-overlapping windows —
-        the classic trajectory).  ``history_bits`` bounds the retained ring
-        (default ``n``); it is the streaming analogue of ``max_history``,
-        in bits instead of events.
-        """
-        return MonitorStream(self, stride=stride, history_bits=history_bits)
-
-    def monitor_stream(
-        self,
-        source: EntropySource,
-        num_windows: int,
-        stride: Optional[int] = None,
-        history_bits: Optional[int] = None,
-    ) -> List[MonitorEvent]:
-        """Monitor ``source`` through the streaming window-roll path.
-
-        Pulls ``n`` bits for the first window, then ``stride`` bits per
-        subsequent window, pushing each block into a fresh
-        :class:`MonitorStream`; with the default ``stride == n`` this
-        consumes the same source stream as :meth:`monitor` and produces the
-        identical health-state trajectory, while overlapping strides
-        (``stride < n``) evaluate the trailing window at finer granularity
-        without ever re-scanning the overlap.  Like :meth:`monitor`, the
-        returned list is bounded by ``max_history``.
-        """
-        if num_windows < 1:
-            raise ValueError("num_windows must be positive")
-        stream = self.open_stream(stride=stride, history_bits=history_bits)
-        events: "deque[MonitorEvent] | List[MonitorEvent]"
-        events = [] if self.max_history is None else deque(maxlen=self.max_history)
-        need = self.platform.n
-        for _ in range(num_windows):
-            events.extend(stream.push(source.generate_block(need)))
-            need = stream.stride
-        return list(events)
-
     def monitor_until_failure(
         self,
         source: EntropySource,
@@ -397,122 +340,3 @@ class OnTheFlyMonitor:
             return None
         return (self._first_failed_index + 1) * self.platform.n
 
-
-class MonitorStream:
-    """Push-driven sliding-window session over an :class:`OnTheFlyMonitor`.
-
-    The producer pushes its live bit stream in chunks of any size (down to
-    a single bit, or whole packed words); the stream keeps the trailing
-    window in a :class:`~repro.engine.streaming.StreamingContext` ring and
-    evaluates it through the monitor's platform every ``stride`` new bits.
-    Window statistics roll incrementally — evaluation never slices or
-    re-packs history — and memory stays O(``history_bits``) regardless of
-    stream length (:attr:`ring_nbytes` is the live measure).
-
-    Created via :meth:`OnTheFlyMonitor.open_stream`.  Every evaluated
-    window feeds :meth:`OnTheFlyMonitor.observe`, so health policy,
-    running totals and ``on_event`` callbacks behave exactly as in the
-    pull-driven loop.
-    """
-
-    def __init__(
-        self,
-        monitor: OnTheFlyMonitor,
-        stride: Optional[int] = None,
-        history_bits: Optional[int] = None,
-    ) -> None:
-        n = monitor.platform.n
-        self.stride = n if stride is None else int(stride)
-        if self.stride < 1:
-            raise ValueError("stride must be positive")
-        capacity = n if history_bits is None else int(history_bits)
-        if capacity < n:
-            raise ValueError(
-                f"history_bits must be at least the window size n={n}, got {capacity}"
-            )
-        self.monitor = monitor
-        self._stream = StreamingContext(n, capacity_bits=capacity)
-        # First evaluation once the window fills; every `stride` bits after.
-        self._until_eval = n
-        self._windows_evaluated = 0
-
-    # ------------------------------------------------------------------ state
-    @property
-    def n(self) -> int:
-        """Evaluation window size (the platform's sequence length)."""
-        return self._stream.window_bits
-
-    @property
-    def history_bits(self) -> int:
-        """Ring capacity in bits (the retained trailing history)."""
-        return self._stream.capacity_bits
-
-    @property
-    def bits_seen(self) -> int:
-        """Total bits pushed so far."""
-        return self._stream.total_bits
-
-    @property
-    def windows_evaluated(self) -> int:
-        """Windows evaluated (and folded into the monitor) so far."""
-        return self._windows_evaluated
-
-    @property
-    def ring_nbytes(self) -> int:
-        """Bytes of retained per-stream state — O(history), never O(stream)."""
-        return self._stream.state_nbytes
-
-    @property
-    def bits_until_next_window(self) -> int:
-        """New bits needed before the next window evaluation fires."""
-        return self._until_eval
-
-    # ------------------------------------------------------------------ pushing
-    def push(self, bits: Union[BitsLike, PackedMatrix]) -> List[MonitorEvent]:
-        """Append a chunk of the stream; evaluate any windows it completes.
-
-        Accepts any :data:`~repro.nist.common.BitsLike` chunk or a one-row
-        :class:`~repro.engine.packed.PackedMatrix` (word-native producers).
-        Returns the monitor events of the windows this chunk completed
-        (empty list when the stride boundary was not reached).
-        """
-        if isinstance(bits, PackedMatrix):
-            if bits.num_rows != 1:
-                raise ValueError("MonitorStream push expects a single-row PackedMatrix")
-            if bits.n <= self._until_eval:
-                # Whole chunk lands before the next boundary: push the words
-                # straight into the ring, no unpack at all.
-                self._stream.push(bits)
-                self._until_eval -= bits.n
-                if self._until_eval == 0:
-                    event = self._evaluate()
-                    self._until_eval = self.stride
-                    return [event]
-                return []
-            arr = bits.row(0)
-        else:
-            arr = to_bits(bits)
-        events: List[MonitorEvent] = []
-        offset = 0
-        while offset < arr.size:
-            take = min(self._until_eval, arr.size - offset)
-            self._stream.push(arr[offset : offset + take])
-            offset += take
-            self._until_eval -= take
-            if self._until_eval == 0:
-                events.append(self._evaluate())
-                self._until_eval = self.stride
-        return events
-
-    def _evaluate(self) -> MonitorEvent:
-        """Evaluate the trailing window from the rolled statistics."""
-        context = self._stream.window_context()
-        report = self.monitor.platform.evaluate_batch(context)[0]
-        self._windows_evaluated += 1
-        return self.monitor.observe(report)
-
-    def __repr__(self) -> str:
-        return (
-            f"MonitorStream(n={self.n}, stride={self.stride}, "
-            f"history_bits={self.history_bits}, bits_seen={self.bits_seen})"
-        )

@@ -130,9 +130,8 @@ class OnTheFlyPlatform:
         :meth:`~repro.trng.source.EntropySource.generate_matrix` — a
         prepacked :class:`~repro.engine.packed.PackedMatrix` from
         ``generate_matrix(..., packed=True)``, or a prebuilt
-        :class:`~repro.engine.context.BatchContext` (e.g. the preseeded
-        trailing window of a streaming context), which is used as-is so
-        statistics already rolled into it are never recomputed.
+        :class:`~repro.engine.context.BatchContext`, which is used as-is so
+        statistics already cached in it are never recomputed.
 
         The whole batch — a single sequence included — shares one
         :class:`~repro.engine.context.BatchContext`, so the hardware units'

@@ -38,7 +38,6 @@ from repro.engine.registry import (
     TestRegistry,
     build_default_registry,
 )
-from repro.engine.streaming import StreamingBatchContext, StreamingContext
 
 __all__ = [
     "BatchContext",
@@ -50,8 +49,6 @@ __all__ = [
     "RegisteredTest",
     "SequenceContext",
     "StatisticalTest",
-    "StreamingBatchContext",
-    "StreamingContext",
     "TestRegistry",
     "build_default_registry",
     "pack_matrix",

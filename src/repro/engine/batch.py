@@ -344,9 +344,8 @@ def run_batch(
         once, with its shape and 0/1 content validated — or a prepacked
         :class:`~repro.engine.packed.PackedMatrix` (e.g. from
         ``generate_matrix(..., packed=True)`` or the fleet scheduler).
-        A prebuilt :class:`~repro.engine.context.BatchContext` — e.g. the
-        preseeded window of a streaming context's ``window_context()`` —
-        is used as-is, statistics already cached in it included.
+        A prebuilt :class:`~repro.engine.context.BatchContext` is used
+        as-is, statistics already cached in it included.
         Equal-length sequences — a single sequence included — are stacked
         into one bit matrix and share vectorised statistics; on mixed
         lengths each distinct length is stacked into its own batch.
@@ -387,8 +386,8 @@ def _run_batch(
     with obs.span("pack"):
         batch: Optional[BatchContext] = None
         if isinstance(sequences, BatchContext):
-            # Prebuilt (possibly preseeded) context: run on it directly so
-            # its cached statistics are reused, not recomputed.
+            # Prebuilt context: run on it directly so its cached
+            # statistics are reused, not recomputed.
             batch = sequences
         elif isinstance(sequences, PackedMatrix) or (
             isinstance(sequences, np.ndarray) and sequences.ndim == 2

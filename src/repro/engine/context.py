@@ -25,7 +25,7 @@ reference implementation that re-scans the raw bits (asserted by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,11 +41,6 @@ _KERNEL_CALLS = obs.counter(
     "Packed (64-bits-per-word) kernel dispatches from BatchContext, by kernel.",
     labels=("kernel",),
 )
-
-#: A preseeded block-statistic source: given a block length, return the
-#: ``(num_sequences, num_blocks)`` statistic array, or ``None`` to decline
-#: (the context then falls back to its own kernels).
-BlockProvider = Callable[[int], Optional[np.ndarray]]
 
 
 class SequenceContext:
@@ -217,48 +212,6 @@ class BatchContext:
         self._pattern_counts: Dict[int, np.ndarray] = {}
         self._window_values: Dict[int, np.ndarray] = {}
         self._block_value_counts: Dict[int, np.ndarray] = {}
-        self._block_sums_provider: Optional[BlockProvider] = None
-        self._block_longest_provider: Optional[BlockProvider] = None
-
-    def preseed(
-        self,
-        *,
-        ones: Optional[np.ndarray] = None,
-        num_runs: Optional[np.ndarray] = None,
-        walk_extremes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-        last_bits: Optional[np.ndarray] = None,
-        block_sums_provider: Optional[BlockProvider] = None,
-        block_longest_provider: Optional[BlockProvider] = None,
-    ) -> "BatchContext":
-        """Seed statistic caches with externally maintained values.
-
-        The streaming contexts roll these statistics incrementally and hand
-        them over here so the batch executor never recomputes them.  Seeded
-        arrays must match the batch shape; block providers are consulted on
-        cache miss and may decline (return ``None``) to fall back to the
-        regular kernels.  Callers guarantee seeded values equal what the
-        context would compute — parity is enforced by the streaming test
-        suite, not re-checked here.  Returns ``self`` for chaining.
-        """
-        expected = (self.num_sequences,)
-        for name, value in (("ones", ones), ("num_runs", num_runs), ("last_bits", last_bits)):
-            if value is not None and value.shape != expected:
-                raise ValueError(f"preseed {name} has shape {value.shape}, expected {expected}")
-        if ones is not None:
-            self._ones = ones
-        if num_runs is not None:
-            self._num_runs = num_runs
-        if walk_extremes is not None:
-            if any(part.shape != expected for part in walk_extremes):
-                raise ValueError(f"preseed walk_extremes parts must have shape {expected}")
-            self._walk_extremes = walk_extremes
-        if last_bits is not None:
-            self._last_bits = last_bits
-        if block_sums_provider is not None:
-            self._block_sums_provider = block_sums_provider
-        if block_longest_provider is not None:
-            self._block_longest_provider = block_longest_provider
-        return self
 
     def packed(self) -> PackedMatrix:
         """The packed words of the batch."""
@@ -334,8 +287,8 @@ class BatchContext:
         Brackets ``max_low <= S_max <= max_high`` and ``min_low <= S_min <=
         min_high`` from the walk's word-boundary heights
         (:func:`~repro.engine.packed.walk_bounds`), at most 64 wide, with
-        ``S_final`` exact.  Once the exact extremes are known (walked or
-        preseeded) the brackets are those extremes, zero wide.
+        ``S_final`` exact.  Once the exact extremes are walked the brackets
+        are those extremes, zero wide.
         """
         if self._walk_extremes is not None or self.n == 0:
             s_max, s_min, s_final = self.walk_extremes()
@@ -373,11 +326,6 @@ class BatchContext:
 
     def block_sums(self, block_length: int) -> np.ndarray:
         if block_length not in self._block_sums:
-            if self._block_sums_provider is not None:
-                provided = self._block_sums_provider(block_length)
-                if provided is not None:
-                    self._block_sums[block_length] = provided
-                    return provided
             if _packed.supports_block_ones(block_length, self.n):
                 _KERNEL_CALLS.inc(kernel="block_ones")
                 self._block_sums[block_length] = _packed.block_ones(
@@ -393,11 +341,6 @@ class BatchContext:
 
     def block_longest_one_runs(self, block_length: int) -> np.ndarray:
         if block_length not in self._block_longest:
-            if self._block_longest_provider is not None:
-                provided = self._block_longest_provider(block_length)
-                if provided is not None:
-                    self._block_longest[block_length] = provided
-                    return provided
             _KERNEL_CALLS.inc(kernel="block_longest_one_runs")
             self._block_longest[block_length] = _packed.block_longest_one_runs(
                 self._packed, block_length

@@ -302,7 +302,8 @@ def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> StatisticColu
         # max(|S_max|, |S_min|) equals max(S_max, -S_min) since S_max >= S_min.
         if mode == 0:
             return np.maximum(s_max, -s_min)
-        return np.maximum(s_final - s_min, s_max - s_final)
+        # The backward walk starts from S_0 = 0 (see repro.nist.cusum).
+        return np.maximum(s_final - np.minimum(s_min, 0), np.maximum(s_max, 0) - s_final)
 
     def failing(alpha: float) -> np.ndarray:
         # The guard band is the three excursions around the largest accepted z.

@@ -83,7 +83,6 @@ __all__ = [
     "walk_extremes",
     "walk_bounds",
     "last_bits",
-    "word_summaries",
 ]
 
 #: Bits per packed word.
@@ -94,10 +93,6 @@ BITS_PER_WORD = 64
 WORD_DTYPE = np.dtype("<u8")
 
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: All word bits except the top one — the positions where ``w ^ (w >> 1)``
-#: compares two bits of the *same* word.
-_INNER_PAIR_MASK = np.uint64((1 << 63) - 1)
 
 #: Seed of the walk's running extremes, built once: ``np.iinfo`` shows up in
 #: the per-batch fixed cost of tiny batches.
@@ -509,7 +504,7 @@ def _word_walks(chunks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return high, low, delta
 
 
-def _run_pack_lut(bits: int = 16) -> np.ndarray:
+def _run_pack_lut(bits: int) -> np.ndarray:
     """Chunk one-run lengths packed ``(longest << 10) | (prefix << 5) | suffix``.
 
     All three lengths of a ``bits``-wide chunk (8 or 16) lie in [0, 16]
@@ -672,74 +667,6 @@ def wrap_seam(packed: PackedMatrix, width: int) -> PackedMatrix:
     shifts = (positions % BITS_PER_WORD).astype(np.uint64)
     bits = (packed.words[:, positions // BITS_PER_WORD] >> shifts) & np.uint64(1)
     return pack_matrix(bits.astype(np.uint8))
-
-
-def word_summaries(words: np.ndarray, *, track_runs: bool = True) -> Dict[str, np.ndarray]:
-    """Per-word shared-statistic summaries of *full* 64-bit words.
-
-    The streaming contexts (:mod:`repro.engine.streaming`) maintain their
-    running window statistics from these summaries: every committed word is
-    reduced once, and a window roll then adds/subtracts word summaries
-    instead of re-scanning bits.  ``words`` is a ``(rows, count)`` uint64
-    array of complete words — callers own the tail discipline (a streaming
-    ring only commits full words), so no bit length is consulted here.
-
-    Returned keys (all ``(rows, count)`` arrays):
-
-    ``pop`` / ``inner``
-        Ones count and in-word adjacent-pair transition count (uint8).
-    ``first`` / ``last``
-        The word's first and last stream bit (uint8) — the seam state the
-        incremental transition count stitches across word boundaries.
-    ``delta`` / ``walk_max`` / ``walk_min``
-        ±1 walk summary of the word (int16): total delta and the extreme
-        prefix sums relative to the word's start.
-    ``longest`` / ``prefix`` / ``suffix``
-        Longest / start-touching / end-touching one-run lengths (int16),
-        present only with ``track_runs=True`` (they cost one extra table
-        gather per chunk and only the block-longest statistic reads them).
-    """
-    words = np.ascontiguousarray(words, dtype=WORD_DTYPE)
-    if words.ndim != 2:
-        raise ValueError("word_summaries expects a 2-D (rows, count) word array")
-    rows, count = words.shape
-    chunks = words.view("<u2").reshape(rows, count, 4)
-    high, low, delta = _word_walks(chunks)
-    summaries: Dict[str, np.ndarray] = {
-        "pop": popcount(words),
-        "inner": popcount((words ^ (words >> np.uint64(1))) & _INNER_PAIR_MASK),
-        "first": (words & np.uint64(1)).astype(np.uint8),
-        "last": (words >> np.uint64(63)).astype(np.uint8),
-        "delta": delta,
-        "walk_max": high - np.int16(1),
-        "walk_min": low - np.int16(16),
-    }
-    if track_runs:
-        run_triple = np.take(_run_pack_lut(), chunks)
-        longest_t = run_triple >> np.int16(10)
-        prefix_t = (run_triple >> np.int16(5)) & np.int16(31)
-        suffix_t = run_triple & np.int16(31)
-        saturated = prefix_t == np.int16(16)
-        # Chunk 0 seeds the merge directly (an empty carry bridges nothing).
-        longest = longest_t[:, :, 0].copy()
-        trailing = np.where(saturated[:, :, 0], np.int16(16), suffix_t[:, :, 0])
-        prefix = prefix_t[:, :, 0].copy()
-        prefix_open = saturated[:, :, 0]
-        for index in range(1, 4):
-            bridged = trailing + prefix_t[:, :, index]
-            np.maximum(longest, longest_t[:, :, index], out=longest)
-            np.maximum(longest, bridged, out=longest)
-            trailing = np.where(
-                saturated[:, :, index], trailing + np.int16(16), suffix_t[:, :, index]
-            )
-            prefix += np.where(prefix_open, prefix_t[:, :, index], np.int16(0))
-            prefix_open = prefix_open & saturated[:, :, index]
-        summaries["longest"] = longest
-        summaries["prefix"] = prefix
-        # The run touching the word's end is whatever run the merge carries
-        # out of the last chunk.
-        summaries["suffix"] = trailing
-    return summaries
 
 
 def walk_extremes(packed: PackedMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

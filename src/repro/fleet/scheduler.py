@@ -44,9 +44,8 @@ import numpy as np
 import repro.obs as obs
 from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
-from repro.engine.packed import WORD_DTYPE, PackedMatrix, bit_tile_rows
+from repro.engine.packed import BITS_PER_WORD, WORD_DTYPE, PackedMatrix, bit_tile_rows
 from repro.engine.registry import NIST_NUMBER_TO_ID
-from repro.engine.streaming import StreamingContext
 from repro.fleet.registry import Device, DeviceRegistry
 from repro.fleet.report import FleetReport, FleetRound, build_report
 from repro.nist.common import BitsLike, to_bits
@@ -237,7 +236,34 @@ def _stored_tail(spec: Dict[str, Any]) -> np.ndarray:
     pending = int(spec["pending"])
     if spec["context"] is None or pending == 0:
         return _NO_BITS
-    return StreamingContext.from_state(spec["context"]).window_matrix(pending).row(0)
+    return _v1_ring_tail(spec["context"], pending)
+
+
+def _v1_ring_tail(ring: Dict[str, Any], pending: int) -> np.ndarray:
+    """The last ``pending`` bits of a version-1 streaming ring capture.
+
+    Committed word ``w`` of the stream sits at slot ``w % ring_words`` of
+    the ``(1, ring_words)`` word array; the last ``min(committed,
+    ring_words)`` committed words, then the ``tail_len``-bit tail word,
+    are the stream's retained end, which is bit ``total_bits``.
+    """
+    if ring.get("version") != 1:
+        raise ValueError(f"unsupported streaming state version {ring.get('version')!r}")
+    capacity = int(ring["capacity_bits"])
+    size = max(1, -(-capacity // BITS_PER_WORD))
+    words = np.asarray(ring["words"], dtype=WORD_DTYPE)
+    if words.shape != (1, size):
+        raise ValueError(f"ring state has shape {words.shape}, expected {(1, size)}")
+    committed, tail_len = int(ring["committed"]), int(ring["tail_len"])
+    count = min(committed, size)
+    kept = words[:, np.arange(committed - count, committed) % size]
+    if tail_len:
+        tail = np.asarray(ring["tail"], dtype=WORD_DTYPE).reshape(1, 1)
+        kept = np.concatenate([kept, tail], axis=1)
+    stream = PackedMatrix(kept, count * BITS_PER_WORD + tail_len)
+    if pending > min(int(ring["total_bits"]), capacity, stream.n):
+        raise ValueError(f"a ring of capacity {capacity} cannot hold {pending} pending bits")
+    return stream.row(0)[stream.n - pending :]
 
 
 def _round_slices(rows: int, n: int) -> List[Tuple[int, int]]:

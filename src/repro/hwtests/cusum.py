@@ -31,11 +31,10 @@ class CusumHW(HardwareTestUnit):
         # The walk stays within ±n; one sign bit plus enough magnitude bits.
         width = counter_width(params.n) + 1
         self._walk = UpDownCounter("t13_walk", width)
-        # The capture registers reset to the most-negative / most-positive
-        # representable values so that the very first walk sample is latched
-        # into both (hardware would tie the async-reset pattern accordingly).
-        self._s_max = Register("t13_s_max", width, reset_value=1 << (width - 1))
-        self._s_min = Register("t13_s_min", width, reset_value=(1 << (width - 1)) - 1)
+        # The capture registers reset to 0: the walk starts at S_0 = 0, which
+        # belongs to the extremes of the backward walk (SP 800-22 §2.13).
+        self._s_max = Register("t13_s_max", width)
+        self._s_min = Register("t13_s_min", width)
 
     # -- per-clock behaviour -------------------------------------------------
     def process_bit(self, bit: int, index: int) -> None:
@@ -60,12 +59,12 @@ class CusumHW(HardwareTestUnit):
     # -- exported values ------------------------------------------------------
     @property
     def s_max(self) -> int:
-        """Maximum of the random walk so far (>= 0 once any bit arrived)."""
+        """Maximum of the random walk so far, S_0 = 0 included (>= 0)."""
         return self._signed(self._s_max.value)
 
     @property
     def s_min(self) -> int:
-        """Minimum of the random walk so far (<= 0)."""
+        """Minimum of the random walk so far, S_0 = 0 included (<= 0)."""
         return self._signed(self._s_min.value)
 
     @property

@@ -60,8 +60,9 @@ LoadInput = Union[BitsLike, SequenceContext]
 def _load_cusum(unit: CusumHW, context: SequenceContext) -> None:
     s_max, s_min, s_final = context.walk_extremes()
     unit._walk.force(s_final)
-    unit._s_max.force(unit._to_raw(s_max))
-    unit._s_min.force(unit._to_raw(s_min))
+    # The capture registers start from S_0 = 0.
+    unit._s_max.force(unit._to_raw(max(s_max, 0)))
+    unit._s_min.force(unit._to_raw(min(s_min, 0)))
 
 
 def _load_frequency(unit: FrequencyHW, context: SequenceContext) -> None:

@@ -145,9 +145,10 @@ def _cusum_result(n: int, mode: int, s_max: int, s_min: int, s_final: int) -> Te
         z = max(abs(s_max), abs(s_min))
     else:
         # Backward excursion from the forward-walk summary values: the
-        # reversed walk's partial sums are S_final - S_{n-k}, so its maximal
-        # absolute excursion is max(S_final - S_min, S_max - S_final).
-        z = max(s_final - s_min, s_max - s_final)
+        # reversed walk's partial sums are S_final - S_j for j = 0..n-1, and
+        # S_0 = 0 is among them, so its maximal absolute excursion is
+        # max(S_final - min(S_min, 0), max(S_max, 0) - S_final).
+        z = max(s_final - min(s_min, 0), max(s_max, 0) - s_final)
     p_value = cusum_p_value(z, n)
     return TestResult(
         name=f"Cumulative Sums Test (mode {mode})",

@@ -1,7 +1,7 @@
 """Dependency-free metrics primitives: Counter, Gauge, Histogram, registry.
 
 The observability substrate the ROADMAP's fleet scale-out is judged with —
-stdlib only, so the hot layers (engine batches, streaming pushes, fleet
+stdlib only, so the hot layers (engine batches, fleet ingests, fleet
 rounds, service requests) can record throughput and latency without pulling
 a client library into the repository.  Design points:
 

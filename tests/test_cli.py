@@ -56,14 +56,17 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["fleet", "run"], ["fleet", "serve"], ["chaos"]])
+    @pytest.mark.parametrize(
+        "argv", [["fleet", "run"], ["fleet", "serve"], ["chaos"], ["monitor"]]
+    )
     def test_streaming_flag_is_gone(self, argv, capsys):
-        # The fleet has one scheduler mode: --streaming is an unknown
-        # argument there (monitor --streaming stays).
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--streaming"], out=io.StringIO())
-        assert excinfo.value.code == 2
-        assert "--streaming" in capsys.readouterr().err
+        # The fleet has one scheduler mode and the monitor tests each
+        # sequence once: the sliding-window flags are unknown arguments.
+        for flag in (["--streaming"], ["--stride", "64"], ["--history-bits", "256"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + flag, out=io.StringIO())
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestDesignsCommand:
@@ -444,65 +447,3 @@ class TestSuiteCommand:
         assert code == 2
         assert "error" in text
 
-
-class TestStreamingFlags:
-    """monitor --streaming wiring: path banner and flag validation."""
-
-    def test_monitor_streaming_runs_and_prints_the_path(self):
-        code, text = run_cli(
-            ["monitor", "--design", "n128_light", "--source", "ideal",
-             "--sequences", "3", "--seed", "5", "--streaming"]
-        )
-        assert code in (0, 1)
-        assert "streaming packed-ring window roll (--streaming)" in text
-        assert "final state" in text
-
-    def test_monitor_streaming_matches_pull_loop_output(self):
-        base = ["monitor", "--design", "n128_light", "--source", "ideal",
-                "--sequences", "4", "--seed", "7"]
-        code_pull, text_pull = run_cli(base)
-        code_stream, text_stream = run_cli(base + ["--streaming"])
-        assert code_pull == code_stream
-        # Per-sequence verdict lines are identical; only the path banner differs.
-        pull_lines = [l for l in text_pull.splitlines() if l.startswith("sequence")]
-        stream_lines = [l for l in text_stream.splitlines() if l.startswith("sequence")]
-        assert pull_lines == stream_lines
-
-    def test_monitor_streaming_with_stride_and_history(self):
-        code, text = run_cli(
-            ["monitor", "--design", "n128_light", "--source", "ideal",
-             "--sequences", "4", "--seed", "5", "--streaming",
-             "--stride", "64", "--history-bits", "256"]
-        )
-        assert code in (0, 1)
-        assert "final state" in text
-
-    def test_stride_without_streaming_is_an_error(self):
-        code, text = run_cli(
-            ["monitor", "--source", "ideal", "--sequences", "2", "--stride", "64"]
-        )
-        assert code == 2
-        assert "--stride/--history-bits require --streaming" in text
-
-    def test_history_bits_without_streaming_is_an_error(self):
-        code, text = run_cli(
-            ["monitor", "--source", "ideal", "--sequences", "2",
-             "--history-bits", "256"]
-        )
-        assert code == 2
-
-    def test_streaming_conflicts_with_rtl_fidelity(self):
-        code, text = run_cli(
-            ["monitor", "--source", "ideal", "--sequences", "2",
-             "--streaming", "--rtl-fidelity"]
-        )
-        assert code == 2
-        assert "cannot drive the bit-serial" in text
-
-    def test_history_bits_below_window_is_an_error(self):
-        code, text = run_cli(
-            ["monitor", "--design", "n128_light", "--source", "ideal",
-             "--sequences", "2", "--streaming", "--history-bits", "64"]
-        )
-        assert code == 2
-        assert "history_bits must be at least" in text

@@ -176,119 +176,3 @@ class TestMonitorScenarios:
         events = monitor.monitor(source, num_sequences=12)
         assert events[0].report.passed  # young source looks fine
         assert monitor.state is HealthState.FAILED  # old source caught
-
-
-class TestMonitorStream:
-    """Push-driven streaming sessions: bit-identity with the pull loop,
-    arbitrary chunking, overlapping strides and O(history) memory."""
-
-    def _trajectory(self, monitor):
-        return [
-            (e.sequence_index, e.state, e.consecutive_failures,
-             tuple(e.report.failing_tests))
-            for e in monitor.history
-        ]
-
-    def _stream_bits(self, num_windows, seed=88, rate=0.62):
-        return BiasedSource(rate, seed=seed).generate(128 * num_windows).bits
-
-    def test_stream_matches_pull_loop(self):
-        pulled = OnTheFlyMonitor(
-            OnTheFlyPlatform("n128_light"), suspect_after=1, fail_after=2
-        )
-        streamed = OnTheFlyMonitor(
-            OnTheFlyPlatform("n128_light"), suspect_after=1, fail_after=2
-        )
-        pulled.monitor(BiasedSource(0.62, seed=88), num_sequences=8)
-        streamed.monitor_stream(BiasedSource(0.62, seed=88), num_windows=8)
-        assert pulled.failure_rate() > 0.0
-        assert self._trajectory(pulled) == self._trajectory(streamed)
-        assert pulled.first_failed_index == streamed.first_failed_index
-        assert pulled.failing_test_counts() == streamed.failing_test_counts()
-
-    def test_chunk_sizes_do_not_change_the_trajectory(self):
-        """63/64/65-bit chunks (word-boundary stress) and single bits all
-        produce the window evaluations of whole-window pushes."""
-        bits = self._stream_bits(6)
-        whole = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        chopped = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        whole_stream = whole.open_stream()
-        for start in range(0, bits.size, 128):
-            whole_stream.push(bits[start : start + 128])
-        chopped_stream = chopped.open_stream()
-        sizes = [63, 64, 65, 1, 127, 128]
-        offset = index = 0
-        while offset < bits.size:
-            take = min(sizes[index % len(sizes)], bits.size - offset)
-            chopped_stream.push(bits[offset : offset + take])
-            offset += take
-            index += 1
-        assert whole_stream.windows_evaluated == 6
-        assert chopped_stream.windows_evaluated == 6
-        assert self._trajectory(whole) == self._trajectory(chopped)
-        for left, right in zip(whole.history, chopped.history):
-            left_stats = {t: v.statistic for t, v in left.report.verdicts.items()}
-            right_stats = {t: v.statistic for t, v in right.report.verdicts.items()}
-            assert left_stats == right_stats
-
-    def test_overlapping_stride_evaluates_trailing_windows(self):
-        bits = self._stream_bits(4, seed=91)
-        monitor = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        stream = monitor.open_stream(stride=32, history_bits=256)
-        stream.push(bits)
-        # One evaluation when the window fills, then one per 32 new bits.
-        assert stream.windows_evaluated == 1 + (bits.size - 128) // 32
-        # Each evaluated window must equal the recompute on that slice.
-        reference = OnTheFlyPlatform("n128_light")
-        for event in monitor.history:
-            end = 128 + event.sequence_index * 32
-            report = reference.evaluate_batch(bits[end - 128 : end][None, :])[0]
-            got = {t: v.statistic for t, v in event.report.verdicts.items()}
-            want = {t: v.statistic for t, v in report.verdicts.items()}
-            assert got == want
-
-    def test_window_equals_history_is_constant_memory(self):
-        monitor = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        stream = monitor.open_stream()  # history_bits defaults to n
-        assert stream.history_bits == stream.n == 128
-        bits = self._stream_bits(12, seed=92)
-        stream.push(bits[:128])
-        baseline = stream.ring_nbytes
-        for start in range(128, bits.size, 64):
-            stream.push(bits[start : start + 64])
-            assert stream.ring_nbytes == baseline
-        assert stream.bits_seen == bits.size
-        assert stream.windows_evaluated == 12
-
-    def test_packed_word_pushes_hit_the_no_unpack_path(self):
-        from repro.engine import pack_matrix
-
-        bits = self._stream_bits(2, seed=93)
-        via_bits = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        via_words = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"), fail_after=2)
-        bit_stream = via_bits.open_stream()
-        word_stream = via_words.open_stream()
-        for start in range(0, bits.size, 64):
-            chunk = bits[start : start + 64]
-            bit_stream.push(chunk)
-            word_stream.push(pack_matrix(chunk[None, :]))
-        assert word_stream.windows_evaluated == 2
-        assert self._trajectory(via_bits) == self._trajectory(via_words)
-
-    def test_stream_parameter_validation(self):
-        monitor = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"))
-        with pytest.raises(ValueError):
-            monitor.open_stream(stride=0)
-        with pytest.raises(ValueError):
-            monitor.open_stream(history_bits=127)
-        with pytest.raises(ValueError):
-            monitor.monitor_stream(IdealSource(seed=1), num_windows=0)
-
-    def test_bits_until_next_window_counts_down(self):
-        monitor = OnTheFlyMonitor(OnTheFlyPlatform("n128_light"))
-        stream = monitor.open_stream(stride=50)
-        assert stream.bits_until_next_window == 128
-        stream.push(self._stream_bits(1, seed=94)[:100])
-        assert stream.bits_until_next_window == 28
-        stream.push(self._stream_bits(1, seed=95)[:28])
-        assert stream.bits_until_next_window == 50

@@ -3,8 +3,8 @@
 The load-bearing invariant throughout: ``load_state(state_dict())`` puts a
 fresh object into a state *bit-identical* to the original — pinned not by
 comparing internals but by running both sides forward and demanding
-identical observable behaviour (health verdicts, round reports, streaming
-windows, ingest tails).
+identical observable behaviour (health verdicts, round reports, ingest
+tails).
 """
 
 import json
@@ -12,12 +12,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.monitor import OnTheFlyMonitor
 from repro.core.platform import OnTheFlyPlatform
-from repro.engine.streaming import StreamingBatchContext, StreamingContext
 from repro.fleet import (
     DeviceRegistry,
     DuplicateIngestError,
@@ -137,81 +134,6 @@ class TestIngestJournal:
         journal.close()
         records, torn = read_journal(path)
         assert not torn and [r["index"] for r in records] == [0, 1]
-
-
-# ------------------------------------------------------- streaming round-trip
-def chunked(bits, sizes):
-    out, start = [], 0
-    for size in sizes:
-        out.append(bits[start : start + size])
-        start += size
-    if start < bits.size:
-        out.append(bits[start:])
-    return [c for c in out if c.size]
-
-
-class TestStreamingStateRoundTrip:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        split=st.integers(min_value=1, max_value=511),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_restore_mid_stream_is_bit_identical(self, split, seed):
-        """Cut a bit stream anywhere — across windows, mid-window, mid-byte;
-        a context restored at the cut finishes the stream identically."""
-        n = 128
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, 512, dtype=np.uint8)
-        reference = StreamingContext(n)
-        restored_feed = StreamingContext(n)
-        reference.push(bits)
-        restored_feed.push(bits[:split])
-        restored = StreamingContext.from_state(restored_feed.state_dict())
-        restored.push(bits[split:])
-        assert restored.total_bits == reference.total_bits
-        assert restored.bits_stored == reference.bits_stored
-        assert restored.tail_bits == reference.tail_bits
-        assert restored.window_ready == reference.window_ready
-        if reference.window_ready:
-            np.testing.assert_array_equal(
-                restored.window_matrix().words, reference.window_matrix().words
-            )
-            assert restored.window_stats() == reference.window_stats()
-
-    def test_partial_tail_byte_survives(self):
-        context = StreamingContext(128)
-        context.push(np.ones(5, dtype=np.uint8))  # < one byte pending
-        clone = StreamingContext.from_state(context.state_dict())
-        assert clone.total_bits == 5 and clone.tail_bits == 5
-        clone.push(np.zeros(123, dtype=np.uint8))
-        context.push(np.zeros(123, dtype=np.uint8))
-        np.testing.assert_array_equal(
-            clone.window_matrix().words, context.window_matrix().words
-        )
-        assert clone.window_stats() == context.window_stats()
-
-    def test_batched_rows_round_trip(self):
-        batch = StreamingBatchContext(4, 64)
-        rng = np.random.default_rng(0)
-        batch.push(rng.integers(0, 2, (4, 97), dtype=np.uint8))
-        clone = StreamingBatchContext.from_state(batch.state_dict())
-        extra = rng.integers(0, 2, (4, 31), dtype=np.uint8)
-        batch.push(extra)
-        clone.push(extra)
-        np.testing.assert_array_equal(
-            clone.window_matrix().words, batch.window_matrix().words
-        )
-
-    def test_geometry_mismatch_is_rejected(self):
-        state = StreamingContext(128).state_dict()
-        with pytest.raises(ValueError):
-            StreamingContext(256).load_state(state)
-
-    def test_version_gate(self):
-        state = StreamingContext(128).state_dict()
-        state["version"] = 99
-        with pytest.raises(ValueError):
-            StreamingContext(128).load_state(state)
 
 
 # ------------------------------------------------------- monitor round-trip

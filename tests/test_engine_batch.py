@@ -198,6 +198,18 @@ class TestRunBatch:
         )[0]
         assert "hw.platform" in report.errors
 
+    def test_overlapping_windows_are_a_window_matrix(self):
+        # Sliding windows (stride < n) need no streaming machinery: their
+        # matrix runs through run_batch, bit-identical to each window alone.
+        bits = IdealSource(seed=57).generate(1024).bits
+        windows = np.lib.stride_tricks.sliding_window_view(bits, 512)[::96]
+        result = run_batch(windows, tests=[1, 2, 3, 4, 13])
+        assert len(result) == 6
+        for row, start in enumerate(range(0, 513, 96)):
+            alone = run_batch([bits[start : start + 512]], tests=[1, 2, 3, 4, 13])
+            assert np.array_equal(result.p_values[row], alone.p_values[0])
+            assert result[row] == alone[0]
+
 
 class TestPlatformBatch:
     def test_evaluate_batch_matches_evaluate_sequence(self):

@@ -126,7 +126,8 @@ class TestCusumHW:
     def test_matches_reference(self, params, bits):
         unit = drive(CusumHW(params), bits)
         s_max, s_min, s_final = random_walk_extremes(bits)
-        assert (unit.s_max, unit.s_min, unit.s_final) == (s_max, s_min, s_final)
+        # The capture registers start from S_0 = 0.
+        assert (unit.s_max, unit.s_min, unit.s_final) == (max(s_max, 0), min(s_min, 0), s_final)
 
     def test_derived_ones(self, params, bits):
         unit = drive(CusumHW(params), bits)
@@ -136,7 +137,7 @@ class TestCusumHW:
         unit = drive(CusumHW(params), np.zeros(4096, dtype=np.uint8))
         assert unit.s_final == -4096
         assert unit.s_min == -4096
-        assert unit.s_max == -1
+        assert unit.s_max == 0  # S_0: the walk never climbs above its start
 
     def test_exports_are_raw_twos_complement(self, params):
         unit = drive(CusumHW(params), np.zeros(16, dtype=np.uint8))

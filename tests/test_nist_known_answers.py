@@ -6,8 +6,10 @@ implementation computes on the fly (e.g. the overlapping-template
 probabilities), the example is reproduced only when the derivation matches.
 """
 
+import numpy as np
 import pytest
 
+from repro.engine import run_batch
 from repro.nist import (
     approximate_entropy_test,
     binary_matrix_rank_test,
@@ -24,6 +26,7 @@ from repro.nist import (
     serial_test,
     universal_test,
 )
+from repro.nist.cusum import cusum_p_value, largest_accepted_excursion
 from repro.nist.linear_complexity import berlekamp_massey
 
 #: First 100 bits of the binary expansion of pi's fractional part, the sample
@@ -205,6 +208,42 @@ class TestCusumKnownAnswers:
         backward = cumulative_sums_test(PI_100, mode=1)
         assert forward.p_value == pytest.approx(0.219194, abs=1e-5)
         assert backward.p_value == pytest.approx(0.114866, abs=1e-5)
+
+    # Walks that never return to 0: the backward walk's partial sums
+    # S_n - S_j run over j = 0..n-1, so S_0 = 0 is one of them and the
+    # backward z is the full distance back to the start.
+    @pytest.mark.parametrize(
+        "bits, z",
+        [("1" * 8, 8), ("0" * 8, 8), ("1" * 128, 128), ("0" * 128, 128), ("11011", 3)],
+        ids=["ones-8", "zeros-8", "ones-128", "zeros-128", "11011"],
+    )
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_walk_away_from_zero(self, bits, z, mode):
+        n = len(bits)
+        reference = cumulative_sums_test(bits, mode=mode)
+        assert reference.details["z"] == z
+        assert reference.p_value == cusum_p_value(z, n)
+        batch = run_batch([bits], tests=[13], parameters={13: {"mode": mode}})
+        assert batch.p_values[0, 0] == reference.p_value
+        assert batch[0].results["nist.cumulative_sums"].details["z"] == z
+        for alpha in (0.01, 0.02):
+            assert batch.failing(alpha)[0, 0] == (reference.p_value < alpha)
+
+    def test_backward_eight_ones_fails_at_one_percent(self):
+        # z = 8 gives P = 0.00936; the excursion without S_0 (z = 7) passed.
+        assert cumulative_sums_test("1" * 8, mode=1).p_value < 0.01 < cusum_p_value(7, 8)
+
+    def test_backward_start_counts_in_the_bracket_screen(self):
+        # n = 65,536 screens rows with walk brackets (z* = 659 at alpha =
+        # 0.02).  660 ones then "01" pairs: S_min = 1, S_final = 660, so the
+        # backward z is 660 and fails, where 659 (without S_0) would pass.
+        n = 65536
+        bits = np.concatenate([np.ones(660), np.tile([0, 1], (n - 660) // 2)]).astype(np.uint8)
+        reference = cumulative_sums_test(bits, mode=1)
+        assert reference.details["z"] == largest_accepted_excursion(n, 0.02) + 1
+        batch = run_batch(bits[np.newaxis, :], tests=[13], parameters={13: {"mode": 1}})
+        assert batch.failing(0.02)[0, 0]
+        assert batch.p_values[0, 0] == reference.p_value
 
 
 class TestRandomExcursionsKnownAnswers:

@@ -13,7 +13,6 @@ from repro.campaign import CampaignConfig, run_campaign
 from repro.engine import packed as P
 from repro.engine import run_batch
 from repro.engine.context import BatchContext
-from repro.engine.streaming import StreamingBatchContext
 from repro.fleet import DeviceRegistry, FleetMix, FleetScheduler
 from repro.fleet.scheduler import _round_slices
 from repro.nist.cusum import largest_accepted_excursion
@@ -164,34 +163,6 @@ class TestRoundWalkInstrumentation:
         FleetScheduler(registry).run_round()
         assert calls.value(kernel="walk_bounds") - before["walk_bounds"] == len(slices)
         assert calls.value(kernel="walk_extremes") - before["walk_extremes"] == 1
-
-
-class TestStreamingInstrumentation:
-    def test_push_roll_and_wrap_counters(self):
-        ingested = metric("repro_stream_bits_ingested_total")
-        rolls = metric("repro_stream_window_rolls_total")
-        wraps = metric("repro_stream_ring_wraps_total")
-        ingested_before = ingested.value()
-        rolls_before = rolls.value()
-        wraps_before = wraps.value()
-
-        rng = np.random.default_rng(5)
-        stream = StreamingBatchContext(2, 128)
-        # An unaligned word commit (1 word) followed by a full-ring commit
-        # forces the write to wrap past the end of the 2-word ring.
-        stream.push(rng.integers(0, 2, size=(2, 64), dtype=np.uint8))
-        stream.push(rng.integers(0, 2, size=(2, 128), dtype=np.uint8))
-        stream.push(rng.integers(0, 2, size=(2, 128), dtype=np.uint8))
-
-        assert ingested.value() - ingested_before == 2 * (64 + 128 + 128)
-        assert rolls.value() - rolls_before > 0
-        assert wraps.value() - wraps_before > 0
-
-    def test_empty_push_ingests_nothing(self):
-        ingested = metric("repro_stream_bits_ingested_total")
-        before = ingested.value()
-        StreamingBatchContext(2, 128).push(np.zeros((2, 0), dtype=np.uint8))
-        assert ingested.value() == before
 
 
 class TestFleetInstrumentation:

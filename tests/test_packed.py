@@ -415,29 +415,6 @@ class TestWordWalk:
             assert (s_max[row], s_min[row], s_final[row]) == expected
 
 
-def word_summaries_reference(matrix):
-    """Per-64-bit-word summaries of a ``(rows, 64 * count)`` bit matrix."""
-    rows, n = matrix.shape
-    words = matrix.reshape(rows, n // 64, 64).astype(np.int64)
-    walk = np.cumsum(2 * words - 1, axis=2)
-    run_ends = np.cumsum(words, axis=2)
-    run_ends -= np.maximum.accumulate(np.where(words == 0, run_ends, 0), axis=2)
-    ones_from_start = np.cumprod(words, axis=2).sum(axis=2)
-    ones_to_end = np.cumprod(words[:, :, ::-1], axis=2).sum(axis=2)
-    return {
-        "pop": words.sum(axis=2),
-        "inner": np.count_nonzero(np.diff(words, axis=2), axis=2),
-        "first": words[:, :, 0],
-        "last": words[:, :, -1],
-        "delta": walk[:, :, -1],
-        "walk_max": walk.max(axis=2),
-        "walk_min": walk.min(axis=2),
-        "longest": run_ends.max(axis=2),
-        "prefix": ones_from_start,
-        "suffix": ones_to_end,
-    }
-
-
 class TestSmallBatchGathers:
     """The table-gather kernels on ingest-sized batches: zero rows, one row
     and 8 rows of 128 bits (8-bit longest-run blocks)."""
@@ -456,16 +433,6 @@ class TestSmallBatchGathers:
                     P.block_ones(packed, block_length),
                     block_sums_reference(matrix, block_length),
                 )
-
-    @pytest.mark.parametrize("rows", [0, 1, 8])
-    def test_word_summaries(self, rows):
-        for matrix in special_matrices(rows, 128):
-            summaries = P.word_summaries(P.pack_matrix(matrix).words)
-            reference = word_summaries_reference(matrix)
-            assert summaries.keys() == reference.keys()
-            for key, values in reference.items():
-                assert summaries[key].shape == (rows, 2)
-                assert np.array_equal(summaries[key], values), key
 
     @pytest.mark.parametrize("width", [1, 2, 8, 9])
     def test_sum_short_axis(self, width):
