@@ -5,8 +5,8 @@ HW-suitable test subset (Table I "Yes" rows: 1, 2, 3, 4, 7, 8, 11, 12, 13),
 ``run_batch`` delivers at least 3x the throughput of the seed's
 per-sequence path, where every test re-scans the raw bits of one sequence
 at a time (the direct reference functions the pre-engine ``NistSuite.run``
-dispatched to).  The middle row shows the engine's per-sequence mode
-(shared ``SequenceContext``, no batching) to separate the two effects —
+dispatched to).  The middle row runs the engine one sequence at a time
+(``NistSuite.run``, each a one-row batch) to separate the two effects —
 statistic sharing within a sequence and vectorisation across sequences.
 
 Parity is asserted inside the benchmark: all three paths must produce
@@ -98,7 +98,7 @@ def test_engine_batch_speedup(save_table):
 
     rows = [
         row("seed per-sequence (reference re-scans)", seed_seconds),
-        row("engine per-sequence (shared context)", engine_solo_seconds),
+        row("engine one-row batches (NistSuite.run)", engine_solo_seconds),
         row("engine batch (vectorised + shared)", engine_batch_seconds),
     ]
     save_table(

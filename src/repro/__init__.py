@@ -30,7 +30,7 @@ Sub-packages
     The 16-bit software platform: verification routines, precomputed critical
     values, PWL x·log(x), instruction and cycle counting.
 ``repro.engine``
-    The unified batch test engine: shared-statistic contexts, the uniform
+    The unified batch test engine: shared-statistic batches, the uniform
     test registry (NIST / FIPS / hw-model) and the vectorised batch executor.
 ``repro.fleet``
     Fleet monitoring: a registry of many simulated devices, the multiplexed
@@ -70,7 +70,6 @@ from repro.engine import (
     BatchContext,
     DEFAULT_REGISTRY,
     EngineReport,
-    SequenceContext,
     TestRegistry,
     run_batch,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "BatchContext",
     "DEFAULT_REGISTRY",
     "EngineReport",
-    "SequenceContext",
     "TestRegistry",
     "run_batch",
     # fips

@@ -460,7 +460,7 @@ def _cmd_suite(args, out) -> int:
         print(f"error: {exc}", file=out)
         return 2
     bits = source.generate(source.total_bits)
-    report = NistSuite().run_batch([bits])[0]
+    report = NistSuite().run(bits)
     print(f"reference NIST SP 800-22 suite on {args.capture} ({source.total_bits} bits)", file=out)
     for row in report.summary_rows(args.alpha):
         if row.get("error"):

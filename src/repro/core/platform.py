@@ -153,18 +153,16 @@ class OnTheFlyPlatform:
             )
         if batch.n != self.n and batch.num_sequences:
             raise ValueError(f"expected {self.n} bits, got {batch.n}")
-        contexts = batch.contexts()
+        rows = range(batch.num_sequences)
         if not accelerated:
             return [
-                self.evaluate_sequence(context.bits, accelerated=False)
-                for context in contexts
+                self.evaluate_sequence(batch.row_bits(row), accelerated=False) for row in rows
             ]
-        from repro.hwtests.functional import fast_load_block_from_context
+        from repro.hwtests.functional import fast_load_block_row
 
         reports = []
-        for context in contexts:
-            self.hardware.reset()
-            fast_load_block_from_context(self.hardware, context)
+        for row in rows:
+            fast_load_block_row(self.hardware, batch, row)
             reports.append(self._verify())
         return reports
 

@@ -30,9 +30,7 @@ and results are identical to running each test directly on each sequence
 from __future__ import annotations
 
 import operator
-from functools import partial
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -46,7 +44,7 @@ from typing import (
 import numpy as np
 
 import repro.obs as obs
-from repro.engine.context import BatchContext, SequenceContext
+from repro.engine.context import BatchContext
 from repro.engine.decisions import StatisticColumn
 from repro.engine.packed import PackedMatrix
 from repro.engine.registry import (
@@ -82,19 +80,17 @@ class _Column:
     A light test's length group arrives as a
     :class:`~repro.engine.decisions.StatisticColumn`: its rows are decided
     against critical values, and their P-values and :class:`TestResult`
-    objects (``build``) are computed only when read.  Rows of a runner
-    that returns one result per sequence arrive built; ``errors`` holds
-    the error string of each row that raised.
+    objects (the column's ``result``) are computed only when read.  Rows of
+    a runner that returns one result per sequence arrive built; ``errors``
+    holds the error string of each row that raised.
     """
 
     def __init__(
         self,
         rows: int,
         outcomes: List[Tuple[np.ndarray, Union[BatchOutcome, Exception]]],
-        build: Callable[[int], TestResult],
     ) -> None:
         self._rows = rows
-        self._build = build
         self._decided: List[Tuple[np.ndarray, StatisticColumn]] = []
         self._results: Dict[int, TestResult] = {}
         self._p_values: Optional[np.ndarray] = None
@@ -127,7 +123,17 @@ class _Column:
         if row in self.errors:
             return None
         result = self._results.get(row)
-        return self._build(row) if result is None else result
+        if result is not None:
+            return result
+        # A decided group's rows ascend, so the row's index in its group
+        # is its position among them (the row itself when it holds them all).
+        for group_rows, decided in self._decided:
+            if group_rows.size == self._rows:
+                return decided.result(row)
+            index = int(np.searchsorted(group_rows, row))
+            if index < group_rows.size and group_rows[index] == row:
+                return decided.result(index)
+        return None
 
     def failing(self, alpha: float) -> np.ndarray:
         """Rows whose result rejects randomness at ``alpha`` (never errored rows)."""
@@ -304,16 +310,6 @@ class BatchResult(Sequence[EngineReport]):
         return f"BatchResult(rows={len(self)}, tests={list(self._columns)})"
 
 
-def _row_result(
-    test: RegisteredTest,
-    kwargs: Dict[str, object],
-    context: Callable[[int], SequenceContext],
-    row: int,
-) -> TestResult:
-    """A decided column's row, as the test's scalar context runner computes it."""
-    return test.run(context(row), **kwargs)
-
-
 def _describe_error(exc: Exception) -> str:
     """Error string recorded in :attr:`BatchResult.errors`.
 
@@ -437,17 +433,6 @@ def _run_batch(
             lengths = [int(arr.size) for arr in arrays]
     _BITS_EVALUATED.inc(sum(lengths))
 
-    # Row contexts are created on first use, by a decided column building
-    # that row's result, from the row's length group.
-    contexts: List[Optional[SequenceContext]] = [None] * num_sequences
-
-    def context(row: int) -> SequenceContext:
-        found = contexts[row]
-        if found is None:
-            group, rows = next((group, rows) for group, rows in groups if row in rows)
-            found = contexts[row] = group.context(int(np.searchsorted(rows, row)))
-        return found
-
     # Each test's outcome per length group, folded into its column under
     # one decision span once every test has been dispatched.  Collecting
     # outcomes first keeps skip_errors=False raising from inside the
@@ -476,12 +461,5 @@ def _run_batch(
     _TESTS_TOTAL.inc(num_sequences * len(resolved))
 
     with obs.span("decision", tests=len(resolved)):
-        columns = {
-            test.id: _Column(
-                num_sequences,
-                outcomes[test.id],
-                partial(_row_result, test, params.get(test.id, {}), context),
-            )
-            for test in resolved
-        }
+        columns = {test.id: _Column(num_sequences, outcomes[test.id]) for test in resolved}
     return BatchResult(lengths, columns)

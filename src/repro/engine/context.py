@@ -1,26 +1,22 @@
-"""Shared-statistic contexts: the software analogue of the paper's counters.
+"""Shared-statistic batches: the software analogue of the paper's counters.
 
 The paper's central resource-sharing idea is that the hardware block derives
 the common sub-statistics of a bit sequence (ones count, run boundaries,
 block sums, cyclic pattern counters) *once* and feeds every on-the-fly test
-from the same registers.  :class:`SequenceContext` reproduces that in
-software: :class:`BatchContext` lazily computes and memoizes every derived
-statistic the statistical tests draw from, for a batch of equal-length
-sequences, so a suite run touches each bit O(1) times instead of once per
-test.  The batch holds one representation of its bits, the packed words of
-a :class:`~repro.engine.packed.PackedMatrix`, and every statistic runs on
+from the same registers.  :class:`BatchContext` reproduces that in
+software: it lazily computes and memoizes every derived statistic the
+statistical tests draw from, for a batch of equal-length sequences, so a
+suite run touches each bit O(1) times instead of once per test.  The
+batch holds one representation of its bits, the packed words of a
+:class:`~repro.engine.packed.PackedMatrix`, and every statistic runs on
 the 64-bits-per-word kernels of :mod:`repro.engine.packed`; the few
 consumers that need per-bit access (the run arrays, odd block-sum
 geometries) read a transient unpack that is never cached.
 
-:class:`SequenceContext` is one row of a batch: the views returned by
-:meth:`BatchContext.context` read their row out of the shared result, and a
-context built from a lone sequence is a one-row batch.
-
-Every statistic is integer-valued, so a test that computes its decision
-statistic from context values produces *bit-identical* P-values to the
-reference implementation that re-scans the raw bits (asserted by
-``tests/test_engine_parity.py``).
+A lone sequence is a one-row batch.  Every statistic is integer-valued,
+so a test that computes its decision statistic from batch values produces
+*bit-identical* results to the reference implementation that re-scans the
+raw bits (asserted by ``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -32,151 +28,15 @@ import numpy as np
 import repro.obs as obs
 from repro.engine import packed as _packed
 from repro.engine.packed import PackedMatrix, pack_matrix
-from repro.nist.common import BitsLike, to_bits
+from repro.nist.common import BitsLike
 
-__all__ = ["SequenceContext", "BatchContext"]
+__all__ = ["BatchContext"]
 
 _KERNEL_CALLS = obs.counter(
     "repro_packed_kernel_invocations_total",
     "Packed (64-bits-per-word) kernel dispatches from BatchContext, by kernel.",
     labels=("kernel",),
 )
-
-
-class SequenceContext:
-    """Shared statistics of one bit sequence: a row view of a batch.
-
-    Tests draw their raw statistics (the values the paper's hardware counters
-    would hold) from the context; each statistic is derived at most once per
-    sequence and shared by every test that needs it — e.g. the serial and
-    approximate-entropy tests share the 3-/4-bit cyclic pattern counters, the
-    two template tests share the 9-bit window values, and the frequency,
-    runs and FIPS monobit tests share the ones count.
-
-    Every statistic reads its row out of a :class:`BatchContext`, which
-    memoizes it: a context built from raw bits wraps them as a one-row
-    batch, so a lone sequence runs on exactly the kernels a fleet batch does.
-
-    Parameters
-    ----------
-    bits:
-        Any :data:`~repro.nist.common.BitsLike` bit-sequence representation.
-    """
-
-    def __init__(self, bits: BitsLike, *, _batch: Optional["BatchContext"] = None, _row: int = 0):
-        if _batch is None:
-            _batch = BatchContext(to_bits(bits)[np.newaxis, :])
-        self._batch = _batch
-        self._row = _row
-        # Resolved lazily: the uint8 row is only unpacked when a test
-        # without a shared statistic asks for raw bits.
-        self._bits: Optional[np.ndarray] = None
-        self._runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._rows: Dict[Tuple[object, ...], np.ndarray] = {}
-
-    def _row_of(self, statistic: str, *args: object) -> np.ndarray:
-        """This row of a :class:`BatchContext` statistic, memoized so that
-        repeated reads return the same array."""
-        key = (statistic, args)
-        if key not in self._rows:
-            self._rows[key] = getattr(self._batch, statistic)(*args)[self._row]
-        return self._rows[key]
-
-    # ------------------------------------------------------------- basics
-    @property
-    def bits(self) -> np.ndarray:
-        """The raw uint8 0/1 array (for tests without a shared statistic).
-
-        Unpacks just this context's row of the batch's words, so one
-        scalar-path test cannot force the whole batch matrix into memory.
-        """
-        if self._bits is None:
-            self._bits = self._batch.row_bits(self._row)
-        return self._bits
-
-    @property
-    def n(self) -> int:
-        """Sequence length."""
-        return self._batch.n
-
-    def last_bit(self) -> int:
-        """The final bit of the sequence (without unpacking a packed batch)."""
-        if self.n == 0:
-            raise ValueError("empty sequence has no last bit")
-        return int(self._batch.last_bits()[self._row])
-
-    @property
-    def ones(self) -> int:
-        """Total number of ones (the hardware's frequency counter)."""
-        return int(self._batch.ones()[self._row])
-
-    @property
-    def zeros(self) -> int:
-        """Total number of zeros."""
-        return self.n - self.ones
-
-    # ------------------------------------------------------------- walks / runs
-    def walk_extremes(self) -> Tuple[int, int, int]:
-        """``(S_max, S_min, S_final)`` of the ±1 random walk (cusum test)."""
-        s_max, s_min, s_final = self._batch.walk_extremes()
-        return int(s_max[self._row]), int(s_min[self._row]), int(s_final[self._row])
-
-    def num_runs(self) -> int:
-        """Total number of runs (V_n(obs) of the runs test)."""
-        return int(self._batch.num_runs()[self._row])
-
-    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-run ``(bit values, run lengths)`` arrays, in sequence order."""
-        if self._runs is None:
-            rows, values, lengths = self._batch.runs()
-            start, stop = np.searchsorted(rows, [self._row, self._row + 1])
-            self._runs = (values[start:stop], lengths[start:stop])
-        return self._runs
-
-    def run_length_histogram(self, cap: int = 6) -> Dict[int, Dict[int, int]]:
-        """``{bit: {capped length: count}}`` with lengths >= ``cap`` pooled.
-
-        The FIPS runs test reads this directly; the capped layout matches
-        :func:`repro.fips.battery._run_lengths`.
-        """
-        values, lengths = self.runs()
-        histogram = {
-            0: {length: 0 for length in range(1, cap + 1)},
-            1: {length: 0 for length in range(1, cap + 1)},
-        }
-        capped = np.minimum(lengths, cap)
-        for value in (0, 1):
-            counts = np.bincount(capped[values == value], minlength=cap + 1)
-            for length in range(1, cap + 1):
-                histogram[value][length] = int(counts[length]) if length < counts.size else 0
-        return histogram
-
-    def longest_run(self) -> int:
-        """Length of the longest run of identical bits (FIPS long-run test)."""
-        _, lengths = self.runs()
-        return int(lengths.max()) if lengths.size else 0
-
-    # ------------------------------------------------------------- block stats
-    def block_sums(self, block_length: int) -> np.ndarray:
-        """Ones count of each full ``block_length``-bit block (int64)."""
-        return self._row_of("block_sums", block_length)
-
-    def block_longest_one_runs(self, block_length: int) -> np.ndarray:
-        """Longest run of ones within each full block (longest-run test)."""
-        return self._row_of("block_longest_one_runs", block_length)
-
-    def block_value_counts(self, block_length: int) -> np.ndarray:
-        """Histogram of non-overlapping block values (FIPS poker test)."""
-        return self._row_of("block_value_counts", block_length)
-
-    # ------------------------------------------------------------- pattern stats
-    def pattern_counts(self, m: int) -> np.ndarray:
-        """Occurrences of every cyclic overlapping ``m``-bit pattern (2^m entries)."""
-        return self._row_of("pattern_counts", m)
-
-    def window_values(self, m: int) -> np.ndarray:
-        """Integer value of every (non-cyclic) ``m``-bit window (template tests)."""
-        return self._row_of("window_values", m)
 
 
 class BatchContext:
@@ -190,8 +50,8 @@ class BatchContext:
     matrix is used as is.
 
     Every statistic is computed lazily with one vectorised pass over the
-    packed words and cached; per-sequence contexts created with
-    :meth:`context` read their row from the shared arrays.  Window values,
+    packed words and cached; a consumer of one sequence reads its row of
+    the shared arrays.  Window values,
     pattern counts and block-value histograms come from
     :func:`~repro.engine.packed.window_values`.  The per-row run arrays and
     block sums of geometries without a word kernel
@@ -228,16 +88,6 @@ class BatchContext:
     @property
     def n(self) -> int:
         return self._packed.n
-
-    def context(self, row: int) -> SequenceContext:
-        """A per-sequence context backed by this batch's shared statistics."""
-        if not 0 <= row < self.num_sequences:
-            raise IndexError(f"row {row} out of range for batch of {self.num_sequences}")
-        return SequenceContext(None, _batch=self, _row=row)
-
-    def contexts(self) -> Tuple[SequenceContext, ...]:
-        """One batch-backed context per sequence."""
-        return tuple(self.context(i) for i in range(self.num_sequences))
 
     # ------------------------------------------------------------- statistics
     def ones(self) -> np.ndarray:

@@ -7,8 +7,10 @@ against critical values prepared at design time
 ``batch_*`` runner reads a :class:`~repro.engine.context.BatchContext`'s
 statistics and returns a :class:`StatisticColumn`, whose ``failing(alpha)``
 compares the statistic against a table built once per (test, n, α,
-parameters), and whose ``p_values()`` evaluates the scalar reference's
-formula elementwise, operation for operation, only when called.
+parameters), whose ``p_values()`` evaluates the scalar reference's
+formula elementwise, operation for operation, only when called, and whose
+``result(row)`` builds one row's :class:`~repro.nist.common.TestResult`
+with the reference's own decision helper, fed that row's statistics.
 
 Each table is derived from the P-value function the reference uses, so a
 verdict is ``p < alpha`` by construction: the largest accepted |S_n|
@@ -33,14 +35,18 @@ import numpy as np
 from scipy import special as _special
 
 from repro.engine.packed import BITS_PER_WORD, _row_tiles
+from repro.nist.block_frequency import _block_frequency_result
 from repro.nist.block_frequency import _validate as _validate_block_frequency
-from repro.nist.common import igamc
-from repro.nist.cusum import cusum_p_value, largest_accepted_excursion
+from repro.nist.common import TestResult, igamc
+from repro.nist.cusum import _cusum_result, cusum_p_value, largest_accepted_excursion
+from repro.nist.frequency import _frequency_result
 from repro.nist.longest_run import (
     LONGEST_RUN_TABLES,
+    _longest_run_result,
     _validate_block_length,
     recommended_block_length,
 )
+from repro.nist.runs import _runs_result
 from repro.sw.critical_values import chi_squared_critical
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -63,11 +69,13 @@ class StatisticColumn(NamedTuple):
     """One light test's verdicts over a batch.
 
     ``failing(alpha)`` is True where a row's P-value is below ``alpha``;
-    ``p_values()`` is every row's P-value, bit-identical to the reference.
+    ``p_values()`` is every row's P-value and ``result(row)`` one row's
+    :class:`TestResult`, both bit-identical to the reference.
     """
 
     failing: Callable[[float], np.ndarray]
     p_values: Callable[[], np.ndarray]
+    result: Callable[[int], TestResult]
 
 
 def _banded_failing(
@@ -129,10 +137,12 @@ def batch_frequency(batch: "BatchContext") -> StatisticColumn:
     n = batch.n
     if n == 0:
         raise ValueError("frequency test requires a non-empty sequence")
-    excess = np.abs(2 * batch.ones() - n)
+    ones = batch.ones()
+    excess = np.abs(2 * ones - n)
     return StatisticColumn(
         lambda alpha: excess > _frequency_critical(n, alpha),
         lambda: _frequency_p_values(n, excess),
+        lambda row: _frequency_result(n, int(ones[row])),
     )
 
 
@@ -175,7 +185,11 @@ def batch_block_frequency(batch: "BatchContext", block_length: int = 128) -> Sta
             lambda rows: _block_frequency_p_values(ones_per_block[rows], block_length),
         )
 
-    return StatisticColumn(failing, lambda: _block_frequency_p_values(ones_per_block, block_length))
+    return StatisticColumn(
+        failing,
+        lambda: _block_frequency_p_values(ones_per_block, block_length),
+        lambda row: _block_frequency_result(batch.n, block_length, ones_per_block[row]),
+    )
 
 
 # ------------------------------------------------------------- test 3
@@ -226,7 +240,11 @@ def batch_runs(batch: "BatchContext") -> StatisticColumn:
         index = ones - offset
         return (runs < low.take(index, mode="clip")) | (runs > high.take(index, mode="clip"))
 
-    return StatisticColumn(failing, lambda: _runs_p_values(n, ones, runs))
+    return StatisticColumn(
+        failing,
+        lambda: _runs_p_values(n, ones, runs),
+        lambda row: _runs_result(n, int(ones[row]), int(runs[row])),
+    )
 
 
 # ------------------------------------------------------------- test 4
@@ -254,7 +272,7 @@ def batch_longest_run(
     if block_length is None:
         block_length = recommended_block_length(n)
     _validate_block_length(n, block_length)
-    k = LONGEST_RUN_TABLES[block_length][0]
+    k, v_values, _pi = LONGEST_RUN_TABLES[block_length]
     per_block = batch.block_longest_one_runs(block_length)
     codes, shifts, mask, expected = _longest_run_codes(block_length, per_block.shape[1])
     counts = np.empty((per_block.shape[0], len(codes), shifts.size), dtype=np.int64)
@@ -268,9 +286,16 @@ def batch_longest_run(
     def p_values(rows: slice | np.ndarray = slice(None)) -> np.ndarray:
         return _special.gammaincc(k / 2.0, chi_squared[rows] / 2.0)
 
+    def result(row: int) -> TestResult:
+        # The reference's class counts: longest runs clipped into [v_0, v_K].
+        classes = np.clip(per_block[row] - v_values[0], 0, k)
+        categories = np.bincount(classes, minlength=k + 1).astype(np.int64)
+        return _longest_run_result(n, block_length, categories)
+
     return StatisticColumn(
         lambda alpha: _banded_failing(chi_squared, *_chi_squared_band(k, alpha), alpha, p_values),
         p_values,
+        result,
     )
 
 
@@ -324,4 +349,11 @@ def batch_cumulative_sums(batch: "BatchContext", mode: int = 0) -> StatisticColu
             rejected[band] = banded(excursion(*batch.walk_extremes(band)))
         return rejected
 
-    return StatisticColumn(failing, lambda: _cusum_p_values(n, excursion(*batch.walk_extremes())))
+    def result(row: int) -> TestResult:
+        return _cusum_result(n, mode, *(int(column[row]) for column in batch.walk_extremes()))
+
+    return StatisticColumn(
+        failing,
+        lambda: _cusum_p_values(n, excursion(*batch.walk_extremes())),
+        result,
+    )

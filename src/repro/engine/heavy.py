@@ -27,8 +27,8 @@ counters wherever the algorithm allows:
   Section III-C): each entry asks for its widest count first, and the
   narrower ones are its marginal sums.
 * **template matching** — one template shift register: per-block hits of the
-  shared ``m``-bit window values, through the counting helper each test's
-  context runner uses too.
+  shared ``m``-bit window values, through the counting helpers the
+  hardware model's functional loaders use too.
 
 Every entry ends in the *same* shared decision helper as its scalar
 reference (``rank_decision``, ``_serial_result``, ...), fed the same

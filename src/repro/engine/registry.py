@@ -5,52 +5,26 @@ baseline battery and the HW/SW platform model) historically each had their
 own dispatch structure — a hard-coded dict in ``nist/suite.py``, a fixed
 list in ``fips/battery.py`` and ad-hoc per-design wiring in ``hwtests/``.
 This module replaces those with one :class:`TestRegistry` of
-:class:`RegisteredTest` entries sharing the :class:`StatisticalTest`
-protocol: every test exposes a stable id, a human-readable name, a
-``run(context, **params) -> TestResult`` entry point fed from a shared
-:class:`~repro.engine.context.SequenceContext`, and a batch entry that
-evaluates a whole :class:`~repro.engine.context.BatchContext` at once —
-the one path :func:`repro.engine.batch.run_batch` dispatches through.
+:class:`RegisteredTest` entries: every test exposes a stable id, a
+human-readable name and one entry point, a batch entry that evaluates a
+whole :class:`~repro.engine.context.BatchContext` at once — the one path
+:func:`repro.engine.batch.run_batch` dispatches through.  A lone sequence
+is a one-row batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from repro.engine import decisions as _decisions
 from repro.engine import heavy as _heavy
-from repro.engine.context import BatchContext, SequenceContext
+from repro.engine.context import BatchContext
 from repro.fips import battery as _fips
-from repro.nist.approximate_entropy import approximate_entropy_test_from_context
-from repro.nist.block_frequency import block_frequency_test_from_context
 from repro.nist.common import TestResult
-from repro.nist.cusum import cumulative_sums_test_from_context
-from repro.nist.dft import dft_test
-from repro.nist.frequency import frequency_test_from_context
-from repro.nist.linear_complexity import linear_complexity_test
-from repro.nist.longest_run import longest_run_test_from_context
-from repro.nist.nonoverlapping import non_overlapping_template_test_from_context
-from repro.nist.overlapping import overlapping_template_test_from_context
-from repro.nist.random_excursions import random_excursions_test
-from repro.nist.random_excursions_variant import random_excursions_variant_test
-from repro.nist.rank import binary_matrix_rank_test
-from repro.nist.runs import runs_test_from_context
-from repro.nist.serial import serial_test_from_context
 from repro.nist.suite import NIST_TEST_NAMES
-from repro.nist.universal import universal_test
 
 __all__ = [
-    "StatisticalTest",
     "RegisteredTest",
     "TestRegistry",
     "TestSpec",
@@ -69,18 +43,6 @@ TestSpec = Union["RegisteredTest", str, int]
 BatchOutcome = Union[_decisions.StatisticColumn, List[Union[TestResult, Exception]]]
 
 
-@runtime_checkable
-class StatisticalTest(Protocol):
-    """The uniform interface every registered test implements."""
-
-    id: str
-    name: str
-
-    def run(self, context: SequenceContext, **params) -> TestResult:
-        """Evaluate the test on a shared-statistic context."""
-        ...  # pragma: no cover - protocol
-
-
 @dataclass(frozen=True)
 class RegisteredTest:
     """A test behind the uniform interface.
@@ -92,15 +54,13 @@ class RegisteredTest:
         ``hw.platform``).
     name:
         Human-readable name.
-    runner:
-        ``runner(context, **params) -> TestResult``.
     batch_runner:
-        Batch entry point ``batch_runner(batch, **params)`` evaluating the
-        whole :class:`~repro.engine.context.BatchContext` at once.  It
+        The test's entry point, ``batch_runner(batch, **params)``, evaluating
+        a whole :class:`~repro.engine.context.BatchContext` at once.  It
         returns either a :class:`~repro.engine.decisions.StatisticColumn`
-        (the light tests: verdicts from critical values, P-values and —
-        through ``runner`` — a row's :class:`TestResult` only when read) or
-        one result per sequence; either way bit-identical to ``runner``.
+        (the light tests: verdicts from critical values, P-values and a
+        row's :class:`TestResult` only when read) or one result per
+        sequence; either way bit-identical to the test's reference.
         Errors that depend only on the parameters and ``n`` are raised once
         for the batch; a row whose own bits make its reference raise carries
         that exception in its slot.
@@ -110,12 +70,8 @@ class RegisteredTest:
 
     id: str
     name: str
-    runner: Callable[..., TestResult]
     batch_runner: Callable[..., BatchOutcome]
     aliases: Tuple[TestSpec, ...] = ()
-
-    def run(self, context: SequenceContext, **params) -> TestResult:
-        return self.runner(context, **params)
 
 
 class TestRegistry:
@@ -187,21 +143,6 @@ NIST_NUMBER_TO_ID: Dict[int, str] = {
 }
 
 
-def _reference_runner(reference: Callable[..., TestResult]) -> Callable[..., TestResult]:
-    """Adapt a bits-based reference test to the context interface.
-
-    Used for the tests without shared sub-statistics (rank, DFT, universal,
-    linear complexity, random excursions); they read the raw bits off the
-    context, so results are trivially identical to the direct call.
-    """
-
-    def runner(context: SequenceContext, **params) -> TestResult:
-        return reference(context.bits, **params)
-
-    runner.__name__ = f"context_{reference.__name__}"
-    return runner
-
-
 def _fips_result(outcome: _fips.FipsTestResult) -> TestResult:
     """A FIPS pass/fail outcome behind the :class:`TestResult` interface.
 
@@ -216,16 +157,6 @@ def _fips_result(outcome: _fips.FipsTestResult) -> TestResult:
     )
 
 
-def _fips_runner(context_test: Callable[[SequenceContext], _fips.FipsTestResult]):
-    """Adapt a FIPS context test to the :class:`TestResult` interface."""
-
-    def runner(context: SequenceContext) -> TestResult:
-        return _fips_result(context_test(context))
-
-    runner.__name__ = f"uniform_{context_test.__name__}"
-    return runner
-
-
 def _fips_batch_runner(batch_test: Callable[[BatchContext], List[_fips.FipsTestResult]]):
     """Adapt a FIPS batch test to one :class:`TestResult` per row."""
 
@@ -234,22 +165,6 @@ def _fips_batch_runner(batch_test: Callable[[BatchContext], List[_fips.FipsTestR
 
     batch_runner.__name__ = f"uniform_{batch_test.__name__}"
     return batch_runner
-
-
-_HW_PLATFORM_CACHE: Dict[Tuple[str, float], object] = {}
-
-
-def _hw_platform(design: str, alpha: float, n: int):
-    """The cached platform model of ``design``, checked against length ``n``."""
-    from repro.core.platform import OnTheFlyPlatform  # deferred: avoids cycle
-
-    key = (design, alpha)
-    platform = _HW_PLATFORM_CACHE.get(key)
-    if platform is None:
-        platform = _HW_PLATFORM_CACHE.setdefault(key, OnTheFlyPlatform(design, alpha=alpha))
-    if n != platform.n:
-        raise ValueError(f"expected {platform.n} bits, got {n}")
-    return platform
 
 
 def _platform_result(design: str, report) -> TestResult:
@@ -262,25 +177,21 @@ def _platform_result(design: str, report) -> TestResult:
     )
 
 
-def _hw_platform_runner(context: SequenceContext, design: str = "n65536_high",
-                        alpha: float = 0.01) -> TestResult:
-    """Run the HW/SW platform model (functional path) as a registry test.
-
-    The sequence is pushed through the unified hardware testing block's
-    vectorised functional model and verified by the 16-bit software routines;
-    the aggregated verdict is reported as a degenerate P-value (1.0 pass /
-    0.0 fail) with the full :class:`~repro.core.results.PlatformReport` in
-    ``details``.
-    """
-    platform = _hw_platform(design, alpha, context.n)
-    report = platform.evaluate_sequence(context.bits, accelerated=True)
-    return _platform_result(design, report)
-
-
 def _hw_platform_batch_runner(batch: BatchContext, design: str = "n65536_high",
                               alpha: float = 0.01) -> List[TestResult]:
-    """The platform model over a whole batch (:meth:`OnTheFlyPlatform.evaluate_batch`)."""
-    platform = _hw_platform(design, alpha, batch.n)
+    """Run the HW/SW platform model (functional path) as a registry test.
+
+    Each row is pushed through the unified hardware testing block's
+    vectorised functional model and verified by the 16-bit software
+    routines (:meth:`OnTheFlyPlatform.evaluate_batch`); each verdict is
+    reported as a degenerate P-value (1.0 pass / 0.0 fail) with the full
+    :class:`~repro.core.results.PlatformReport` in ``details``.  The
+    platform is built per call: evaluating mutates its hardware model, so
+    concurrent batches must not share one.
+    """
+    from repro.core.platform import OnTheFlyPlatform  # deferred: avoids cycle
+
+    platform = OnTheFlyPlatform(design, alpha=alpha)
     return [_platform_result(design, report) for report in platform.evaluate_batch(batch)]
 
 
@@ -288,27 +199,9 @@ def build_default_registry() -> TestRegistry:
     """The registry wiring all three test layers behind one interface."""
     registry = TestRegistry()
 
-    nist_runners: Dict[int, Callable[..., TestResult]] = {
-        1: frequency_test_from_context,
-        2: block_frequency_test_from_context,
-        3: runs_test_from_context,
-        4: longest_run_test_from_context,
-        5: _reference_runner(binary_matrix_rank_test),
-        6: _reference_runner(dft_test),
-        7: non_overlapping_template_test_from_context,
-        8: overlapping_template_test_from_context,
-        9: _reference_runner(universal_test),
-        10: _reference_runner(linear_complexity_test),
-        11: serial_test_from_context,
-        12: approximate_entropy_test_from_context,
-        13: cumulative_sums_test_from_context,
-        14: _reference_runner(random_excursions_test),
-        15: _reference_runner(random_excursions_variant_test),
-    }
     # Batch entry points evaluate a whole packed batch at once: the five
     # light tests return their statistic columns, decided against critical
-    # values, the others run the kernels of repro.engine.heavy.  The
-    # context runner stays the per-sequence reference.
+    # values, the others run the kernels of repro.engine.heavy.
     batch_runners: Dict[int, Callable[..., BatchOutcome]] = {
         1: _decisions.batch_frequency,
         2: _decisions.batch_block_frequency,
@@ -326,29 +219,27 @@ def build_default_registry() -> TestRegistry:
         14: _heavy.batch_random_excursions,
         15: _heavy.batch_random_excursions_variant,
     }
-    for number, runner in nist_runners.items():
+    for number, batch_runner in batch_runners.items():
         registry.register(
             RegisteredTest(
                 id=NIST_NUMBER_TO_ID[number],
                 name=NIST_TEST_NAMES[number],
-                runner=runner,
                 aliases=(number, str(number), f"nist.{number}"),
-                batch_runner=batch_runners[number],
+                batch_runner=batch_runner,
             )
         )
 
     fips_tests = {
-        "monobit": (_fips.monobit_test_from_context, _fips.batch_monobit),
-        "poker": (_fips.poker_test_from_context, _fips.batch_poker),
-        "runs": (_fips.runs_test_from_context, _fips.batch_runs),
-        "long_run": (_fips.long_run_test_from_context, _fips.batch_long_run),
+        "monobit": _fips.batch_monobit,
+        "poker": _fips.batch_poker,
+        "runs": _fips.batch_runs,
+        "long_run": _fips.batch_long_run,
     }
-    for short_name, (context_test, batch_test) in fips_tests.items():
+    for short_name, batch_test in fips_tests.items():
         registry.register(
             RegisteredTest(
                 id=f"fips.{short_name}",
                 name=f"FIPS {short_name.replace('_', ' ')}",
-                runner=_fips_runner(context_test),
                 batch_runner=_fips_batch_runner(batch_test),
             )
         )
@@ -357,7 +248,6 @@ def build_default_registry() -> TestRegistry:
         RegisteredTest(
             id="hw.platform",
             name="HW/SW on-the-fly platform",
-            runner=_hw_platform_runner,
             batch_runner=_hw_platform_batch_runner,
         )
     )

@@ -23,13 +23,9 @@ __all__ = [
     "FipsReport",
     "FipsBattery",
     "monobit_test",
-    "monobit_test_from_context",
     "poker_test",
-    "poker_test_from_context",
     "runs_test",
-    "runs_test_from_context",
     "long_run_test",
-    "long_run_test_from_context",
     "fips_battery",
     "batch_monobit",
     "batch_poker",
@@ -120,12 +116,6 @@ def monobit_test(bits: BitsLike) -> FipsTestResult:
     return _monobit_result(int(arr.sum()))
 
 
-def monobit_test_from_context(context) -> FipsTestResult:
-    """Context-aware monobit test reading the shared ones counter."""
-    _check_length(context.n)
-    return _monobit_result(context.ones)
-
-
 def _poker_result(counts: np.ndarray) -> FipsTestResult:
     num_nibbles = FIPS_BLOCK_BITS // 4
     statistic = float(16.0 / num_nibbles * np.sum(counts ** 2) - num_nibbles)
@@ -146,12 +136,6 @@ def poker_test(bits: BitsLike) -> FipsTestResult:
     values = nibbles @ weights
     counts = np.bincount(values, minlength=16).astype(np.float64)
     return _poker_result(counts)
-
-
-def poker_test_from_context(context) -> FipsTestResult:
-    """Context-aware poker test reading the shared nibble-value histogram."""
-    _check_length(context.n)
-    return _poker_result(context.block_value_counts(4).astype(np.float64))
 
 
 def _run_lengths(arr: np.ndarray) -> Dict[int, Dict[int, int]]:
@@ -194,12 +178,6 @@ def runs_test(bits: BitsLike) -> FipsTestResult:
     return _runs_result(_run_lengths(arr))
 
 
-def runs_test_from_context(context) -> FipsTestResult:
-    """Context-aware runs test reading the shared run-length histogram."""
-    _check_length(context.n)
-    return _runs_result(context.run_length_histogram(cap=6))
-
-
 def _long_run_result(longest: int) -> FipsTestResult:
     return FipsTestResult(
         name="FIPS long run",
@@ -222,12 +200,6 @@ def long_run_test(bits: BitsLike) -> FipsTestResult:
             current = 1
     longest = max(longest, current) if arr.size else 0
     return _long_run_result(longest)
-
-
-def long_run_test_from_context(context) -> FipsTestResult:
-    """Context-aware long-run test reading the shared longest-run value."""
-    _check_length(context.n)
-    return _long_run_result(context.longest_run())
 
 
 def batch_monobit(batch) -> List[FipsTestResult]:
@@ -281,31 +253,19 @@ def fips_battery(bits: BitsLike) -> FipsReport:
 
 
 class FipsBattery:
-    """Engine-backed runner of the FIPS battery over shared-statistic contexts.
+    """Engine-backed runner of the FIPS battery over shared-statistic batches.
 
-    Uniform counterpart of :class:`repro.nist.suite.NistSuite`: each FIPS
-    test draws its raw statistic (ones count, nibble histogram, run-length
-    histogram, longest run) from a
-    :class:`~repro.engine.context.SequenceContext`, so the four tests share
-    one scan of the block instead of four — and :meth:`run_batch` runs the
-    four batch entries, one vectorised pass each across a whole batch of
-    20 000-bit blocks.
+    Uniform counterpart of :class:`repro.nist.suite.NistSuite`: the four
+    FIPS tests draw their raw statistics (ones count, nibble histogram,
+    run-length histogram, longest run) from one
+    :class:`~repro.engine.context.BatchContext`, one vectorised pass each
+    across a whole batch of 20 000-bit blocks.  A lone block is a one-row
+    batch.
     """
 
-    _CONTEXT_TESTS = (
-        monobit_test_from_context,
-        poker_test_from_context,
-        runs_test_from_context,
-        long_run_test_from_context,
-    )
-
     def run(self, bits: BitsLike) -> FipsReport:
-        """Run the battery on one 20 000-bit block via a shared context."""
-        from repro.engine.context import SequenceContext
-
-        context = bits if isinstance(bits, SequenceContext) else SequenceContext(bits)
-        _check_length(context.n)
-        return FipsReport(results=[test(context) for test in self._CONTEXT_TESTS])
+        """Run the battery on one 20 000-bit block (a one-row batch)."""
+        return self.run_batch([bits])[0]
 
     def run_batch(self, blocks) -> List[FipsReport]:
         """Run the battery on many blocks with one vectorised statistics pass."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nist.common import BitsLike, TestResult, igamc, pattern_counts, phi_from_counts, to_bits
 
-__all__ = ["approximate_entropy_test", "approximate_entropy_test_from_context", "phi_statistic"]
+__all__ = ["approximate_entropy_test", "phi_statistic"]
 
 
 def phi_statistic(bits: BitsLike, m: int) -> float:
@@ -40,7 +40,7 @@ def _validate(n: int, m: int) -> None:
 
 
 def _apen_result(n: int, m: int, counts_m: np.ndarray, counts_m1: np.ndarray) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     phi_m = phi_from_counts(counts_m, n)
     phi_m1 = phi_from_counts(counts_m1, n)
     apen = phi_m - phi_m1
@@ -90,13 +90,3 @@ def approximate_entropy_test(bits: BitsLike, m: int = 3) -> TestResult:
         pattern_counts(arr, m, cyclic=True),
         pattern_counts(arr, m + 1, cyclic=True),
     )
-
-
-def approximate_entropy_test_from_context(context, m: int = 3) -> TestResult:
-    """Context-aware entry point: reads the shared cyclic pattern counters
-    (the same ones the serial test uses — the paper's unified counters).
-    The wider count is read first, so the narrower one is its marginal."""
-    n = context.n
-    _validate(n, m)
-    counts_m1 = context.pattern_counts(m + 1)
-    return _apen_result(n, m, context.pattern_counts(m), counts_m1)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nist.common import BitsLike, TestResult, chunk, igamc, to_bits
 
-__all__ = ["block_frequency_test", "block_frequency_test_from_context"]
+__all__ = ["block_frequency_test"]
 
 
 def _validate(n: int, block_length: int) -> None:
@@ -21,7 +21,7 @@ def _validate(n: int, block_length: int) -> None:
 
 
 def _block_frequency_result(n: int, block_length: int, ones_per_block: np.ndarray) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     num_blocks = int(ones_per_block.size)
     proportions = ones_per_block / block_length
     chi_squared = 4.0 * block_length * float(np.sum((proportions - 0.5) ** 2))
@@ -65,10 +65,3 @@ def block_frequency_test(bits: BitsLike, block_length: int = 128) -> TestResult:
     blocks = chunk(arr, block_length)
     ones_per_block = np.array([int(b.sum()) for b in blocks], dtype=np.int64)
     return _block_frequency_result(n, block_length, ones_per_block)
-
-
-def block_frequency_test_from_context(context, block_length: int = 128) -> TestResult:
-    """Context-aware entry point: per-block ones counts come from the shared
-    context's memoized block sums instead of a fresh block scan."""
-    _validate(context.n, block_length)
-    return _block_frequency_result(context.n, block_length, context.block_sums(block_length))

@@ -388,8 +388,8 @@ def template_block_hits(
 def psi_squared_from_counts(counts: np.ndarray, n: int) -> float:
     """ψ²_m from precomputed cyclic pattern counts (``len(counts) == 2^m``).
 
-    Shared by the reference :func:`psi_squared` and the engine's
-    context-aware serial test so both produce bit-identical values.
+    Shared by the reference :func:`psi_squared` and the engine's batch
+    serial entry so both produce bit-identical values.
     """
     counts = np.asarray(counts)
     return float(len(counts) / n * np.sum(counts.astype(np.float64) ** 2) - n)
@@ -399,7 +399,7 @@ def phi_from_counts(counts: np.ndarray, n: int) -> float:
     """NIST's φ^(m) = Σ (ν_i/n)·ln(ν_i/n) from precomputed cyclic counts.
 
     Shared by the reference approximate-entropy test and the engine's
-    context-aware entry point so both produce bit-identical values.
+    batch entry so both produce bit-identical values.
     """
     counts = np.asarray(counts).astype(np.float64)
     nonzero = counts[counts > 0]

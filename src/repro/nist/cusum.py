@@ -18,7 +18,6 @@ from repro.nist.common import BitsLike, TestResult, to_bits
 
 __all__ = [
     "cumulative_sums_test",
-    "cumulative_sums_test_from_context",
     "cusum_p_value",
     "largest_accepted_excursion",
     "random_walk_extremes",
@@ -129,18 +128,8 @@ def cumulative_sums_test(bits: BitsLike, mode: int = 0) -> TestResult:
     return _cusum_result(n, mode, *random_walk_extremes(arr))
 
 
-def cumulative_sums_test_from_context(context, mode: int = 0) -> TestResult:
-    """Context-aware entry point: the walk extremes come from the shared
-    context's memoized ±1 cumulative sums instead of a re-scan."""
-    if context.n == 0:
-        raise ValueError("cumulative sums test requires a non-empty sequence")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 (forward) or 1 (backward)")
-    return _cusum_result(context.n, mode, *context.walk_extremes())
-
-
 def _cusum_result(n: int, mode: int, s_max: int, s_min: int, s_final: int) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     if mode == 0:
         z = max(abs(s_max), abs(s_min))
     else:

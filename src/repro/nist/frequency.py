@@ -11,11 +11,11 @@ import math
 
 from repro.nist.common import BitsLike, TestResult, erfc, to_bits
 
-__all__ = ["frequency_test", "frequency_test_from_context"]
+__all__ = ["frequency_test"]
 
 
 def _frequency_result(n: int, ones: int) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     partial_sum = 2 * ones - n
     s_obs = abs(partial_sum) / math.sqrt(n)
     p_value = erfc(s_obs / math.sqrt(2.0))
@@ -55,11 +55,3 @@ def frequency_test(bits: BitsLike) -> TestResult:
     if n == 0:
         raise ValueError("frequency test requires a non-empty sequence")
     return _frequency_result(n, int(arr.sum()))
-
-
-def frequency_test_from_context(context) -> TestResult:
-    """Context-aware entry point: the ones count comes from the shared
-    :class:`~repro.engine.context.SequenceContext` instead of a re-scan."""
-    if context.n == 0:
-        raise ValueError("frequency test requires a non-empty sequence")
-    return _frequency_result(context.n, context.ones)

@@ -15,7 +15,6 @@ from repro.nist.common import BitsLike, TestResult, chunk, igamc, to_bits
 
 __all__ = [
     "longest_run_test",
-    "longest_run_test_from_context",
     "longest_run_of_ones",
     "LONGEST_RUN_TABLES",
     "category_index",
@@ -114,7 +113,7 @@ def _validate_block_length(n: int, block_length: int) -> None:
 
 
 def _longest_run_result(n: int, block_length: int, categories: np.ndarray) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     k, v_values, pi = LONGEST_RUN_TABLES[block_length]
     num_blocks = int(categories.sum())
     expected = num_blocks * np.array(pi)
@@ -134,22 +133,3 @@ def _longest_run_result(n: int, block_length: int, categories: np.ndarray) -> Te
             "pi": list(pi),
         },
     )
-
-
-def longest_run_test_from_context(context, block_length: int | None = None) -> TestResult:
-    """Context-aware entry point: per-block longest runs of ones come from
-    the shared context's vectorised block scan.
-
-    The NIST category boundaries v_0..v_K are consecutive integers for every
-    tabulated block length, so the category of a block is simply its longest
-    run clipped into ``[v_0, v_K]`` minus ``v_0``.
-    """
-    n = context.n
-    if block_length is None:
-        block_length = recommended_block_length(n)
-    _validate_block_length(n, block_length)
-    k, v_values, _pi = LONGEST_RUN_TABLES[block_length]
-    per_block = context.block_longest_one_runs(block_length)
-    indices = np.clip(per_block - v_values[0], 0, k)
-    categories = np.bincount(indices, minlength=k + 1).astype(np.int64)
-    return _longest_run_result(n, block_length, categories)

@@ -23,7 +23,6 @@ from repro.nist.common import (
 
 __all__ = [
     "non_overlapping_template_test",
-    "non_overlapping_template_test_from_context",
     "count_non_overlapping",
     "aperiodic_templates",
     "DEFAULT_TEMPLATE_9",
@@ -114,32 +113,6 @@ def non_overlapping_template_test(
     return _non_overlapping_result(arr.size, template, num_blocks, block_length, counts)
 
 
-def non_overlapping_template_test_from_context(
-    context,
-    template: Sequence[int] = DEFAULT_TEMPLATE_9,
-    num_blocks: int = 8,
-) -> TestResult:
-    """Context-aware entry point: per-block counts come from
-    :func:`_block_counts` over the context's row, the helper the batch
-    entry runs over a whole batch."""
-    n = context.n
-    template, block_length = _validate(n, template, num_blocks)
-    counts = _context_counts(context, template, num_blocks, block_length)
-    return _non_overlapping_result(n, template, num_blocks, block_length, counts)
-
-
-def _context_counts(context, template: tuple, num_blocks: int, block_length: int) -> List[int]:
-    """Per-block counts of one context's sequence (its row of :func:`_block_counts`)."""
-    return _block_counts(
-        lambda m: context.window_values(m)[np.newaxis],
-        lambda _row: context.bits,
-        1,
-        template,
-        num_blocks,
-        block_length,
-    )[0].tolist()
-
-
 def _block_counts(
     window_values: Callable[[int], np.ndarray],
     row_bits: Callable[[int], np.ndarray],
@@ -194,7 +167,7 @@ def _validate(n: int, template: Sequence[int], num_blocks: int):
 def _non_overlapping_result(
     n: int, template: tuple, num_blocks: int, block_length: int, counts: List[int]
 ) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     m = len(template)
     counts_arr = np.array(counts, dtype=np.float64)
     mean = (block_length - m + 1) / (1 << m)

@@ -24,7 +24,6 @@ from repro.nist.common import (
 
 __all__ = [
     "overlapping_template_test",
-    "overlapping_template_test_from_context",
     "count_overlapping",
     "overlapping_probabilities",
     "DEFAULT_TEMPLATE_ONES_9",
@@ -126,24 +125,6 @@ def overlapping_template_test(
     return _overlapping_result(n, template, block_length, num_blocks, k, categories)
 
 
-def overlapping_template_test_from_context(
-    context,
-    template: Sequence[int] = DEFAULT_TEMPLATE_ONES_9,
-    block_length: int = 1032,
-    k: int = 5,
-) -> TestResult:
-    """Context-aware entry point: the block categories come from
-    :func:`_block_categories` over the context's row (the shared ``m``-bit
-    window values, also used by the non-overlapping test), the helper the
-    batch entry runs over a whole batch."""
-    n = context.n
-    template, num_blocks = _validate(n, template, block_length)
-    categories = _block_categories(
-        context.window_values(len(template))[np.newaxis], template, block_length, num_blocks, k
-    )
-    return _overlapping_result(n, template, block_length, num_blocks, k, categories[0])
-
-
 def _block_categories(
     values: np.ndarray, template: tuple, block_length: int, num_blocks: int, k: int
 ) -> np.ndarray:
@@ -175,7 +156,7 @@ def _validate(n: int, template: Sequence[int], block_length: int):
 def _overlapping_result(
     n: int, template: tuple, block_length: int, num_blocks: int, k: int, categories: np.ndarray
 ) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     m = len(template)
     pi = overlapping_probabilities(block_length, m, k)
     expected = num_blocks * np.array(pi)

@@ -13,11 +13,11 @@ import numpy as np
 
 from repro.nist.common import BitsLike, TestResult, erfc, to_bits
 
-__all__ = ["runs_test", "runs_test_from_context", "count_runs"]
+__all__ = ["runs_test", "count_runs"]
 
 
 def _runs_result(n: int, ones: int, v_obs: int) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points."""
+    """Decision math shared by the reference and the engine's batch entry."""
     pi = ones / n
     tau = 2.0 / math.sqrt(n)
     pretest_passed = abs(pi - 0.5) < tau
@@ -71,11 +71,3 @@ def runs_test(bits: BitsLike) -> TestResult:
     if n == 0:
         raise ValueError("runs test requires a non-empty sequence")
     return _runs_result(n, int(arr.sum()), count_runs(arr))
-
-
-def runs_test_from_context(context) -> TestResult:
-    """Context-aware entry point: the ones count and run count come from the
-    shared context's memoized statistics instead of a re-scan."""
-    if context.n == 0:
-        raise ValueError("runs test requires a non-empty sequence")
-    return _runs_result(context.n, context.ones, context.num_runs())

@@ -20,7 +20,7 @@ from repro.nist.common import (
     to_bits,
 )
 
-__all__ = ["serial_test", "serial_test_from_context"]
+__all__ = ["serial_test"]
 
 
 def _validate(n: int, m: int) -> None:
@@ -33,7 +33,7 @@ def _validate(n: int, m: int) -> None:
 def _serial_result(
     n: int, m: int, counts_m: np.ndarray, counts_m1: np.ndarray, counts_m2: np.ndarray
 ) -> TestResult:
-    """Decision math shared by the direct and context-aware entry points.
+    """Decision math shared by the reference and the engine's batch entry.
 
     ``counts_m2`` are the cyclic ``(m-2)``-bit pattern counts; for ``m == 2``
     that is the single count ``[n]`` and ψ²_0 is 0 by definition.
@@ -95,18 +95,4 @@ def serial_test(bits: BitsLike, m: int = 4) -> TestResult:
         pattern_counts(arr, m, cyclic=True),
         pattern_counts(arr, m - 1, cyclic=True),
         pattern_counts(arr, m - 2, cyclic=True),
-    )
-
-
-def serial_test_from_context(context, m: int = 4) -> TestResult:
-    """Context-aware entry point: the cyclic pattern counters are the shared
-    context's (the same counters the approximate-entropy test reads)."""
-    n = context.n
-    _validate(n, m)
-    return _serial_result(
-        n,
-        m,
-        context.pattern_counts(m),
-        context.pattern_counts(m - 1),
-        context.pattern_counts(m - 2),
     )

@@ -7,11 +7,12 @@ configurations used by the paper's design points.
 Since the unified batch engine refactor the suite no longer dispatches to
 the per-test reference functions through a hard-coded dict: tests are
 resolved from the engine's :data:`~repro.engine.registry.DEFAULT_REGISTRY`
-and evaluated on a shared :class:`~repro.engine.context.SequenceContext`,
-so tests that need the same sub-statistic (ones count, pattern counters,
-window values, block sums) compute it once — the software analogue of the
-paper's shared hardware counters.  :meth:`NistSuite.run_batch` extends the
-sharing across the sequence axis of a whole batch.
+and evaluated by :func:`~repro.engine.batch.run_batch` on a shared
+:class:`~repro.engine.context.BatchContext`, so tests that need the same
+sub-statistic (ones count, pattern counters, window values, block sums)
+compute it once — the software analogue of the paper's shared hardware
+counters — for every sequence of a batch at once.  A lone sequence
+(:meth:`NistSuite.run`) is a one-row batch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.nist.common import BitsLike, TestResult, to_bits
+from repro.nist.common import BitsLike, TestResult
 
 __all__ = ["NIST_TEST_NAMES", "NistSuite", "SuiteReport", "run_all_tests"]
 
@@ -103,8 +104,8 @@ class NistSuite:
         Optional per-test keyword arguments, keyed by test number, e.g.
         ``{2: {"block_length": 1024}, 11: {"m": 4}}``.
     skip_errors:
-        When True (default) a test that raises ``ValueError`` (for instance
-        because the sequence is too short) is recorded in
+        When True (default) a test that raises (for instance a
+        ``ValueError`` because the sequence is too short) is recorded in
         :attr:`SuiteReport.errors` instead of aborting the whole run.
     """
 
@@ -123,32 +124,8 @@ class NistSuite:
         self.skip_errors = skip_errors
 
     def run(self, bits: BitsLike) -> SuiteReport:
-        """Run the configured tests on ``bits`` and return a report.
-
-        ``bits`` may also be a pre-built
-        :class:`~repro.engine.context.SequenceContext`, in which case its
-        memoized statistics are reused across this run.
-        """
-        # Imported here (not at module level): the engine registry imports
-        # this module for the canonical test names.
-        from repro.engine.context import SequenceContext
-        from repro.engine.registry import DEFAULT_REGISTRY
-
-        if isinstance(bits, SequenceContext):
-            context = bits
-        else:
-            context = SequenceContext(to_bits(bits))
-        report = SuiteReport(n=context.n)
-        for number in self.tests:
-            test = DEFAULT_REGISTRY.resolve(number)
-            kwargs = self.parameters.get(number, {})
-            try:
-                report.results[number] = test.run(context, **kwargs)
-            except ValueError as exc:
-                if not self.skip_errors:
-                    raise
-                report.errors[number] = str(exc)
-        return report
+        """Run the configured tests on ``bits`` (a one-row batch)."""
+        return self.run_batch([bits])[0]
 
     def run_batch(self, sequences) -> List[SuiteReport]:
         """Run the configured tests over a batch of sequences.
@@ -157,7 +134,7 @@ class NistSuite:
         :class:`~repro.engine.context.BatchContext` and every test with a
         batch kernel evaluates the whole batch at once.  Returns one
         :class:`SuiteReport` per input sequence, with results bit-identical
-        to calling :meth:`run` on each sequence individually.
+        to the plain-bits reference tests of :mod:`repro.nist`.
         """
         from repro.engine.batch import run_batch
         from repro.engine.registry import NIST_NUMBER_TO_ID

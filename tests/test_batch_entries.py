@@ -5,7 +5,7 @@ those alone.  The entries added last — serial and approximate entropy on one
 cyclic counter set, the two template tests on the shared window values, the
 four FIPS tests and the platform model — must reproduce their references bit
 for bit: the ``repro.nist`` / ``repro.fips`` functions for results and error
-strings, and the context runners for the platform model.  The file also pins
+strings, and ``OnTheFlyPlatform.evaluate_sequence`` for the platform model.  The file also pins
 the pattern-count marginals, the window/block seams of the template counts,
 mixed-length batches, and that saved reports and scheduler states carrying
 the retired ``execution_paths`` field still load.
@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import DEFAULT_REGISTRY, RegisteredTest, SequenceContext, run_batch
+from repro.core.platform import OnTheFlyPlatform
+from repro.engine import DEFAULT_REGISTRY, RegisteredTest, run_batch
 from repro.engine.context import BatchContext
 from repro.engine.packed import PackedMatrix, pack_matrix
 from repro.fips import battery as fips
@@ -80,7 +81,7 @@ class TestRegistry:
 
     def test_batch_runner_is_required(self):
         with pytest.raises(TypeError):
-            RegisteredTest(id="x", name="x", runner=lambda context: None)
+            RegisteredTest(id="x", name="x")
 
 
 class TestHypothesisParity:
@@ -284,13 +285,13 @@ class TestFipsEntries:
             "fips.long_run": fips.long_run_test,
         }
         for row, report in enumerate(result):
-            context = SequenceContext(matrix[row])
+            alone = run_batch([matrix[row]], tests=list(references))[0]
             for test_id, reference in references.items():
                 expected = reference(matrix[row])
                 got = report.results[test_id]
                 assert got.details["fips"] == expected
                 assert got.p_value == (1.0 if expected.passed else 0.0)
-                assert repr(got) == repr(DEFAULT_REGISTRY.resolve(test_id).run(context))
+                assert repr(got) == repr(alone.results[test_id])
         assert not result[4].passed()
 
     def test_battery_run_batch_equals_run(self):
@@ -310,7 +311,7 @@ class TestFipsEntries:
 
 
 class TestPlatformEntry:
-    def test_entry_equals_the_context_runner(self):
+    def test_entry_equals_the_platform_model(self):
         matrix = np.vstack(
             [
                 _rows(80, 3, 128),
@@ -319,13 +320,13 @@ class TestPlatformEntry:
         )
         params = {"hw.platform": {"design": "n128_light"}}
         result = run_batch(matrix, tests=["hw.platform"], parameters=params)
-        test = DEFAULT_REGISTRY.resolve("hw.platform")
+        platform = OnTheFlyPlatform("n128_light")
         for row, report in enumerate(result):
-            expected = test.run(SequenceContext(matrix[row]), design="n128_light")
+            expected = platform.evaluate_sequence(matrix[row], accelerated=True)
             got = report.results["hw.platform"]
-            assert got.p_value == expected.p_value
-            assert got.statistic == expected.statistic
-            assert repr(got.details) == repr(expected.details)
+            assert got.p_value == (1.0 if expected.passed else 0.0)
+            assert got.statistic == float(len(expected.failing_tests))
+            assert repr(got.details["platform_report"]) == repr(expected)
         assert not result[3].passed()
 
 

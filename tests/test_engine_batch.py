@@ -1,5 +1,8 @@
 """Tests of the batch executor, the test registry and batched monitoring."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,12 @@ from repro.core.platform import OnTheFlyPlatform
 from repro.engine import (
     DEFAULT_REGISTRY,
     RegisteredTest,
-    SequenceContext,
     TestRegistry,
     run_batch,
 )
 from repro.nist.frequency import frequency_test
 from repro.nist.suite import NistSuite
-from repro.trng import IdealSource, StuckAtSource
+from repro.trng import BiasedSource, CorrelatedSource, IdealSource, StuckAtSource
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +49,11 @@ class TestRegistryLookup:
 
     def test_duplicate_registration_rejected(self):
         registry = TestRegistry()
-        test = RegisteredTest(id="x", name="x", runner=lambda ctx: None,
-                              batch_runner=lambda batch: [])
+        test = RegisteredTest(id="x", name="x", batch_runner=lambda batch: [])
         registry.register(test)
         with pytest.raises(ValueError):
-            registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None,
-                                             batch_runner=lambda batch: []))
-        registry.register(RegisteredTest(id="x", name="y", runner=lambda ctx: None,
-                                         batch_runner=lambda batch: []),
+            registry.register(RegisteredTest(id="x", name="y", batch_runner=lambda batch: []))
+        registry.register(RegisteredTest(id="x", name="y", batch_runner=lambda batch: []),
                           replace=True)
 
     def test_custom_registry_usable_by_run_batch(self, batch_sequences):
@@ -63,7 +62,6 @@ class TestRegistryLookup:
             RegisteredTest(
                 id="custom.frequency",
                 name="Custom",
-                runner=lambda ctx: frequency_test(ctx.bits),
                 batch_runner=lambda batch: [
                     frequency_test(batch.row_bits(row))
                     for row in range(batch.num_sequences)
@@ -112,7 +110,6 @@ class TestRunBatch:
             RegisteredTest(
                 id="count.frequency",
                 name="Counting",
-                runner=lambda ctx: frequency_test(ctx.bits),
                 batch_runner=lambda batch: calls.append(1) or [
                     frequency_test(batch.row_bits(row))
                     for row in range(batch.num_sequences)
@@ -191,6 +188,38 @@ class TestRunBatch:
             assert result.passed() == expected.passed
             assert result.details["failing_tests"] == expected.failing_tests
 
+    def test_hw_platform_batches_in_concurrent_threads(self):
+        """Regression: one cached platform model per design was shared by
+        every caller, and evaluating a batch rewrites its hardware state, so
+        two threads' batches corrupted each other's verdicts."""
+        params = {"hw.platform": {"design": "n128_light"}}
+        matrices = [
+            IdealSource(seed=61).generate_matrix(400, 128),
+            BiasedSource(0.8, seed=62).generate_matrix(400, 128),
+        ]
+        serial = [
+            run_batch(matrix, tests=["hw.platform"], parameters=params).failing()
+            for matrix in matrices
+        ]
+        masks = [None] * len(matrices)
+
+        def evaluate(index):
+            result = run_batch(matrices[index], tests=["hw.platform"], parameters=params)
+            masks[index] = result.failing()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for mask, expected in zip(masks, serial):
+            assert np.array_equal(mask, expected)
+
     def test_hw_platform_wrong_length_is_error(self):
         report = run_batch(
             [np.zeros(64, dtype=np.uint8)], tests=["hw.platform"],
@@ -220,6 +249,19 @@ class TestPlatformBatch:
             solo = platform.evaluate_sequence(bits, accelerated=True)
             assert report.passed == solo.passed
             assert report.hardware_values == solo.hardware_values
+
+    def test_evaluate_batch_rows_match_evaluate_sequence_on_every_unit(self):
+        # The full design loads every unit kind (template counters and the
+        # shared shift register's tail included) from its own row.
+        platform = OnTheFlyPlatform("n65536_high")
+        sequences = [
+            IdealSource(seed=67).generate(65536).bits,
+            BiasedSource(0.55, seed=68).generate(65536).bits,
+            CorrelatedSource(0.75, seed=69).generate(65536).bits,
+        ]
+        batch_reports = platform.evaluate_batch(sequences)
+        for bits, report in zip(sequences, batch_reports):
+            assert repr(report) == repr(platform.evaluate_sequence(bits, accelerated=True))
 
     def test_evaluate_batch_validates_length(self):
         platform = OnTheFlyPlatform("n128_light")

@@ -1,11 +1,11 @@
-"""Unit tests of the shared-statistic contexts (SequenceContext/BatchContext)."""
+"""Unit tests of the shared-statistic batch (BatchContext)."""
 
 import numpy as np
 import pytest
 
-from repro.engine import BatchContext, SequenceContext
+from repro.engine import BatchContext, run_batch
 from repro.fips.battery import _run_lengths
-from repro.nist.common import pattern_counts
+from repro.nist.common import pattern_counts, to_bits
 from repro.nist.cusum import random_walk_extremes
 from repro.nist.longest_run import longest_run_of_ones
 from repro.nist.runs import count_runs
@@ -30,25 +30,36 @@ def sample_rows():
     return rows
 
 
-class TestSequenceContext:
+def _one_row(bits) -> BatchContext:
+    """A lone sequence as a one-row batch."""
+    return BatchContext(to_bits(bits)[np.newaxis, :])
+
+
+def _walk_row(batch: BatchContext, row: int = 0):
+    return tuple(int(column[row]) for column in batch.walk_extremes())
+
+
+def _run_lengths_row(batch: BatchContext, row: int = 0) -> np.ndarray:
+    rows, _, lengths = batch.runs()
+    return lengths[rows == row]
+
+
+class TestOneRowBatch:
     def test_basic_counts(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        assert context.n == sample_bits.size
-        assert context.ones == int(sample_bits.sum())
-        assert context.zeros == context.n - context.ones
+        batch = _one_row(sample_bits)
+        assert batch.n == sample_bits.size
+        assert batch.num_sequences == 1
+        assert int(batch.ones()[0]) == int(sample_bits.sum())
 
     def test_walk_extremes_match_reference(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        assert context.walk_extremes() == random_walk_extremes(sample_bits)
+        assert _walk_row(_one_row(sample_bits)) == random_walk_extremes(sample_bits)
 
     def test_num_runs_matches_reference(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        assert context.num_runs() == count_runs(sample_bits)
+        assert int(_one_row(sample_bits).num_runs()[0]) == count_runs(sample_bits)
 
     @pytest.mark.parametrize("block_length", [8, 64, 100, 128])
     def test_block_sums_match_chunked_sums(self, sample_bits, block_length):
-        context = SequenceContext(sample_bits)
-        sums = context.block_sums(block_length)
+        sums = _one_row(sample_bits).block_sums(block_length)[0]
         num_blocks = sample_bits.size // block_length
         expected = [
             int(sample_bits[i * block_length : (i + 1) * block_length].sum())
@@ -58,8 +69,7 @@ class TestSequenceContext:
 
     @pytest.mark.parametrize("block_length", [8, 128])
     def test_block_longest_one_runs_match_reference(self, sample_bits, block_length):
-        context = SequenceContext(sample_bits)
-        per_block = context.block_longest_one_runs(block_length)
+        per_block = _one_row(sample_bits).block_longest_one_runs(block_length)[0]
         num_blocks = sample_bits.size // block_length
         expected = [
             longest_run_of_ones(sample_bits[i * block_length : (i + 1) * block_length])
@@ -69,41 +79,44 @@ class TestSequenceContext:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_pattern_counts_match_reference(self, sample_bits, m):
-        context = SequenceContext(sample_bits)
         expected = pattern_counts(sample_bits, m, cyclic=True)
-        assert np.array_equal(context.pattern_counts(m), expected)
+        assert np.array_equal(_one_row(sample_bits).pattern_counts(m)[0], expected)
 
     def test_window_values_match_bruteforce(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        context = SequenceContext(bits)
-        values = context.window_values(3)
+        values = _one_row(bits).window_values(3)[0]
         expected = [int("".join(map(str, bits[i : i + 3])), 2) for i in range(6)]
         assert values.tolist() == expected
 
     def test_block_value_counts_match_bruteforce(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        counts = context.block_value_counts(4)
+        counts = _one_row(sample_bits).block_value_counts(4)[0]
         nibbles = sample_bits[: (sample_bits.size // 4) * 4].reshape(-1, 4)
         expected = np.bincount(nibbles @ np.array([8, 4, 2, 1]), minlength=16)
         assert np.array_equal(counts, expected)
 
-    def test_run_length_histogram_matches_fips_reference(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        assert context.run_length_histogram(cap=6) == _run_lengths(sample_bits)
+    def test_run_arrays_give_the_fips_run_histogram(self, sample_bits):
+        rows, values, lengths = _one_row(sample_bits).runs()
+        assert not rows.any()
+        histogram = {
+            bit: {length: 0 for length in range(1, 7)} for bit in (0, 1)
+        }
+        for value, length in zip(values.tolist(), np.minimum(lengths, 6).tolist()):
+            histogram[value][length] += 1
+        assert histogram == _run_lengths(sample_bits)
 
     def test_longest_run_overall(self):
-        context = SequenceContext("1100011110001")
-        assert context.longest_run() == 4
-        assert SequenceContext(np.zeros(7, dtype=np.uint8)).longest_run() == 7
+        assert int(_run_lengths_row(_one_row("1100011110001")).max()) == 4
+        assert int(_run_lengths_row(_one_row(np.zeros(7, dtype=np.uint8))).max()) == 7
 
     def test_memoization_returns_same_object(self, sample_bits):
-        context = SequenceContext(sample_bits)
-        assert context.pattern_counts(4) is context.pattern_counts(4)
-        assert context.block_sums(128) is context.block_sums(128)
+        batch = _one_row(sample_bits)
+        assert batch.pattern_counts(4) is batch.pattern_counts(4)
+        assert batch.block_sums(128) is batch.block_sums(128)
 
     def test_accepts_any_bitslike(self):
-        assert SequenceContext("1011").ones == 3
-        assert SequenceContext([1, 0, 1, 1]).ones == 3
+        for bits in ("1011", [1, 0, 1, 1]):
+            report = run_batch([bits], tests=[1])[0]
+            assert report.results["nist.frequency"].details["ones"] == 3
 
 
 EMPTY = np.zeros(0, dtype=np.uint8)
@@ -112,18 +125,16 @@ EMPTY = np.zeros(0, dtype=np.uint8)
 #: scalar references give for an empty sequence (an exception type where
 #: the statistic does not exist).
 EMPTY_STATISTICS = {
-    "ones": (lambda batch: batch.context(0).ones, 0),
-    "zeros": (lambda batch: batch.context(0).zeros, 0),
-    "num_runs": (lambda batch: batch.context(0).num_runs(), count_runs(EMPTY)),
-    "walk_extremes": (lambda batch: batch.context(0).walk_extremes(), random_walk_extremes(EMPTY)),
-    "last_bit": (lambda batch: batch.context(0).last_bit(), ValueError),
+    "ones": (lambda batch: int(batch.ones()[0]), 0),
+    "num_runs": (lambda batch: int(batch.num_runs()[0]), count_runs(EMPTY)),
+    "walk_extremes": (_walk_row, random_walk_extremes(EMPTY)),
+    "last_bit": (lambda batch: batch.last_bits()[0], ValueError),
     "last_bits": (lambda batch: batch.last_bits(), ValueError),
-    "block_sums": (lambda batch: batch.context(0).block_sums(8).tolist(), []),
-    "block_longest": (lambda batch: batch.context(0).block_longest_one_runs(8).tolist(), []),
-    "block_values": (lambda batch: batch.context(0).block_value_counts(4).tolist(), [0] * 16),
-    "patterns": (lambda batch: batch.context(0).pattern_counts(2).tolist(), [0] * 4),
-    "patterns_m0": (lambda batch: batch.context(0).pattern_counts(0).tolist(), [0]),
-    "longest_run": (lambda batch: batch.context(0).longest_run(), 0),
+    "block_sums": (lambda batch: batch.block_sums(8)[0].tolist(), []),
+    "block_longest": (lambda batch: batch.block_longest_one_runs(8)[0].tolist(), []),
+    "block_values": (lambda batch: batch.block_value_counts(4)[0].tolist(), [0] * 16),
+    "patterns": (lambda batch: batch.pattern_counts(2)[0].tolist(), [0] * 4),
+    "patterns_m0": (lambda batch: batch.pattern_counts(0)[0].tolist(), [0]),
 }
 
 
@@ -146,29 +157,27 @@ class TestBatchContext:
     def test_row_out_of_range(self, sample_rows):
         batch = BatchContext(np.vstack(sample_rows))
         with pytest.raises(IndexError):
-            batch.context(len(sample_rows))
+            batch.row_bits(len(sample_rows))
 
-    def test_every_statistic_matches_solo_context(self, sample_rows):
+    def test_every_statistic_matches_a_one_row_batch(self, sample_rows):
         batch = BatchContext(np.vstack(sample_rows))
-        for row, context in zip(sample_rows, batch.contexts()):
-            solo = SequenceContext(row)
-            assert context.ones == solo.ones
-            assert context.walk_extremes() == solo.walk_extremes()
-            assert context.num_runs() == solo.num_runs()
-            assert np.array_equal(context.block_sums(128), solo.block_sums(128))
+        for index, row in enumerate(sample_rows):
+            solo = _one_row(row)
+            assert batch.ones()[index] == solo.ones()[0]
+            assert _walk_row(batch, index) == _walk_row(solo)
+            assert batch.num_runs()[index] == solo.num_runs()[0]
+            assert np.array_equal(batch.block_sums(128)[index], solo.block_sums(128)[0])
             assert np.array_equal(
-                context.block_longest_one_runs(8), solo.block_longest_one_runs(8)
+                batch.block_longest_one_runs(8)[index], solo.block_longest_one_runs(8)[0]
             )
             for m in (1, 3, 4):
-                assert np.array_equal(
-                    context.pattern_counts(m), solo.pattern_counts(m)
-                )
-            assert np.array_equal(context.window_values(9), solo.window_values(9))
+                assert np.array_equal(batch.pattern_counts(m)[index], solo.pattern_counts(m)[0])
+            assert np.array_equal(batch.window_values(9)[index], solo.window_values(9)[0])
             assert np.array_equal(
-                context.block_value_counts(4), solo.block_value_counts(4)
+                batch.block_value_counts(4)[index], solo.block_value_counts(4)[0]
             )
-            assert context.run_length_histogram() == solo.run_length_histogram()
-            assert context.longest_run() == solo.longest_run()
+            assert np.array_equal(_run_lengths_row(batch, index), _run_lengths_row(solo))
+            assert np.array_equal(batch.row_bits(index), row)
 
     def test_batch_statistics_are_shared(self, sample_rows):
         batch = BatchContext(np.vstack(sample_rows))

@@ -1,26 +1,27 @@
 """Golden engine/reference parity tests.
 
-The acceptance bar of the engine refactor: every test run through a
-``SequenceContext`` (solo or batch-backed) or ``run_batch`` must produce
-*bit-identical* ``TestResult.p_values`` to the pre-existing direct reference
-functions, on ideal, biased and correlated sources alike.
+The acceptance bar of the engine: every test run through ``run_batch``,
+``NistSuite.run`` (a one-row batch) or ``FipsBattery.run`` must produce a
+*bit-identical* ``TestResult`` — name, statistic, P-values and every entry
+of ``details`` — and identical error strings to the plain-bits reference
+functions of ``repro.nist`` / ``repro.fips``, on ideal, biased and
+correlated sources alike.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.engine import DEFAULT_REGISTRY, SequenceContext, run_batch
+from repro.engine import DEFAULT_REGISTRY, NIST_NUMBER_TO_ID, run_batch
 from repro.fips.battery import (
     FIPS_BLOCK_BITS,
     FipsBattery,
     fips_battery,
-    long_run_test_from_context,
-    monobit_test_from_context,
-    poker_test_from_context,
-    runs_test_from_context,
 )
 from repro.nist.approximate_entropy import approximate_entropy_test
 from repro.nist.block_frequency import block_frequency_test
+from repro.nist.common import TestResult
 from repro.nist.cusum import cumulative_sums_test
 from repro.nist.dft import dft_test
 from repro.nist.frequency import frequency_test
@@ -88,37 +89,66 @@ def reference_outcomes(golden_sequences):
     return outcomes
 
 
+def _same(value, reference) -> bool:
+    """Bit-identical, type for type: floats by their bits (NaN and the sign
+    of zero included), arrays by dtype, shape and bytes, containers and
+    dataclasses entry by entry."""
+    if type(value) is not type(reference):
+        return False
+    if isinstance(value, np.ndarray):
+        return (
+            value.dtype == reference.dtype
+            and value.shape == reference.shape
+            and value.tobytes() == reference.tobytes()
+        )
+    if isinstance(value, float):
+        return value.hex() == reference.hex()
+    if isinstance(value, dict):
+        return list(value) == list(reference) and all(
+            _same(value[key], reference[key]) for key in value
+        )
+    if isinstance(value, (list, tuple)):
+        return len(value) == len(reference) and all(map(_same, value, reference))
+    if dataclasses.is_dataclass(value):
+        return _same(vars(value), vars(reference))
+    return value == reference
+
+
 def _assert_identical(result, reference, label):
-    assert result.p_values == reference.p_values, label
-    assert result.statistic == reference.statistic, label
-    assert result.p_value == reference.p_value, label
-    assert result.name == reference.name, label
+    assert repr(result) == repr(reference), label
+    assert _same(result, reference), label
 
 
-class TestContextParity:
-    """Registry runners on a solo SequenceContext vs direct reference calls."""
+def _fips_as_test_result(outcome):
+    """A reference FIPS outcome as the registry's ``fips.*`` entries report it:
+    a degenerate P-value (1.0 pass / 0.0 fail), the outcome in ``details``."""
+    return TestResult(
+        name=outcome.name,
+        statistic=outcome.statistic,
+        p_value=1.0 if outcome.passed else 0.0,
+        details={"fips": outcome, **outcome.details},
+    )
+
+
+class TestOneRowParity:
+    """``NistSuite.run`` (a one-row batch) vs direct reference calls."""
 
     @pytest.mark.parametrize("source_name", ["ideal", "biased", "correlated"])
     def test_all_tests_bit_identical(self, golden_sequences, reference_outcomes, source_name):
-        bits = golden_sequences[source_name]
         results, errors = reference_outcomes[source_name]
-        context = SequenceContext(bits)
-        for number in REFERENCE_TESTS:
-            test = DEFAULT_REGISTRY.resolve(number)
-            if number in errors:
-                with pytest.raises(ValueError):
-                    test.run(context)
-            else:
-                _assert_identical(test.run(context), results[number], (source_name, number))
+        report = NistSuite().run(golden_sequences[source_name])
+        assert report.errors == errors
+        assert list(report.results) == [number for number in REFERENCE_TESTS if number in results]
+        for number, reference in results.items():
+            _assert_identical(report.results[number], reference, (source_name, number))
 
     def test_error_messages_identical(self, golden_sequences, reference_outcomes):
         bits = golden_sequences["ideal"]
         _, errors = reference_outcomes["ideal"]
-        context = SequenceContext(bits)
+        assert errors
         for number, message in errors.items():
-            test = DEFAULT_REGISTRY.resolve(number)
             with pytest.raises(ValueError) as excinfo:
-                test.run(context)
+                NistSuite(tests=[number], skip_errors=False).run(bits)
             assert str(excinfo.value) == message
 
 
@@ -161,9 +191,12 @@ class TestBatchParity:
         reports = run_batch([short, long], tests=[1, 3, 13])
         for bits, report in zip([short, long], reports):
             assert report.n == bits.size
-            _assert_identical(
-                report.results["nist.frequency"], frequency_test(bits), "mixed"
-            )
+            for number in (1, 3, 13):
+                _assert_identical(
+                    report.results[NIST_NUMBER_TO_ID[number]],
+                    REFERENCE_TESTS[number](bits),
+                    ("mixed", bits.size, number),
+                )
 
     def test_suite_run_batch_matches_suite_run(self, golden_sequences):
         suite = NistSuite(
@@ -182,7 +215,9 @@ class TestBatchParity:
 
 
 class TestFipsParity:
-    """FIPS battery via engine contexts vs the direct reference functions."""
+    """The FIPS battery through the engine vs the direct reference functions."""
+
+    FIPS_IDS = ("fips.monobit", "fips.poker", "fips.runs", "fips.long_run")
 
     @pytest.fixture(scope="class")
     def fips_blocks(self):
@@ -191,34 +226,32 @@ class TestFipsParity:
             for name, source in _sources().items()
         }
 
-    def test_context_tests_match_reference(self, fips_blocks):
+    def test_battery_run_matches_reference(self, fips_blocks):
         for name, block in fips_blocks.items():
-            context = SequenceContext(block)
-            reference = fips_battery(block)
-            engine_results = [
-                monobit_test_from_context(context),
-                poker_test_from_context(context),
-                runs_test_from_context(context),
-                long_run_test_from_context(context),
-            ]
-            for engine_result, reference_result in zip(engine_results, reference.results):
-                assert engine_result == reference_result, (name, reference_result.name)
+            assert _same(FipsBattery().run(block), fips_battery(block)), name
 
     def test_battery_run_batch_matches_reference(self, fips_blocks):
         blocks = list(fips_blocks.values())
         for block, report in zip(blocks, FipsBattery().run_batch(blocks)):
-            assert report == fips_battery(block)
+            assert _same(report, fips_battery(block))
 
-    def test_registry_exposes_fips_as_test_results(self, fips_blocks):
-        report = run_batch(
-            [fips_blocks["correlated"]],
-            tests=["fips.monobit", "fips.poker", "fips.runs", "fips.long_run"],
-        )[0]
-        reference = fips_battery(fips_blocks["correlated"])
-        for test_id, reference_result in zip(
-            ["fips.monobit", "fips.poker", "fips.runs", "fips.long_run"],
-            reference.results,
-        ):
-            result = report.results[test_id]
-            assert result.statistic == reference_result.statistic
-            assert result.passed() == reference_result.passed
+    def test_registry_results_match_reference(self, fips_blocks):
+        names = list(fips_blocks)
+        result = run_batch([fips_blocks[name] for name in names], tests=list(self.FIPS_IDS))
+        for name, report in zip(names, result):
+            reference = fips_battery(fips_blocks[name])
+            assert list(report.results) == list(self.FIPS_IDS)
+            for test_id, outcome in zip(self.FIPS_IDS, reference.results):
+                _assert_identical(
+                    report.results[test_id], _fips_as_test_result(outcome), (name, test_id)
+                )
+
+    def test_wrong_length_error_identical(self, fips_blocks):
+        short = fips_blocks["ideal"][:1000]
+        with pytest.raises(ValueError) as expected:
+            fips_battery(short)
+        with pytest.raises(ValueError) as excinfo:
+            FipsBattery().run(short)
+        assert str(excinfo.value) == str(expected.value)
+        report = run_batch([short], tests=list(self.FIPS_IDS))[0]
+        assert report.errors == dict.fromkeys(self.FIPS_IDS, str(expected.value))
