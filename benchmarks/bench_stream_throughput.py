@@ -1,10 +1,10 @@
-"""End-to-end stream-throughput benchmark: block path vs per-bit seed path.
+"""End-to-end stream-throughput benchmark: block path vs per-bit path.
 
-The seed repository generated and analysed TRNG output one bit of Python at
-a time (``EntropySource.next_bit`` feeding ``UnifiedTestingBlock.process_bit``
-— the monitor path before the engine and the block-native source layer
-existed).  This benchmark pits that retired hot path, still available behind
-``accelerated=False`` for RTL-fidelity runs, against today's default: whole
+The per-bit baseline is the RTL-fidelity path behind ``accelerated=False``:
+each n-bit sequence is drawn as one block and clocked through the
+cycle-accurate ``UnifiedTestingBlock.process_bit`` one bit at a time, as the
+paper's RTL observes the TRNG (the seed repository's monitor analysed every
+sequence this way).  This benchmark pits it against today's default: whole
 trial matrices pulled with ``generate_matrix`` and evaluated through the
 vectorised functional hardware model.
 
@@ -41,8 +41,8 @@ MIN_SPEEDUP = 3.0 if SMOKE else 10.0
 
 
 def _source():
-    # A Markov source: its seed-path generation cost is representative of
-    # the behavioural models (one uniform draw per bit).
+    # A Markov source: its generation cost is representative of the
+    # behavioural models (one uniform draw per bit).
     return CorrelatedSource(0.6, seed=20150309)
 
 
@@ -100,7 +100,7 @@ def test_stream_throughput_block_vs_per_bit(benchmark, save_table):
 
     rows = [
         {
-            "path": "per-bit (seed hot path, accelerated=False)",
+            "path": "per-bit (process_bit per clock, accelerated=False)",
             "sequences": PER_BIT_SEQUENCES,
             "bits_per_s": f"{per_bit_rate:,.0f}",
             "speedup": "1.0x",
@@ -121,7 +121,7 @@ def test_stream_throughput_block_vs_per_bit(benchmark, save_table):
     save_table(
         "stream_throughput",
         f"Stream throughput on {DESIGN} (n = {N}): vectorized block path vs "
-        f"the retired per-bit Python path{' [smoke sizes]' if SMOKE else ''}",
+        f"the per-bit RTL-fidelity path{' [smoke sizes]' if SMOKE else ''}",
         rows,
         ["path", "sequences", "bits_per_s", "speedup"],
     )

@@ -14,6 +14,8 @@ platform:
 Run with:  python examples/continuous_monitoring.py
 """
 
+import numpy as np
+
 from repro import AgingSource, OnTheFlyPlatform
 from repro.core.monitor import HealthState, OnTheFlyMonitor
 from repro.trng import BurstFailureSource
@@ -22,11 +24,9 @@ from repro.trng import BurstFailureSource
 class AgingWithBursts(AgingSource):
     """An aging source that additionally collapses for short bursts.
 
-    Overriding ``next_bit`` below a block-native source is the legacy
-    extension pattern: bulk generation (``generate_block``) detects the
-    bit-serial override and honours it by falling back to the per-bit loop,
-    so the platform's vectorised hardware path still sees the combined
-    burst+aging stream.
+    During a burst the output is stuck at zero regardless of the aged
+    source; outside bursts it is the aged bit, so the aging signature
+    survives.
     """
 
     def __init__(self, drift_per_bit: float, burst_rate: float, seed: int):
@@ -35,15 +35,10 @@ class AgingWithBursts(AgingSource):
             burst_rate=burst_rate, burst_length=96, stuck_value=0, seed=seed + 1
         )
 
-    def next_bit(self) -> int:
-        burst_bit = self._bursts.next_bit()
-        aged_bit = super().next_bit()
-        # During a burst the failure source forces zeros regardless of the
-        # aged source's output; outside bursts its output is ideal, so XOR-ing
-        # would destroy the aging signature — take the aged bit instead.
-        if self._bursts._remaining_burst > 0:
-            return burst_bit
-        return aged_bit
+    def _generate_block(self, n: int) -> np.ndarray:
+        bits = super()._generate_block(n)
+        bits[self._bursts.burst_mask(n)] = 0
+        return bits
 
 
 def run_monitor(label: str, design_name: str, source, sequences: int) -> None:

@@ -240,8 +240,8 @@ class OnTheFlyMonitor:
         Sequences are pulled from the source block-natively
         (:meth:`~repro.trng.source.EntropySource.generate_block`) and run
         through the vectorised functional hardware model by default;
-        ``accelerated=False`` selects the RTL-fidelity path (the hardware
-        observes the source one bit per clock cycle).  With
+        ``accelerated=False`` selects the RTL-fidelity path (the
+        cycle-accurate hardware is clocked once per bit of each block).  With
         ``batch_size > 1`` the monitor additionally drains the source in
         whole trial matrices
         (:meth:`~repro.trng.source.EntropySource.generate_matrix`) and

@@ -169,21 +169,15 @@ class OnTheFlyPlatform:
     def evaluate_source(self, source: EntropySource, accelerated: bool = True) -> PlatformReport:
         """Draw one n-bit sequence from ``source`` and evaluate it.
 
-        The default pulls a whole n-bit block from the source
-        (:meth:`~repro.trng.source.EntropySource.generate_block`) and feeds
-        it to the vectorised functional hardware model.
-        ``accelerated=False`` selects the RTL-fidelity path instead — the
-        hardware observes the source one bit per clock cycle, exactly like
-        the paper's deployment — at per-bit Python cost.  Both paths
-        consume the same source stream and produce identical verdicts.
+        Pulls a whole n-bit block from the source
+        (:meth:`~repro.trng.source.EntropySource.generate_block`) and
+        evaluates it with :meth:`evaluate_sequence`: by default through the
+        vectorised functional hardware model; ``accelerated=False`` clocks
+        the cycle-accurate block one bit per cycle, as the paper's RTL
+        observes the TRNG.  Both paths read the same stream and produce
+        identical verdicts.
         """
-        if accelerated:
-            return self.evaluate_sequence(source.generate_block(self.n), accelerated=True)
-        self.hardware.reset()
-        for _ in range(self.n):
-            self.hardware.process_bit(source.next_bit())
-        self.hardware.finalize()
-        return self._verify()
+        return self.evaluate_sequence(source.generate_block(self.n), accelerated)
 
     def _verify(self) -> PlatformReport:
         """Software pass over the hardware's register file."""

@@ -49,6 +49,7 @@ more than the arithmetic around it.  Three rules hold throughout:
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -162,9 +163,15 @@ class PackedMatrix:
 
         The per-row escape hatch of the batch entries that call a scalar
         reference per row: a batch hands a single sequence to a per-bit
-        consumer at ``n`` bytes instead of ``rows * n``.
+        consumer at ``n`` bytes instead of ``rows * n``.  A negative
+        ``index`` counts from the last row, as in a list.
         """
-        return unpack_rows(self, index, index + 1)[0]
+        row = operator.index(index)
+        if row < 0:
+            row += self.num_rows
+        if not 0 <= row < self.num_rows:
+            raise IndexError(f"row {index} out of range for {self.num_rows} rows")
+        return unpack_rows(self, row, row + 1)[0]
 
     def __repr__(self) -> str:
         return f"PackedMatrix(rows={self.num_rows}, n={self.n}, words={self.num_words})"

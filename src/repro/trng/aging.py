@@ -21,10 +21,6 @@ __all__ = ["AgingSource"]
 class AgingSource(SeededSource):
     """A source whose bias drifts linearly with the number of emitted bits.
 
-    ``block_bits`` stays 1: :attr:`age_bits` and :meth:`current_bias` are
-    observables that must track the bits the consumer has actually seen, so
-    the ``next_bit`` shim may not read ahead.
-
     Parameters
     ----------
     drift_per_bit:

@@ -40,10 +40,6 @@ class FrequencyInjectionAttack(EntropySource):
     collapses its jitter.  The attack wraps a :class:`RingOscillatorTRNG`
     and, once activated, locks it with the requested strength.
 
-    ``block_bits`` stays 1: :attr:`active` is an observable that must track
-    the bits the consumer has actually seen, so the ``next_bit`` shim may
-    not read ahead of the staged lock.
-
     Parameters
     ----------
     target:
@@ -124,10 +120,6 @@ class EMInjectionAttack(SeededSource):
     seed:
         Seed for the coupling randomness.
     """
-
-    # block_bits stays 1: a wrapper must never read ahead of its target —
-    # buffering would advance finite targets (replay captures) and the
-    # target's own position observables past what the consumer has seen.
 
     def __init__(
         self,

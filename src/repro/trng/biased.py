@@ -27,8 +27,6 @@ class BiasedSource(SeededSource):
         Seed of the backing pseudo-random generator.
     """
 
-    block_bits = 1024
-
     def __init__(self, p_one: float, seed: Optional[int] = None):
         super().__init__(seed)
         if not 0.0 <= p_one <= 1.0:

@@ -8,9 +8,10 @@ same testing pipeline.  These adapters bridge stored data and the
 
 Both adapters are block-native: :class:`ReplaySource` serves whole slices of
 its stored array and :class:`CaptureSource` records whole blocks as they
-pass through, so neither reintroduces a per-bit Python loop on the hot
-path.  ``CaptureSource`` deliberately bypasses the base class's read-ahead
-buffer — what it records must be exactly what the consumer has seen.
+pass through its ``_generate_block``, so neither reintroduces a per-bit
+Python loop on the hot path.  No source reads ahead of its consumer, so a
+capture holds exactly the bits the consumer has seen, whether it read them
+a bit or a block at a time.
 """
 
 from __future__ import annotations
@@ -91,15 +92,6 @@ class ReplaySource(EntropySource):
             "construct with loop=True to recycle the capture"
         )
 
-    def next_bit(self) -> int:
-        if self._position >= self._bits.size:
-            if not self.loop:
-                raise self._exhausted_error()
-            self._position = 0
-        bit = int(self._bits[self._position])
-        self._position += 1
-        return bit
-
     def _generate_block(self, n: int) -> np.ndarray:
         if n == 0:
             return np.zeros(0, dtype=np.uint8)
@@ -129,11 +121,9 @@ class CaptureSource(EntropySource):
     sequence, the captured bits can be re-examined with the full reference
     NIST suite (including the six tests the hardware cannot run).
 
-    ``next_bit`` and :meth:`generate_block` are both overridden directly —
-    the capture must never read ahead of the consumer, and the recorded
-    stream is exactly the consumer-visible one even when bit-serial and
-    block access are interleaved (the wrapped source's own buffering keeps
-    the underlying stream contiguous).
+    Every bit this source hands out, through any entry, is pulled from the
+    wrapped source by :meth:`_generate_block` and recorded there, so the
+    capture is exactly the consumer-visible stream.
     """
 
     def __init__(self, source: EntropySource, max_bits: Optional[int] = None):
@@ -141,10 +131,8 @@ class CaptureSource(EntropySource):
             raise ValueError("max_bits must be positive when given")
         self.source = source
         self.max_bits = max_bits
-        # Recorded blocks in consumer order; bit-serial bits accumulate in a
-        # plain int list appended as the trailing "chunk" so the per-bit
-        # path stays a cheap list append.
-        self._chunks: List[Union[np.ndarray, List[int]]] = []
+        # Recorded blocks in consumer order.
+        self._chunks: List[np.ndarray] = []
         self._captured_bits = 0
 
     def _room(self) -> Optional[int]:
@@ -152,17 +140,7 @@ class CaptureSource(EntropySource):
             return None
         return self.max_bits - self._captured_bits
 
-    def next_bit(self) -> int:
-        bit = self.source.next_bit()
-        room = self._room()
-        if room is None or room > 0:
-            if not self._chunks or not isinstance(self._chunks[-1], list):
-                self._chunks.append([])
-            self._chunks[-1].append(bit)
-            self._captured_bits += 1
-        return bit
-
-    def generate_block(self, n: int) -> np.ndarray:
+    def _generate_block(self, n: int) -> np.ndarray:
         block = self.source.generate_block(n)
         recorded = block
         room = self._room()
@@ -182,9 +160,7 @@ class CaptureSource(EntropySource):
         """The recorded bits as a :class:`BitSequence`."""
         if not self._chunks:
             return BitSequence(np.zeros(0, dtype=np.uint8))
-        return BitSequence(
-            np.concatenate([np.asarray(chunk, dtype=np.uint8) for chunk in self._chunks])
-        )
+        return BitSequence(np.concatenate(self._chunks))
 
     def save(self, path: Union[str, pathlib.Path]) -> int:
         """Write the capture as packed bytes (MSB first); returns the exact

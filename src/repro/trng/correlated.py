@@ -30,8 +30,6 @@ class CorrelatedSource(SeededSource):
         Seed of the backing pseudo-random generator.
     """
 
-    block_bits = 1024
-
     def __init__(self, p_repeat: float, seed: Optional[int] = None):
         super().__init__(seed)
         if not 0.0 <= p_repeat <= 1.0:
@@ -78,10 +76,6 @@ class OscillatingBiasSource(SeededSource):
     of the entropy source.  The long-sequence block-frequency test is the one
     expected to catch it: individual short blocks see an almost constant but
     wrong bias, while the global ones count can still average out to n/2.
-
-    ``block_bits`` stays 1: :meth:`current_bias` is an observable that must
-    track the bits the consumer has actually seen, so the ``next_bit`` shim
-    may not read ahead.
 
     Parameters
     ----------

@@ -29,9 +29,6 @@ class StuckAtSource(EntropySource):
             raise ValueError("value must be 0 or 1")
         self.value = int(value)
 
-    def next_bit(self) -> int:
-        return self.value
-
     def _generate_block(self, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=np.uint8)
 
@@ -79,11 +76,6 @@ class AlternatingSource(EntropySource):
         self._pattern_array = np.asarray(pattern, dtype=np.uint8)
         self._index = 0
 
-    def next_bit(self) -> int:
-        bit = self.pattern[self._index]
-        self._index = (self._index + 1) % len(self.pattern)
-        return bit
-
     def _generate_block(self, n: int) -> np.ndarray:
         indices = (np.arange(n, dtype=np.int64) + self._index) % self._pattern_array.size
         self._index = int((self._index + n) % self._pattern_array.size)
@@ -111,10 +103,6 @@ class BurstFailureSource(SeededSource):
     keeps the emitted stream split-invariant — the burst pattern depends
     only on absolute bit positions, never on block boundaries — which is
     what lets :meth:`_generate_block` vectorise the healthy stretches.
-
-    ``block_bits`` stays 1: the remaining-burst state is observable (e.g.
-    ``examples/continuous_monitoring.py`` gates on it), so the ``next_bit``
-    shim may not read ahead.
 
     Parameters
     ----------
@@ -153,7 +141,13 @@ class BurstFailureSource(SeededSource):
         self._rng = np.random.default_rng(data_seq)
         self._trigger_rng = np.random.default_rng(trigger_seq)
 
-    def _generate_block(self, n: int) -> np.ndarray:
+    def burst_mask(self, n: int) -> np.ndarray:
+        """Advance the burst process by ``n`` bits: True where a bit falls
+        inside a stuck burst.
+
+        Draws only the trigger stream, so a wrapper can impose this source's
+        bursts on another source's bits.
+        """
         triggers = self._trigger_rng.random(n) < self.burst_rate
         burst = np.zeros(n, dtype=bool)
         end = self._remaining_burst  # burst carried in from the last block
@@ -168,6 +162,10 @@ class BurstFailureSource(SeededSource):
             burst[idx:stop] = True
             end = idx + self.burst_length
         self._remaining_burst = max(0, end - n)
+        return burst
+
+    def _generate_block(self, n: int) -> np.ndarray:
+        burst = self.burst_mask(n)
         out = np.full(n, self.stuck_value, dtype=np.uint8)
         healthy = ~burst
         count = int(np.count_nonzero(healthy))

@@ -6,7 +6,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.trng.source import SeededSource, _block_native
+from repro.trng.source import SeededSource
 
 __all__ = ["IdealSource"]
 
@@ -48,8 +48,6 @@ class IdealSource(SeededSource):
     existed carries none and restores onto stream 1.
     """
 
-    block_bits = 1024
-
     #: Class default for instances restored from pickles that predate stream
     #: versions; the constructor always sets it on the instance.
     stream_version = 1
@@ -88,11 +86,9 @@ class IdealSource(SeededSource):
     def generate_words(self, n: int) -> np.ndarray:
         if (
             self.stream_version == 2
-            and _block_native(type(self))
             and n >= 0
             and n % 64 == 0
             and not self._spare.size
-            and not self._buffered_bits()
         ):
             from repro.engine.packed import WORD_DTYPE
 

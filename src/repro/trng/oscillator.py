@@ -56,8 +56,6 @@ class RingOscillatorTRNG(SeededSource):
         Seed of the backing pseudo-random generator.
     """
 
-    block_bits = 1024
-
     def __init__(
         self,
         ratio: float = 200.25,
@@ -88,13 +86,11 @@ class RingOscillatorTRNG(SeededSource):
         """Lock the oscillator to an injected frequency (attack effect)."""
         if not 0.0 <= strength <= 1.0:
             raise ValueError("strength must lie in [0, 1]")
-        self._drop_buffer()  # buffered bits were sampled before the lock
         self.locked = True
         self.lock_strength = float(strength)
 
     def unlock(self) -> None:
         """Remove the injection lock."""
-        self._drop_buffer()
         self.locked = False
 
     # -- entropy source protocol -------------------------------------------

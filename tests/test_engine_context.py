@@ -159,6 +159,16 @@ class TestBatchContext:
         with pytest.raises(IndexError):
             batch.row_bits(len(sample_rows))
 
+    @pytest.mark.parametrize("row,expected", [(-1, 4), (-2, 3), (4, 4)])
+    def test_row_bits_counts_negative_rows_from_the_end(self, row, expected):
+        eye = np.eye(5, 64, dtype=np.uint8)
+        assert np.array_equal(BatchContext(eye).row_bits(row), eye[expected])
+
+    @pytest.mark.parametrize("row", [5, -6])
+    def test_row_bits_out_of_range_names_the_row(self, row):
+        with pytest.raises(IndexError, match=f"row {row} out of range for 5 rows"):
+            BatchContext(np.eye(5, 64, dtype=np.uint8)).row_bits(row)
+
     def test_every_statistic_matches_a_one_row_batch(self, sample_rows):
         batch = BatchContext(np.vstack(sample_rows))
         for index, row in enumerate(sample_rows):

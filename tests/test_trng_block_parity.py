@@ -3,7 +3,7 @@
 Every entropy source must satisfy two stream invariants:
 
 * ``generate_block(n)`` from a given seed equals ``n`` successive
-  ``next_bit()`` calls from the same seed (the shim serves the same stream);
+  ``next_bit()`` calls from the same seed (``next_bit`` is a one-bit block);
 * the stream is split-invariant — chopping it into blocks of any sizes, or
   interleaving bit-serial and block access, never changes the emitted bits.
 
@@ -75,8 +75,8 @@ SOURCE_FACTORIES = {
     ),
 }
 
-#: Long enough to cross every buffer refill granularity (max block_bits is
-#: 1024) and the staged-attack onsets above several times.
+#: Long enough to cross 1,024-bit block seams and the staged-attack onsets
+#: above several times.
 N = 2500
 
 
@@ -128,9 +128,8 @@ def test_generate_matrix_rows_are_consecutive_stream_chunks():
 
 
 class TestWrapperLockstep:
-    """Satellite regression: wrappers stay in lockstep with their targets
-    across interleaved ``next_bit()`` / ``generate_block()`` calls (buffer-
-    boundary correctness)."""
+    """Wrappers stay in lockstep with their targets across interleaved
+    ``next_bit()`` / ``generate_block()`` calls."""
 
     def test_capture_records_exactly_the_consumer_stream(self):
         capture = CaptureSource(CorrelatedSource(0.7, seed=3))
@@ -184,31 +183,8 @@ class TestWrapperLockstep:
         )
 
 
-class TestLegacyBitSerialSubclasses:
-    """Subclasses that only override ``next_bit`` keep working: bulk
-    generation falls back to looping the bit-serial override."""
-
-    def test_next_bit_only_subclass(self):
-        class Inverted(EntropySource):
-            def __init__(self):
-                self._inner = IdealSource(seed=21)
-
-            def next_bit(self):
-                return 1 - self._inner.next_bit()
-
-        expected = 1 - IdealSource(seed=21).generate_block(300)
-        assert np.array_equal(Inverted().generate_block(300), expected)
-
-    def test_next_bit_override_below_block_native_source(self):
-        # The examples/continuous_monitoring.py pattern: overriding next_bit
-        # below a block-native source must make blocks honour the override.
-        class Inverted(AgingSource):
-            def next_bit(self):
-                return 1 - super().next_bit()
-
-        expected = 1 - AgingSource(drift_per_bit=1e-4, seed=5).generate_block(300)
-        got = Inverted(drift_per_bit=1e-4, seed=5).generate_block(300)
-        assert np.array_equal(got, expected)
+class TestStreamHook:
+    """``_generate_block`` is a source's one stream hook."""
 
     def test_source_with_neither_hook_raises(self):
         class Hollow(SeededSource):
@@ -217,19 +193,13 @@ class TestLegacyBitSerialSubclasses:
         with pytest.raises(TypeError, match="_generate_block"):
             Hollow(seed=1).generate_block(4)
 
-    def test_buffered_parent_bits_are_not_drained_raw(self):
-        # A legacy override below a *buffering* source: super().next_bit()
-        # stages raw parent bits in the shim buffer, and a following
-        # generate_block must keep routing through the override instead of
-        # draining those raw bits.
-        class Inverted(IdealSource):
-            def next_bit(self):
-                return 1 - super().next_bit()
+    @pytest.mark.parametrize("base", [EntropySource, SeededSource, AgingSource, IdealSource])
+    def test_defining_next_bit_raises(self, base):
+        with pytest.raises(TypeError, match="_generate_block"):
 
-        expected = 1 - IdealSource(seed=31).generate_block(6)
-        source = Inverted(seed=31)
-        got = np.concatenate([[source.next_bit()], source.generate_block(5)])
-        assert np.array_equal(got, expected)
+            class Inverted(base):
+                def next_bit(self):
+                    return 1 - super().next_bit()
 
 
 class TestPositionObservables:
@@ -251,6 +221,17 @@ class TestPositionObservables:
         source = BurstFailureSource(burst_rate=1.0, burst_length=3, stuck_value=0, seed=1)
         source.next_bit()
         assert source._remaining_burst == 2
+
+    def test_oscillator_lock_mid_stream_reads_no_bits_ahead(self):
+        serial = RingOscillatorTRNG(seed=8)
+        bits = [serial.next_bit() for _ in range(10)]
+        serial.lock(0.9)
+        bits += [serial.next_bit() for _ in range(50)]
+        blocks = RingOscillatorTRNG(seed=8)
+        expected = [blocks.generate_block(10)]
+        blocks.lock(0.9)
+        expected.append(blocks.generate_block(50))
+        assert np.array_equal(bits, np.concatenate(expected))
 
     def test_replay_remaining_bits_track_consumption(self):
         replay = ReplaySource([1, 0, 1, 1, 0, 0, 1, 0])

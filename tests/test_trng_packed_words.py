@@ -96,19 +96,3 @@ def test_packed_matrix_is_the_packed_uint8_matrix(label, n):
     matrix = FACTORIES[label]().generate_matrix(5, n, packed=True)
     assert isinstance(matrix, PackedMatrix) and matrix.n == n
     assert np.array_equal(matrix.words, pack_matrix(FACTORIES[label]().generate_matrix(5, n)).words)
-
-
-class Inverted(IdealSource):
-    """A legacy bit-serial override below a word-emitting source."""
-
-    def next_bit(self):
-        return 1 - super().next_bit()
-
-
-@pytest.mark.parametrize("n", [128, 100])
-def test_bit_serial_override_is_honoured_by_the_word_entry(n):
-    bits = Inverted(seed=33).generate_block(3 * n)
-    assert np.array_equal(bits, 1 - IdealSource(seed=33).generate_block(3 * n))
-    assert_words(Inverted(seed=33).generate_words(3 * n), 3 * n, packed(bits))
-    matrix = Inverted(seed=33).generate_matrix(3, n, packed=True)
-    assert np.array_equal(matrix.words, pack_matrix(bits.reshape(3, n)).words)

@@ -40,11 +40,6 @@ class TestIdealSource:
         source.reset()
         assert source.generate(64) == first
 
-    def test_bit_stream_iterator(self):
-        bits = list(IdealSource(seed=3).bit_stream(10))
-        assert len(bits) == 10
-        assert set(bits) <= {0, 1}
-
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             IdealSource(seed=1).generate(-1)
