@@ -11,7 +11,9 @@ Asserts the multiplexed round sustains >= 5x the naive round's throughput at
 a 512-device fleet (the PR's acceptance bar), and that both paths agree on
 what matters — the devices each path drives to FAILED.  Machine-readable
 results land in ``benchmarks/results/BENCH_fleet.json`` alongside the other
-throughput artefacts.
+throughput artefacts, with the median ``fold`` span of the multiplexed
+rounds (the serial tail the calling thread runs after the device slices
+join), read off each round's root span.
 """
 
 import os
@@ -19,6 +21,7 @@ import statistics
 import time
 
 from bench_harness import assert_floors, write_bench_json
+from repro import obs
 from repro.fleet import DeviceRegistry, FleetMix, FleetScheduler
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -56,11 +59,15 @@ def _run_naive(registry, rounds):
 
 
 def _run_multiplexed(scheduler, rounds):
-    durations = []
+    """Round durations and the ``fold`` spans of the rounds' root spans."""
+    durations, folds = [], []
     for _ in range(rounds):
         fleet_round = scheduler.run_round()
         durations.append(fleet_round.elapsed_s)
-    return durations
+        root = obs.TRACER.traces()[-1]
+        assert root.name == "fleet.run_round"
+        folds.extend(span.duration_s for span in root.children if span.name == "fold")
+    return durations, folds
 
 
 def test_fleet_multiplexed_vs_naive(benchmark, save_table):
@@ -72,7 +79,7 @@ def test_fleet_multiplexed_vs_naive(benchmark, save_table):
     fleet_registry = _build_fleet()
     scheduler = FleetScheduler(fleet_registry)
     scheduler.run_round()  # warm-up: engine imports, allocator, caches
-    multiplexed_durations = benchmark.pedantic(
+    multiplexed_durations, fold_durations = benchmark.pedantic(
         _run_multiplexed, args=(scheduler, ROUNDS), rounds=1, iterations=1
     )
     multiplexed_round = statistics.median(multiplexed_durations)
@@ -119,6 +126,7 @@ def test_fleet_multiplexed_vs_naive(benchmark, save_table):
         timings_s={
             "naive_round": naive_round,
             "multiplexed_round": multiplexed_round,
+            "multiplexed_fold": statistics.median(fold_durations),
         },
         speedups={"multiplexed_vs_naive": speedup},
         floors={"multiplexed_vs_naive": MIN_SPEEDUP},

@@ -91,5 +91,5 @@ def assert_floors(speedups: Mapping[str, float], floors: Mapping[str, float]) ->
         measured = speedups[key]
         assert measured >= floor, (
             f"{key}: measured {measured:.2f}x is below the pinned "
-            f"{floor:.1f}x floor"
+            f"{floor:g}x floor"
         )

@@ -40,6 +40,10 @@ class AgingWithBursts(AgingSource):
         bits[self._bursts.burst_mask(n)] = 0
         return bits
 
+    def reset(self) -> None:
+        super().reset()
+        self._bursts.reset()
+
 
 def run_monitor(label: str, design_name: str, source, sequences: int) -> None:
     platform = OnTheFlyPlatform(design_name, alpha=0.01)

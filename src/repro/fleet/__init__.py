@@ -6,13 +6,15 @@ is that aggregation tier, built on the substrate of PRs 1–3:
 
 * :class:`DeviceRegistry` instantiates N simulated devices from a
   :class:`FleetMix` (e.g. 95% healthy, 5% drawn from the campaign's threat
-  catalogue), each a seeded scenario source plus its own
-  :class:`~repro.core.monitor.OnTheFlyMonitor` health machine.
+  catalogue), each a seeded scenario source plus its row of the fleet's
+  :class:`FleetHealth` columns (the
+  :class:`~repro.core.monitor.OnTheFlyMonitor` health machine, one row per
+  device, read through the device's :class:`DeviceHealth` view).
 * :class:`FleetScheduler` advances the whole fleet in rounds: one sequence
-  per device, packed into one ``(devices, words)`` array and evaluated by
-  :func:`~repro.engine.batch.run_batch` (shared vectorised statistics across
-  devices, large rounds split over one thread per core), verdicts folded
-  back into each device's health state.
+  per device, packed into one ``(devices, words)`` array, evaluated and
+  decided by :func:`~repro.engine.batch.run_batch` (shared vectorised
+  statistics across devices, large rounds split over one thread per core),
+  and the round's failing mask folded into the health columns in one pass.
 * :class:`FleetReport` aggregates the operations view — health mix over
   time, per-scenario detection probability and latency percentiles,
   healthy-device false-alarm rate, devices/second — with JSON/CSV export.
@@ -48,6 +50,7 @@ from repro.fleet.durability import (
     JournalReplayStats,
     recover_fleet,
 )
+from repro.fleet.health import DeviceHealth, FleetHealth, FleetVerdict
 from repro.fleet.registry import Device, DeviceRegistry, FleetMix
 from repro.fleet.report import (
     FleetReport,
@@ -59,7 +62,6 @@ from repro.fleet.report import (
 from repro.fleet.scheduler import (
     DuplicateIngestError,
     FleetScheduler,
-    FleetVerdict,
     IngestSequenceError,
     IngestSequenceGapError,
 )
@@ -67,10 +69,12 @@ from repro.fleet.service import FleetService, ServiceError, serve
 
 __all__ = [
     "Device",
+    "DeviceHealth",
     "DeviceRegistry",
     "DuplicateIngestError",
     "DurableFleet",
     "FleetClient",
+    "FleetHealth",
     "FleetMix",
     "FleetReport",
     "FleetRound",

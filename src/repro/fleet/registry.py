@@ -3,10 +3,12 @@
 The paper's platform monitors *one* TRNG; a production deployment tracks
 thousands.  :class:`DeviceRegistry` is the fleet-side ledger: every
 :class:`Device` couples a seeded scenario source (built from the campaign's
-:class:`~repro.campaign.scenarios.ScenarioCatalog`) with its own
-:class:`~repro.core.monitor.OnTheFlyMonitor` health-state machine, while the
-platform (design point, alpha, health policy) is shared fleet-wide — one
-design, many devices, exactly like a rollout of identical parts.
+:class:`~repro.campaign.scenarios.ScenarioCatalog`) with its row of the
+fleet's :class:`~repro.fleet.health.FleetHealth` columns (the health-state
+machine of :class:`~repro.core.monitor.OnTheFlyMonitor`, one row per
+device), while the platform (design point, alpha, health policy) is shared
+fleet-wide — one design, many devices, exactly like a rollout of identical
+parts.
 
 The composition of a fleet is a :class:`FleetMix`: an ordered scenario →
 weight mapping (e.g. 95% ``healthy-ideal``, 5% spread over threat labels)
@@ -31,8 +33,9 @@ import numpy as np
 
 from repro.campaign.scenarios import DEFAULT_CATALOG, ScenarioCatalog
 from repro.core.configs import DesignPoint, get_design
-from repro.core.monitor import HealthState, OnTheFlyMonitor
+from repro.core.monitor import HealthState
 from repro.core.platform import OnTheFlyPlatform
+from repro.fleet.health import DeviceHealth, FleetHealth
 from repro.trng.source import EntropySource
 
 __all__ = ["Device", "DeviceRegistry", "FleetMix"]
@@ -145,11 +148,12 @@ class FleetMix:
 
 @dataclass
 class Device:
-    """One fleet member: identity, scenario, stream and health machine.
+    """One fleet member: identity, scenario, stream and health row.
 
     ``source`` is None for externally-fed devices (registered through the
     service): they take part in health tracking and summaries but are skipped
-    by the scheduler's simulated rounds.
+    by the scheduler's simulated rounds.  ``monitor`` reads the device's row
+    of the registry's :class:`~repro.fleet.health.FleetHealth`.
     """
 
     device_id: str
@@ -157,7 +161,7 @@ class Device:
     category: str
     expected_detectable: bool
     source: Optional[EntropySource]
-    monitor: OnTheFlyMonitor
+    monitor: DeviceHealth
     seed: Optional[int] = None
 
     @property
@@ -203,15 +207,15 @@ class DeviceRegistry:
     alpha:
         Level of significance of the per-sequence verdicts.
     suspect_after / fail_after:
-        Health policy of every device's monitor (consecutive failing
-        sequences until SUSPECT / FAILED).
+        Health policy of every device (consecutive failing sequences until
+        SUSPECT / FAILED).
     catalog:
         Scenario catalogue the mix labels resolve against (default: the
         campaign's :data:`~repro.campaign.scenarios.DEFAULT_CATALOG`).
-    max_history:
-        Per-device monitor history bound; the default of 1 keeps a
-        thousands-strong fleet in constant memory (aggregate statistics stay
-        exact — see :class:`~repro.core.monitor.OnTheFlyMonitor`).
+
+    Every device's health is a row of :attr:`health`; a device keeps its
+    last folded sequence only (its ``history``), and every running total
+    stays exact.
     """
 
     def __init__(
@@ -221,16 +225,18 @@ class DeviceRegistry:
         suspect_after: int = 1,
         fail_after: int = 2,
         catalog: Optional[ScenarioCatalog] = None,
-        max_history: Optional[int] = 1,
     ):
         self.platform = OnTheFlyPlatform(design, alpha=alpha)
         self.alpha = alpha
         self.suspect_after = suspect_after
         self.fail_after = fail_after
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
-        self.max_history = max_history
         self.seed: Optional[int] = None
+        #: Health columns, one row per device in registration order.
+        self.health = FleetHealth(self.tests, suspect_after, fail_after)
         self._devices: Dict[str, Device] = {}
+        #: Simulated devices and their health rows (rebuilt after a change).
+        self._simulated: Optional[Tuple[List[Device], np.ndarray]] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -266,17 +272,20 @@ class DeviceRegistry:
 
     def simulated_devices(self) -> List[Device]:
         """Devices with a simulated source (the scheduler's round members)."""
-        return [device for device in self if device.simulated]
+        return list(self._simulated_members()[0])
+
+    def simulated_rows(self) -> np.ndarray:
+        """Health rows of :meth:`simulated_devices`, in the same order."""
+        return self._simulated_members()[1]
+
+    def _simulated_members(self) -> Tuple[List[Device], np.ndarray]:
+        if self._simulated is None:
+            devices = [device for device in self if device.simulated]
+            rows = np.array([device.monitor.row for device in devices], dtype=np.intp)
+            self._simulated = (devices, rows)
+        return self._simulated
 
     # ------------------------------------------------------------------ build
-    def _new_monitor(self) -> OnTheFlyMonitor:
-        return OnTheFlyMonitor(
-            self.platform,
-            suspect_after=self.suspect_after,
-            fail_after=self.fail_after,
-            max_history=self.max_history,
-        )
-
     def register(
         self,
         device_id: str,
@@ -301,7 +310,7 @@ class DeviceRegistry:
                 category=spec.category,
                 expected_detectable=spec.expected_detectable,
                 source=spec.build(source_seed, self.n),
-                monitor=self._new_monitor(),
+                monitor=DeviceHealth(self.health, self.health.add()),
                 seed=source_seed,
             )
         else:
@@ -311,10 +320,11 @@ class DeviceRegistry:
                 category="external",
                 expected_detectable=True,
                 source=None,
-                monitor=self._new_monitor(),
+                monitor=DeviceHealth(self.health, self.health.add()),
                 seed=None,
             )
         self._devices[device_id] = device
+        self._simulated = None
         return device
 
     def populate(self, num_devices: int, mix: FleetMix, seed: int = 0) -> List[Device]:
@@ -357,7 +367,8 @@ class DeviceRegistry:
         directory.
         """
         devices: List[Dict[str, Any]] = []
-        for device in self:
+        # Rows follow registration order, so the i-th row is the i-th device.
+        for device, monitor in zip(self, self.health.state_dicts()):
             devices.append(
                 {
                     "device_id": device.device_id,
@@ -365,7 +376,7 @@ class DeviceRegistry:
                     "category": device.category,
                     "expected_detectable": device.expected_detectable,
                     "seed": device.seed,
-                    "monitor": device.monitor.state_dict(),
+                    "monitor": monitor,
                     "source_pickle": (
                         None
                         if device.source is None
@@ -379,7 +390,9 @@ class DeviceRegistry:
             "alpha": self.alpha,
             "suspect_after": self.suspect_after,
             "fail_after": self.fail_after,
-            "max_history": self.max_history,
+            # Written for readers of the per-device-monitor format: every
+            # device keeps its last event only.
+            "max_history": 1,
             "seed": self.seed,
             "devices": devices,
         }
@@ -388,9 +401,10 @@ class DeviceRegistry:
         """Restore a :meth:`state_dict` capture into this registry.
 
         The platform configuration (design point, alpha, health policy)
-        must match the captured one; the current device ledger is replaced
-        wholesale.  See :meth:`state_dict` for the pickled-source trust
-        caveat.
+        must match the captured one; the current device ledger and health
+        columns are replaced wholesale (``max_history`` is not checked:
+        history is not part of the state).  See :meth:`state_dict` for the
+        pickled-source trust caveat.
         """
         if state.get("version") != 1:
             raise ValueError(
@@ -401,18 +415,17 @@ class DeviceRegistry:
             ("alpha", self.alpha),
             ("suspect_after", self.suspect_after),
             ("fail_after", self.fail_after),
-            ("max_history", self.max_history),
         ):
             if state[key] != expected:
                 raise ValueError(
                     f"registry state mismatch: {key} is {state[key]!r}, "
                     f"this registry has {expected!r}"
                 )
-        self.seed = state["seed"]
-        self._devices = {}
+        health = FleetHealth(self.tests, self.suspect_after, self.fail_after)
+        devices: Dict[str, Device] = {}
         for spec in state["devices"]:
-            monitor = self._new_monitor()
-            monitor.load_state(spec["monitor"])
+            row = health.add()
+            health.load_state(row, spec["monitor"])
             blob = spec["source_pickle"]
             source = None if blob is None else pickle.loads(blob)
             device = Device(
@@ -421,10 +434,14 @@ class DeviceRegistry:
                 category=spec["category"],
                 expected_detectable=bool(spec["expected_detectable"]),
                 source=source,
-                monitor=monitor,
+                monitor=DeviceHealth(health, row),
                 seed=spec["seed"],
             )
-            self._devices[device.device_id] = device
+            devices[device.device_id] = device
+        self.seed = state["seed"]
+        self.health = health
+        self._devices = devices
+        self._simulated = None
 
     @classmethod
     def from_state(
@@ -437,7 +454,6 @@ class DeviceRegistry:
             suspect_after=state["suspect_after"],
             fail_after=state["fail_after"],
             catalog=catalog,
-            max_history=state["max_history"],
         )
         registry.load_state(state)
         return registry
@@ -445,10 +461,7 @@ class DeviceRegistry:
     # ------------------------------------------------------------------ health
     def health_counts(self) -> Dict[str, int]:
         """Fleet health mix: state value → number of devices."""
-        counts = {state.value: 0 for state in HealthState}
-        for device in self:
-            counts[device.state.value] += 1
-        return counts
+        return self.health.counts()
 
     def scenario_counts(self) -> Dict[str, int]:
         """Devices per scenario label (externally-fed devices as ``None``)."""
@@ -459,6 +472,5 @@ class DeviceRegistry:
         return counts
 
     def reset_health(self) -> None:
-        """Reset every device's monitor (sources keep streaming)."""
-        for device in self:
-            device.monitor.reset()
+        """Reset every device's health (sources keep streaming)."""
+        self.health.reset()

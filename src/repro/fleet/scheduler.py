@@ -8,18 +8,20 @@ packs the fleet into a single ``(num_devices, words)`` array of 64-bit words
 and pushes it through :func:`repro.engine.batch.run_batch`, whose
 :class:`~repro.engine.context.BatchContext` computes the shared statistics
 of the design's test subset in single vectorised 2-D passes over the whole
-fleet.  The per-device verdicts then fold back into each device's
-health-state machine exactly as per-device monitoring would.
+fleet.  The round's failing mask then folds into the fleet's health
+columns (:class:`~repro.fleet.health.FleetHealth`) in one numpy pass,
+exactly as per-device monitoring would.
 
 Rows are independent from generation to decision, so a matrix round fans
 out in-process over one thread per core, each with a contiguous device
 slice: each device writes its sequence as packed words
 (:meth:`~repro.trng.source.EntropySource.generate_words`) straight into its
 row of one preallocated ``(devices, words)`` uint64 array (no uint8 round
-matrix), and the slice runs ``run_batch`` on its rows; numpy releases the
-GIL in the raw draws and the kernels.  Verdict reduction and every fold
-stay on the calling thread.  Only rounds that give every worker a full row
-tile fan out; smaller ones run the same code inline.  There is no knob.
+matrix), the slice runs ``run_batch`` on its rows and decides them: it
+writes its rows of the round's failing mask and returns its rows' errors.
+numpy releases the GIL in the raw draws and the kernels.  Only the fold
+stays on the calling thread.  Only rounds that give every worker a full
+row tile fan out; smaller ones run the same code inline.  There is no knob.
 
 Ingest takes chunks of any size.  As in the paper's platform, whose input
 buffer holds only the unfinished sequence, each device keeps a tail of
@@ -46,6 +48,7 @@ from repro.core.monitor import MonitorEvent
 from repro.engine.batch import BatchResult, run_batch
 from repro.engine.packed import BITS_PER_WORD, WORD_DTYPE, PackedMatrix, bit_tile_rows
 from repro.engine.registry import NIST_NUMBER_TO_ID
+from repro.fleet.health import PASSED, STATES, Folded, FleetVerdict, RowErrors
 from repro.fleet.registry import Device, DeviceRegistry
 from repro.fleet.report import FleetReport, FleetRound, build_report
 from repro.nist.common import BitsLike, to_bits
@@ -134,36 +137,17 @@ class IngestSequenceGapError(IngestSequenceError):
         )
 
 
-def _count_transitions(
-    transitions: Dict[Tuple[str, str], int], before: str, after: str
-) -> None:
-    """Accumulate one health transition locally (one inc per pair later)."""
-    key = (before, after)
-    transitions[key] = transitions.get(key, 0) + 1
+#: (from, to) state values per transition code ``3 * before + after``.
+_TRANSITIONS = [(before.value, after.value) for before in STATES for after in STATES]
 
 
-def _flush_transitions(transitions: Dict[Tuple[str, str], int]) -> None:
-    """One counter inc per observed (from, to) pair, not per device."""
-    for (before, after), count in transitions.items():
-        _HEALTH_TRANSITIONS.inc(count, from_state=before, to_state=after)
-
-
-@dataclass(frozen=True)
-class FleetVerdict:
-    """Reduced per-sequence verdict fed into a device's health machine.
-
-    Duck-typed to what :meth:`~repro.core.monitor.OnTheFlyMonitor.observe`
-    reads off a :class:`~repro.core.results.PlatformReport` — ``passed`` and
-    ``failing_tests`` (NIST numbers) — plus the engine's error strings, and
-    nothing heavier.
-    """
-
-    passed: bool
-    failing_tests: Tuple[int, ...]
-    errors: Tuple[str, ...] = ()
-
-
-_PASSED = FleetVerdict(passed=True, failing_tests=())
+def _record_transitions(folded: Folded) -> None:
+    """One counter inc per observed (from, to) state pair of a fold."""
+    codes = len(STATES) * folded.before + folded.state  # int8: at most 8
+    pairs = np.bincount(codes, minlength=len(_TRANSITIONS)).tolist()
+    for (before, after), count in zip(_TRANSITIONS, pairs):
+        if count:
+            _HEALTH_TRANSITIONS.inc(count, from_state=before, to_state=after)
 
 
 @lru_cache(maxsize=64)
@@ -177,6 +161,18 @@ def _nist_order(test_ids: Tuple[str, ...]) -> Tuple[np.ndarray, Union[np.ndarray
     return numbers[order], order
 
 
+def _verdict_rows(result: BatchResult, alpha: float) -> Tuple[np.ndarray, RowErrors]:
+    """The batch's failing mask, columns in ascending NIST-number order, and
+    the sorted error strings of every row a test raised on."""
+    _, order = _nist_order(result.test_ids)
+    row_errors: Dict[int, List[str]] = {}
+    for test_errors in result.errors.values():
+        for row, message in test_errors.items():
+            row_errors.setdefault(row, []).append(message)
+    errors = {row: tuple(sorted(messages)) for row, messages in row_errors.items()}
+    return result.failing(alpha)[:, order], errors
+
+
 def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
     """Per-sequence verdicts straight from the batch's failing mask.
 
@@ -184,20 +180,14 @@ def _reduce_verdicts(result: BatchResult, alpha: float) -> List[FleetVerdict]:
     ascending order) or any test raised on it (its sorted error strings);
     no per-row :class:`~repro.nist.common.TestResult` is ever built.
     """
-    numbers, order = _nist_order(result.test_ids)
-    failing = result.failing(alpha)[:, order]
-    row_errors: Dict[int, List[str]] = {}
-    for test_errors in result.errors.values():
-        for row, message in test_errors.items():
-            row_errors.setdefault(row, []).append(message)
-    verdicts = [_PASSED] * len(result)
-    for row in set(failing.any(axis=1).nonzero()[0].tolist()) | set(row_errors):
-        failing_tests = tuple(numbers[failing[row]].tolist())
-        errors = tuple(sorted(row_errors.get(row, ())))
+    numbers, _ = _nist_order(result.test_ids)
+    failing, errors = _verdict_rows(result, alpha)
+    verdicts = [PASSED] * len(result)
+    for row in set(failing.any(axis=1).nonzero()[0].tolist()) | set(errors):
         verdicts[row] = FleetVerdict(
-            passed=not failing_tests and not errors,
-            failing_tests=failing_tests,
-            errors=errors,
+            passed=False,
+            failing_tests=tuple(numbers[failing[row]].tolist()),
+            errors=errors.get(row, ()),
         )
     return verdicts
 
@@ -280,32 +270,31 @@ def _evaluate_slice(
     devices: Sequence[Device],
     n: int,
     tests: Sequence[int],
+    alpha: float,
     words: np.ndarray,
-) -> BatchResult:
-    """Generate one device slice into its ``words`` rows and evaluate it.
+    failing: np.ndarray,
+) -> RowErrors:
+    """Generate one device slice into its ``words`` rows and decide it.
 
-    Touches only its own sources and rows, and never the fleet lock: the
-    round's caller holds that lock while it waits, and folds the result
-    itself.
+    Writes the slice's rows of the round's failing mask and returns its
+    rows' errors.  Touches only its own sources and rows, and never the
+    fleet lock: the round's caller holds that lock while it waits, and
+    folds the round itself.
     """
     with obs.span("generate"):
         for row, device in enumerate(devices):
             words[row] = device.source.generate_words(n)
         matrix = PackedMatrix(words, n)
     with obs.span("evaluate"):
-        return run_batch(matrix, tests=list(tests))
+        mask, errors = _verdict_rows(run_batch(matrix, tests=list(tests)), alpha)
+        failing[:] = mask
+    return errors
 
 
-def _evaluate_shard(
-    parent: obs.Span,
-    devices: Sequence[Device],
-    n: int,
-    tests: Sequence[int],
-    words: np.ndarray,
-) -> BatchResult:
+def _evaluate_shard(parent: obs.Span, *job: Any) -> RowErrors:
     """:func:`_evaluate_slice` under a ``shard`` span of the round's root."""
-    with obs.span_under(parent, "shard", rows=len(devices)):
-        return _evaluate_slice(devices, n, tests, words)
+    with obs.span_under(parent, "shard", rows=len(job[0])):
+        return _evaluate_slice(*job)
 
 
 class FleetScheduler:
@@ -357,8 +346,17 @@ class FleetScheduler:
         result = run_batch(matrix, tests=list(self.registry.tests))
         return _reduce_verdicts(result, self.registry.alpha)
 
-    def _evaluate_round(self, devices: List[Device], root: obs.Span) -> List[BatchResult]:
-        """One :class:`BatchResult` per device slice, in device order.
+    def _decide(self, matrix: np.ndarray) -> Tuple[np.ndarray, RowErrors]:
+        """One ``(sequences, n)`` matrix's failing mask and row errors (see
+        :func:`_verdict_rows`), on the calling thread."""
+        result = run_batch(matrix, tests=list(self.registry.tests))
+        return _verdict_rows(result, self.registry.alpha)
+
+    def _evaluate_round(
+        self, devices: List[Device], root: obs.Span
+    ) -> Tuple[np.ndarray, RowErrors]:
+        """The round's failing mask (one row per device, column-major for
+        the fold) and its rows' errors.
 
         Slices run under ``shard`` spans of ``root``, the first on the
         calling thread; a one-slice round runs inline with no shard span.
@@ -366,18 +364,27 @@ class FleetScheduler:
         """
         n = self.registry.n
         tests = self.registry.tests
+        alpha = self.registry.alpha
         words = np.empty((len(devices), (n + 63) // 64), dtype=WORD_DTYPE)
+        failing = np.empty((len(devices), len(tests)), dtype=bool, order="F")
+        slices = _round_slices(len(devices), n)
         jobs = [
-            (devices[start:stop], n, tests, words[start:stop])
-            for start, stop in _round_slices(len(devices), n)
+            (devices[start:stop], n, tests, alpha, words[start:stop], failing[start:stop])
+            for start, stop in slices
         ]
         if len(jobs) == 1:
-            return [_evaluate_slice(*jobs[0])]
-        with ThreadPoolExecutor(max_workers=len(jobs) - 1) as pool:
-            futures = [pool.submit(_evaluate_shard, root, *job) for job in jobs[1:]]
-            results = [_evaluate_shard(root, *jobs[0])]
-            results.extend(future.result() for future in futures)
-        return results
+            found = [_evaluate_slice(*jobs[0])]
+        else:
+            with ThreadPoolExecutor(max_workers=len(jobs) - 1) as pool:
+                futures = [pool.submit(_evaluate_shard, root, *job) for job in jobs[1:]]
+                found = [_evaluate_shard(root, *jobs[0])]
+                found.extend(future.result() for future in futures)
+        errors = {
+            start + row: messages
+            for (start, _), slice_errors in zip(slices, found)
+            for row, messages in slice_errors.items()
+        }
+        return failing, errors
 
     # ------------------------------------------------------------- rounds
     def run_round(self) -> FleetRound:
@@ -385,11 +392,11 @@ class FleetScheduler:
 
         Pulls one n-bit block per device (continuing each device's own
         stream — staged attacks and aging trajectories unfold across
-        rounds), evaluates the fleet through the engine — fanned out over
-        device slices when the round is large enough — and folds each
-        verdict into its device's health machine on the calling thread.
-        If generation or evaluation raises, nothing is folded and no round
-        is recorded or journaled.
+        rounds), evaluates and decides the fleet through the engine —
+        fanned out over device slices when the round is large enough — and
+        folds the round's failing mask into the health columns in one pass
+        on the calling thread.  If generation or evaluation raises, nothing
+        is folded and no round is recorded or journaled.
         """
         with self.lock:
             devices = self.registry.simulated_devices()
@@ -401,20 +408,12 @@ class FleetScheduler:
             # FleetRound.elapsed_s and the latency histogram (spans always
             # measure, even with recording disabled — see repro.obs.tracing).
             with obs.trace("fleet.run_round", devices=len(devices)) as root:
-                results = self._evaluate_round(devices, root)
+                failing, errors = self._evaluate_round(devices, root)
                 with obs.span("fold"):
-                    verdicts: List[FleetVerdict] = []
-                    for result in results:
-                        verdicts.extend(_reduce_verdicts(result, self.registry.alpha))
-                    failing = 0
-                    transitions: Dict[Tuple[str, str], int] = {}
-                    for device, verdict in zip(devices, verdicts):
-                        before = device.monitor.state.value
-                        event = device.monitor.observe(verdict)
-                        _count_transitions(transitions, before, event.state.value)
-                        if not event.report.passed:
-                            failing += 1
-                    _flush_transitions(transitions)
+                    folded = self.registry.health.fold(
+                        self.registry.simulated_rows(), failing, errors
+                    )
+                    _record_transitions(folded)
             elapsed = root.duration_s
             _ROUND_SECONDS.observe(elapsed)
             _DEVICES_PER_S.set(len(devices) / elapsed if elapsed > 0 else 0.0)
@@ -422,7 +421,8 @@ class FleetScheduler:
                 index=len(self.rounds),
                 health=self.registry.health_counts(),
                 devices=len(devices),
-                failing_sequences=failing,
+                # A sequence failed exactly when it left a non-zero count.
+                failing_sequences=int(np.count_nonzero(folded.consecutive)),
                 elapsed_s=elapsed,
             )
             self.rounds.append(fleet_round)
@@ -496,11 +496,12 @@ class FleetScheduler:
             if entry.tail.size:
                 arr = np.concatenate((entry.tail, arr))
             complete = arr.size - arr.size % n
-            verdicts = (
-                self.evaluate_matrix(arr[:complete].reshape(-1, n)) if complete else []
-            )
-            with self.lock:
-                events = self._observe_all(device, verdicts)
+            events: List[MonitorEvent] = []
+            if complete:
+                failing, errors = self._decide(arr[:complete].reshape(-1, n))
+                with self.lock:
+                    folded, events = device.monitor.fold(failing, errors)
+                    _record_transitions(folded)
             # Commit the tail and the idempotency high-water mark only after
             # the fold: a chunk whose evaluation failed stays unapplied and
             # must be resendable under the same seq.
@@ -537,24 +538,6 @@ class FleetScheduler:
             return None
         with entry.lock:
             return entry.last_seq
-
-    def _observe_all(
-        self, device: Device, verdicts: List[FleetVerdict]
-    ) -> List[MonitorEvent]:
-        """Fold ingest verdicts into one device's health machine, counted.
-
-        Callers hold the fleet lock.  Transitions accumulate locally and
-        flush as one counter inc per observed (from, to) pair.
-        """
-        events: List[MonitorEvent] = []
-        transitions: Dict[Tuple[str, str], int] = {}
-        for verdict in verdicts:
-            before = device.monitor.state.value
-            event = device.monitor.observe(verdict)
-            _count_transitions(transitions, before, event.state.value)
-            events.append(event)
-        _flush_transitions(transitions)
-        return events
 
     def _ingest_entry(self, device_id: str) -> _IngestStream:
         """The device's ingest entry, created on first use (add-only)."""

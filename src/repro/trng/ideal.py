@@ -12,6 +12,11 @@ __all__ = ["IdealSource"]
 
 _TOP_BIT = np.uint32(1 << 31)
 
+#: The engine's packed word type (``repro.engine.packed.WORD_DTYPE``), held
+#: here so that the per-call path imports nothing and the source layer stays
+#: importable without the engine package.
+_WORD_DTYPE = np.dtype("<u8")
+
 #: Stream 2's spare bits when there are none (never written to).
 _NO_BITS = np.zeros(0, dtype=np.uint8)
 _NO_BITS.flags.writeable = False
@@ -90,9 +95,7 @@ class IdealSource(SeededSource):
             and n % 64 == 0
             and not self._spare.size
         ):
-            from repro.engine.packed import WORD_DTYPE
-
-            return np.asarray(self._rng.bit_generator.random_raw(n // 64), dtype=WORD_DTYPE)
+            return np.asarray(self._rng.bit_generator.random_raw(n // 64), dtype=_WORD_DTYPE)
         return super().generate_words(n)
 
     def _integers_block(self, n: int) -> np.ndarray:

@@ -5,10 +5,12 @@ quick ones are executed in-process, the longer ones as subprocesses with a
 generous timeout and are marked slow.
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -79,3 +81,16 @@ class TestExampleScripts:
         assert "fail [" in quick and "degradation flagged" in quick
         # ... and the long design the aging drift.
         assert "final state: failed" in slow
+
+
+def test_continuous_monitoring_source_replays_after_reset():
+    # A reset source replays its stream: the aging drift and the bursts.
+    spec = importlib.util.spec_from_file_location(
+        "continuous_monitoring", EXAMPLES_DIR / "continuous_monitoring.py"
+    )
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    source = example.AgingWithBursts(drift_per_bit=2e-7, burst_rate=2e-3, seed=42)
+    first = source.generate_block(3072)
+    source.reset()
+    assert np.array_equal(source.generate_block(3072), first)

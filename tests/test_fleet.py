@@ -359,7 +359,7 @@ class TestChunkedIngest:
         def broken(matrix):
             raise RuntimeError("engine down")
 
-        monkeypatch.setattr(scheduler, "evaluate_matrix", broken)
+        monkeypatch.setattr(scheduler, "_decide", broken)
         with pytest.raises(RuntimeError):
             scheduler.ingest(device_id, np.zeros(60, dtype=np.uint8), seq=1)
         assert scheduler.pending_bits(device_id) == 100

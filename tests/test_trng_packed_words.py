@@ -96,3 +96,11 @@ def test_packed_matrix_is_the_packed_uint8_matrix(label, n):
     matrix = FACTORIES[label]().generate_matrix(5, n, packed=True)
     assert isinstance(matrix, PackedMatrix) and matrix.n == n
     assert np.array_equal(matrix.words, pack_matrix(FACTORIES[label]().generate_matrix(5, n)).words)
+
+
+def test_ideal_word_dtype_is_the_engine_word_dtype():
+    # IdealSource keeps its own copy so its per-call path imports nothing.
+    from repro.trng import ideal
+
+    assert ideal._WORD_DTYPE == WORD_DTYPE
+    assert IdealSource(seed=3).generate_words(128).dtype == WORD_DTYPE
